@@ -4,24 +4,23 @@ three-stage token placement on bucket rings.
 Stage 1 confines tokens to a window of consecutive ring buckets using
 two counter-rotating round-robin streams, stage 2 rebalances across the
 whole ring moving each token at most once, and stage 3 re-shards into a
-strictly larger bucket set.  The verifier checks the homogeneity and
-move-budget requirements the scheme promises, and can sweep a whole
-parameter domain exhaustively against an independent oracle.
+strictly larger bucket set.  Every stage is a closed form of the token
+index: ``plan_stage1`` for the fill, ``label`` and its residues for the
+rebalance and re-shard, ``gap`` for the labels a truncated round skips.
+The verifier checks the homogeneity and move-budget requirements the
+scheme promises, and ``sweep`` checks a whole parameter domain
+exhaustively, comparing ``plan_stage1`` with ``prose_oracle_stage1``, an
+independent walk of the two stream pointers, on every stage-1 instance.
 """
 
 from .lifecycle import (
     LifecycleTrace,
-    Stage1EndState,
     TokenPlacement,
-    end_state,
     run_lifecycle,
 )
 from .placement import (
-    Cycle,
     GapDescriptor,
     PlacementParams,
-    Stage1Planner,
-    cycle_class,
     gap,
     label,
     plan_stage1,
@@ -34,7 +33,6 @@ from .verify import (
     EndStateClassification,
     RequirementCheck,
     RequirementReport,
-    ResidueHistogram,
     SweepDomain,
     SweepReport,
     check_requirements,
@@ -47,7 +45,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Cycle",
     "EndStateClassification",
     "GapDescriptor",
     "LifecycleTrace",
@@ -56,16 +53,11 @@ __all__ = [
     "REQUIREMENT_IDS",
     "RequirementCheck",
     "RequirementReport",
-    "ResidueHistogram",
-    "Stage1EndState",
-    "Stage1Planner",
     "SweepDomain",
     "SweepReport",
     "TokenPlacement",
     "check_requirements",
     "classify_end_state",
-    "cycle_class",
-    "end_state",
     "gap",
     "label",
     "plan_stage1",

@@ -23,10 +23,11 @@ import sys
 from dataclasses import asdict
 from typing import Any
 
-from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
+from .lifecycle import LifecycleTrace, TokenPlacement, _tally, run_lifecycle
 from .placement import PlacementParams, gap, label, plan_stage1
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
+    RequirementCheck,
     RequirementReport,
     SweepDomain,
     SweepReport,
@@ -93,6 +94,14 @@ def plan_report(params: PlacementParams) -> dict:
     }
 
 
+def _check_document(check: RequirementCheck) -> dict:
+    return {
+        "id": check.id,
+        "status": "pass" if check.passed else "fail",
+        "witness": check.witness,
+    }
+
+
 def trace_report(trace: LifecycleTrace, report: RequirementReport) -> dict:
     """Full lifecycle report, JSON-native throughout."""
     return {
@@ -102,14 +111,7 @@ def trace_report(trace: LifecycleTrace, report: RequirementReport) -> dict:
         "occupancy2": list(trace.occupancy2),
         "occupancy3": list(trace.occupancy3),
         "gap": asdict(gap(trace.params)),
-        "requirements": [
-            {
-                "id": check.id,
-                "status": "pass" if check.passed else "fail",
-                "witness": check.witness,
-            }
-            for check in report.checks
-        ],
+        "requirements": [_check_document(check) for check in report.checks],
     }
 
 
@@ -205,11 +207,12 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
         ("occupancy2", "stage2_bucket"),
         ("occupancy3", "stage3_bucket"),
     ):
-        counts = [0] * len(histograms[name])
-        for placement in placements:
-            counts[getattr(placement, field)] += 1
+        counts = _tally(
+            (getattr(placement, field) for placement in placements),
+            len(histograms[name]),
+        )
         _require(
-            tuple(counts) == histograms[name],
+            counts == histograms[name],
             f"{name} does not tally the {field} column",
         )
     for bucket, count in enumerate(histograms["occupancy1"]):
@@ -233,11 +236,7 @@ def sweep_report_document(report: SweepReport) -> dict:
     for requirement_id, (params, check) in report.minimal_violations.items():
         minimal[requirement_id] = {
             "params": asdict(params),
-            "check": {
-                "id": check.id,
-                "status": "pass" if check.passed else "fail",
-                "witness": check.witness,
-            },
+            "check": _check_document(check),
         }
     mismatch = report.minimal_oracle_mismatch
     return {
@@ -319,18 +318,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     document = plan_report(params)
     if args.format == "json":
         text = _render_json(document)
-    elif args.format == "csv":
-        rows = [
-            (entry["token"], entry["label"], entry["stage1_bucket"])
-            for entry in document["placements"]
-        ]
-        text = _render_csv(PLAN_CSV_FIELDS, rows)
     else:
         rows = [
-            (entry["token"], entry["label"], entry["stage1_bucket"])
+            tuple(entry[name] for name in PLAN_CSV_FIELDS)
             for entry in document["placements"]
         ]
-        text = _render_table(PLAN_CSV_FIELDS, rows)
+        render = _render_csv if args.format == "csv" else _render_table
+        text = render(PLAN_CSV_FIELDS, rows)
     _emit(text, args.output)
     return 0
 

@@ -16,13 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
-from .placement import PlacementParams, label, plan_stage1
+from .placement import PlacementParams, _label, plan_stage1
 
 __all__ = [
     "LifecycleTrace",
-    "Stage1EndState",
     "TokenPlacement",
-    "end_state",
     "run_lifecycle",
 ]
 
@@ -55,6 +53,7 @@ class LifecycleTrace:
 
 
 def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
+    """Histogram of bucket indices in ``[0, size)``, zero counts included."""
     counts = [0] * size
     for bucket in buckets:
         counts[bucket] += 1
@@ -71,7 +70,7 @@ def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
     second_size = params.second_set_size
     placements = []
     for token, bucket in plan_stage1(params):
-        value = label(params, token)
+        value = _label(params, token)
         after = value % first_size
         final = value % second_size
         placements.append(
@@ -84,31 +83,3 @@ def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
         occupancy2=_tally((p.stage2_bucket for p in placements), first_size),
         occupancy3=_tally((p.stage3_bucket for p in placements), second_size),
     )
-
-
-@dataclass(frozen=True)
-class Stage1EndState:
-    """Stage-1 buckets of the last token of each stream, if any.
-
-    ``last_second_cycle_bucket`` is where the ascending stream's final
-    token landed, ``last_first_cycle_bucket`` likewise for the descending
-    stream.  Either is None when that stream never ran.
-    """
-
-    last_second_cycle_bucket: int | None
-    last_first_cycle_bucket: int | None
-
-
-def end_state(trace: LifecycleTrace) -> Stage1EndState:
-    """Extract the two streams' final stage-1 buckets from a trace.
-
-    Moved tokens are exactly the ascending-stream ones, so the move flag
-    identifies the stream without re-deriving it.
-    """
-    second = first = None
-    for placement in trace.placements:
-        if placement.moved_in_stage2:
-            second = placement.stage1_bucket
-        else:
-            first = placement.stage1_bucket
-    return Stage1EndState(second, first)

@@ -5,9 +5,12 @@ buckets.  Stage 1 confines them to a window of ``fill_width`` consecutive
 ring positions starting at ``first_bucket``.  Two interleaved round-robin
 streams sweep that window in opposite directions: a descending stream for
 tokens whose final ring bucket already lies inside the window, and an
-ascending stream, driven by a wrapping counter, for everyone else.
-Running the streams in opposite directions is what keeps the window
-homogeneous in both token count and label value.
+ascending stream, whose position persists across rounds, for everyone
+else.  Running the streams in opposite directions is what keeps the
+window homogeneous in both token count and label value.  Both streams
+have closed forms, so every token's stage-1 bucket is computed directly
+from its index; ``ringfill.verify.prose_oracle_stage1`` walks the two
+pointers literally and the sweep checks the two agree.
 
 Stage 2 spreads the tokens over the whole ring and stage 3 re-shards them
 into a strictly larger second bucket set.  Every choice after stage 1 is
@@ -23,14 +26,10 @@ Python ints are unbounded, so no overflow guard is needed at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 __all__ = [
-    "Cycle",
     "GapDescriptor",
     "PlacementParams",
-    "Stage1Planner",
-    "cycle_class",
     "gap",
     "label",
     "plan_stage1",
@@ -93,13 +92,6 @@ class PlacementParams:
         return self.window_offset(bucket) < self.fill_width
 
 
-class Cycle(Enum):
-    """The two interleaved round-robin streams of stage 1."""
-
-    FIRST = "first"
-    SECOND = "second"
-
-
 def _check_token(params: PlacementParams, token: int) -> None:
     if not 0 <= token < params.token_count:
         raise ValueError(
@@ -107,64 +99,30 @@ def _check_token(params: PlacementParams, token: int) -> None:
         )
 
 
-def cycle_class(params: PlacementParams, token: int) -> Cycle:
-    """Which stream carries this token.
-
-    A token rides the descending first stream exactly when its position
-    within the current round falls inside the fill window, i.e. when
-    ``token % first_set_size < fill_width``.
-    """
-    _check_token(params, token)
-    if token % params.first_set_size < params.fill_width:
-        return Cycle.FIRST
-    return Cycle.SECOND
-
-
-def label(params: PlacementParams, token: int) -> int:
-    """Permanent integer label of a token.
-
-    Second-stream tokens take the plain ascending form
-    ``first_bucket + token``.  First-stream tokens take a form that
-    descends within each round, so that reducing it modulo the ring size
-    walks the window from its far end back to the start bucket.  Labels
-    never drop below ``first_bucket`` and, except for a possible gap left
-    by a truncated final round, cover a contiguous range.
-    """
-    _check_token(params, token)
+def _label(params: PlacementParams, token: int) -> int:
+    """:func:`label` without the range check, for callers that already
+    iterate ``range(token_count)``."""
     round_pos = token % params.first_set_size
     if round_pos < params.fill_width:
         return params.first_bucket + token + params.fill_width - 1 - 2 * round_pos
     return params.first_bucket + token
 
 
-@dataclass
-class Stage1Planner:
-    """Sequential stage-1 scheduler.
+def label(params: PlacementParams, token: int) -> int:
+    """Permanent integer label of a token.
 
-    Owns the ascending stream's counter, a window offset in
-    ``[0, fill_width)`` that advances once per second-stream token and is
-    untouched by first-stream tokens.  The counter persists across
-    rounds.  An instance is single-owner state: advance it one token at a
-    time with :meth:`step` and do not share it between threads.  Distinct
-    instances are independent.
+    A token rides the descending first stream exactly when its position
+    within the current round falls inside the fill window, i.e. when
+    ``token % first_set_size < fill_width``; every other token rides the
+    ascending second stream.  Second-stream tokens take the plain
+    ascending form ``first_bucket + token``.  First-stream tokens take a
+    form that descends within each round, so that reducing it modulo the
+    ring size walks the window from its far end back to the start bucket.
+    Labels never drop below ``first_bucket`` and, except for a possible
+    gap left by a truncated final round, cover a contiguous range.
     """
-
-    params: PlacementParams
-    counter: int = 0
-    tokens_emitted: int = 0
-
-    def step(self) -> tuple[int, int]:
-        """Assign the next token, returning ``(token, ring_bucket)``."""
-        params = self.params
-        token = self.tokens_emitted
-        _check_token(params, token)
-        if token % params.first_set_size < params.fill_width:
-            bucket = label(params, token) % params.first_set_size
-        else:
-            bucket = (params.first_bucket + self.counter) % params.first_set_size
-            self.counter = (self.counter + 1) % params.fill_width
-        self.tokens_emitted = token + 1
-        return token, bucket
+    _check_token(params, token)
+    return _label(params, token)
 
 
 def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -172,9 +130,27 @@ def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
 
     Each entry is ``(token, ring_bucket)`` and every assigned bucket lies
     inside the fill window.  Zero tokens yield the empty plan.
+
+    With ``round_pos = token % first_set_size``, a descending token sits at
+    window offset ``fill_width - 1 - round_pos``, which is its label
+    residue.  An ascending token sits at the ascending stream's position:
+    the count of ascending tokens before it,
+    ``(token // first_set_size) * (first_set_size - fill_width)
+    + round_pos - fill_width``, taken modulo ``fill_width``.
     """
-    planner = Stage1Planner(params)
-    return [planner.step() for _ in range(params.token_count)]
+    size = params.first_set_size
+    width = params.fill_width
+    start = params.first_bucket
+    ascending_per_round = size - width
+    plan = []
+    for token in range(params.token_count):
+        round_index, round_pos = divmod(token, size)
+        if round_pos < width:
+            offset = width - 1 - round_pos
+        else:
+            offset = (round_index * ascending_per_round + round_pos - width) % width
+        plan.append((token, (start + offset) % size))
+    return plan
 
 
 def stage2_bucket(params: PlacementParams, token: int) -> int:

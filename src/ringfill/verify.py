@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterator, NamedTuple
 
-from .lifecycle import LifecycleTrace, end_state, run_lifecycle
+from .lifecycle import LifecycleTrace, TokenPlacement, _tally, run_lifecycle
 from .placement import PlacementParams, gap, plan_stage1
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "EndStateClassification",
     "RequirementCheck",
     "RequirementReport",
-    "ResidueHistogram",
     "SweepDomain",
     "SweepReport",
     "check_requirements",
@@ -65,27 +64,6 @@ REQUIREMENT_DESCRIPTIONS = {
 def spread(counts) -> int:
     """Max minus min of a histogram, zero-count buckets included."""
     return max(counts) - min(counts)
-
-
-@dataclass(frozen=True)
-class ResidueHistogram:
-    """Counts of values per residue class of a fixed modulus."""
-
-    modulus: int
-    counts: tuple[int, ...]
-
-    @classmethod
-    def of(cls, values, modulus: int) -> "ResidueHistogram":
-        if modulus < 1:
-            raise ValueError(f"modulus must be >= 1, got {modulus}")
-        counts = [0] * modulus
-        for value in values:
-            counts[value % modulus] += 1
-        return cls(modulus, tuple(counts))
-
-    @property
-    def spread(self) -> int:
-        return max(self.counts) - min(self.counts)
 
 
 class RequirementCheck(NamedTuple):
@@ -116,10 +94,6 @@ class RequirementReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-def _params_dict(params: PlacementParams) -> dict:
-    return asdict(params)
-
-
 def _check_distinct_labels(trace: LifecycleTrace) -> RequirementCheck:
     seen: dict[int, int] = {}
     for placement in trace.placements:
@@ -129,7 +103,7 @@ def _check_distinct_labels(trace: LifecycleTrace) -> RequirementCheck:
                 "R1",
                 False,
                 {
-                    "params": _params_dict(trace.params),
+                    "params": asdict(trace.params),
                     "token_a": other,
                     "token_b": placement.token,
                     "label": placement.label,
@@ -147,7 +121,7 @@ def _check_window_counts(trace: LifecycleTrace) -> RequirementCheck:
             "R2",
             False,
             {
-                "params": _params_dict(trace.params),
+                "params": asdict(trace.params),
                 "window_counts": counts,
                 "spread": observed,
             },
@@ -156,17 +130,17 @@ def _check_window_counts(trace: LifecycleTrace) -> RequirementCheck:
 
 
 def _check_label_residues(trace: LifecycleTrace) -> RequirementCheck:
-    histogram = ResidueHistogram.of(
-        (p.label for p in trace.placements), trace.params.first_set_size
-    )
-    if histogram.spread > 1:
+    size = trace.params.first_set_size
+    counts = _tally((p.label % size for p in trace.placements), size)
+    observed = spread(counts)
+    if observed > 1:
         return RequirementCheck(
             "R3",
             False,
             {
-                "params": _params_dict(trace.params),
-                "residue_counts": list(histogram.counts),
-                "spread": histogram.spread,
+                "params": asdict(trace.params),
+                "residue_counts": list(counts),
+                "spread": observed,
             },
         )
     return RequirementCheck("R3", True)
@@ -187,7 +161,7 @@ def _check_move_budget(trace: LifecycleTrace) -> RequirementCheck:
             "R4",
             False,
             {
-                "params": _params_dict(params),
+                "params": asdict(params),
                 "token": placement.token,
                 "stage1_bucket": placement.stage1_bucket,
                 "stage2_bucket": placement.stage2_bucket,
@@ -197,68 +171,49 @@ def _check_move_budget(trace: LifecycleTrace) -> RequirementCheck:
     return RequirementCheck("R4", True)
 
 
-def _check_rebalance(trace: LifecycleTrace) -> RequirementCheck:
-    size = trace.params.first_set_size
+def _check_stage_map(
+    trace: LifecycleTrace,
+    requirement_id: str,
+    column: str,
+    occupancy_name: str,
+    size: int,
+) -> RequirementCheck:
+    """R5 (stage 2, first set) and R6 (stage 3, second set).
+
+    Every token's bucket in ``column`` must be its label modulo ``size``
+    (the residue clause), and the histogram ``occupancy_name`` must have
+    spread at most 1 (the count clause).
+    """
+    index = TokenPlacement._fields.index(column)
     for placement in trace.placements:
         expected = placement.label % size
-        if placement.stage2_bucket != expected:
+        if placement[index] != expected:
             return RequirementCheck(
-                "R5",
+                requirement_id,
                 False,
                 {
-                    "params": _params_dict(trace.params),
+                    "params": asdict(trace.params),
                     "clause": "residue",
                     "token": placement.token,
                     "label": placement.label,
-                    "stage2_bucket": placement.stage2_bucket,
+                    column: placement[index],
                     "expected": expected,
                 },
             )
-    observed = spread(trace.occupancy2)
+    occupancy = getattr(trace, occupancy_name)
+    observed = spread(occupancy)
     if observed > 1:
         return RequirementCheck(
-            "R5",
+            requirement_id,
             False,
             {
-                "params": _params_dict(trace.params),
+                "params": asdict(trace.params),
                 "clause": "count",
-                "occupancy2": list(trace.occupancy2),
+                occupancy_name: list(occupancy),
                 "spread": observed,
             },
         )
-    return RequirementCheck("R5", True)
-
-
-def _check_reshard(trace: LifecycleTrace) -> RequirementCheck:
-    size = trace.params.second_set_size
-    for placement in trace.placements:
-        expected = placement.label % size
-        if placement.stage3_bucket != expected:
-            return RequirementCheck(
-                "R6",
-                False,
-                {
-                    "params": _params_dict(trace.params),
-                    "clause": "residue",
-                    "token": placement.token,
-                    "label": placement.label,
-                    "stage3_bucket": placement.stage3_bucket,
-                    "expected": expected,
-                },
-            )
-    observed = spread(trace.occupancy3)
-    if observed > 1:
-        return RequirementCheck(
-            "R6",
-            False,
-            {
-                "params": _params_dict(trace.params),
-                "clause": "count",
-                "occupancy3": list(trace.occupancy3),
-                "spread": observed,
-            },
-        )
-    return RequirementCheck("R6", True)
+    return RequirementCheck(requirement_id, True)
 
 
 def _check_ascending_direction(trace: LifecycleTrace) -> RequirementCheck:
@@ -274,7 +229,7 @@ def _check_ascending_direction(trace: LifecycleTrace) -> RequirementCheck:
                 "RC",
                 False,
                 {
-                    "params": _params_dict(params),
+                    "params": asdict(params),
                     "position": position,
                     "token": placement.token,
                     "expected_offset": expected,
@@ -300,8 +255,12 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
             _check_window_counts(trace),
             _check_label_residues(trace),
             _check_move_budget(trace),
-            _check_rebalance(trace),
-            _check_reshard(trace),
+            _check_stage_map(
+                trace, "R5", "stage2_bucket", "occupancy2", trace.params.first_set_size
+            ),
+            _check_stage_map(
+                trace, "R6", "stage3_bucket", "occupancy3", trace.params.second_set_size
+            ),
             _check_ascending_direction(trace),
         )
     )
@@ -358,16 +317,18 @@ def classify_end_state(trace: LifecycleTrace) -> EndStateClassification | None:
     strictly between them run one short when ``z + 1 < y``, and the slots
     from ``y`` through ``z`` run one over when ``z + 1 > y``.
     """
-    if not trace.placements:
+    if not trace.placements or trace.placements[-1].moved_in_stage2:
         return None
-    if trace.placements[-1].moved_in_stage2:
-        return None
-    state = end_state(trace)
-    if state.last_second_cycle_bucket is None:
+    # Moved tokens are exactly the ascending-stream ones, so the move flag
+    # identifies each token's stream without re-deriving it.
+    last_ascending = next(
+        (p for p in reversed(trace.placements) if p.moved_in_stage2), None
+    )
+    if last_ascending is None:
         return None
     params = trace.params
-    descending = params.window_offset(state.last_first_cycle_bucket)
-    ascending = params.window_offset(state.last_second_cycle_bucket)
+    descending = params.window_offset(trace.placements[-1].stage1_bucket)
+    ascending = params.window_offset(last_ascending.stage1_bucket)
     if descending == 0:
         # The sweep reached the window start; plain at-most-1 spread case.
         return None
@@ -422,13 +383,24 @@ class SweepDomain:
                     for tokens in range(self.token_limit(size) + 1):
                         yield PlacementParams(tokens, size, width, start, size + 1)
 
+    def second_set_instances(
+        self, planning: PlacementParams
+    ) -> Iterator[PlacementParams]:
+        """Every instance of the domain sharing ``planning``'s stage-1 quadruple."""
+        size = planning.first_set_size
+        for second in range(size + 1, self.target_span * size + 1):
+            yield PlacementParams(
+                planning.token_count,
+                size,
+                planning.fill_width,
+                planning.first_bucket,
+                second,
+            )
+
     def iter_instances(self) -> Iterator[PlacementParams]:
-        for size in range(1, self.max_buckets + 1):
-            for width in range(1, size + 1):
-                for start in range(size):
-                    for tokens in range(self.token_limit(size) + 1):
-                        for second in range(size + 1, self.target_span * size + 1):
-                            yield PlacementParams(tokens, size, width, start, second)
+        """The whole domain, in lexicographic parameter order."""
+        for planning in self.iter_planning_instances():
+            yield from self.second_set_instances(planning)
 
 
 @dataclass
@@ -489,15 +461,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     report = SweepReport(domain=domain)
     for planning in domain.iter_planning_instances():
         oracle_ok = plan_stage1(planning) == prose_oracle_stage1(planning)
-        size = planning.first_set_size
-        for second in range(size + 1, domain.target_span * size + 1):
-            params = PlacementParams(
-                planning.token_count,
-                size,
-                planning.fill_width,
-                planning.first_bucket,
-                second,
-            )
+        for params in domain.second_set_instances(planning):
             report.instances_checked += 1
             if not oracle_ok:
                 report.oracle_mismatches += 1

@@ -1,10 +1,33 @@
-"""Shared helpers: a terse instance builder and a hypothesis strategy."""
+"""Shared helpers: a terse instance builder, a hypothesis strategy and a
+runner for the module command line."""
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import strategies as st
 
 from ringfill import PlacementParams
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_module_cli(args: list[str]) -> subprocess.CompletedProcess:
+    """Run ``python -m ringfill.cli ARGS`` in a child, capturing bytes.
+
+    The checkout's ``src`` goes first on the child's ``PYTHONPATH``, so
+    the child imports the same package as the tests without an install.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (str(SRC), env.get("PYTHONPATH")) if path
+    )
+    return subprocess.run(
+        [sys.executable, "-m", "ringfill.cli"] + args, capture_output=True, env=env
+    )
 
 
 def make_params(

@@ -10,8 +10,6 @@ first), which the module-scoped fixture sweeps exactly once.
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 import time
 
 import pytest
@@ -29,17 +27,12 @@ from ringfill import (
 )
 from ringfill.cli import parse_trace_report
 
+from conftest import run_module_cli
+
 
 def _verdict(criterion: int, passed: bool, description: str) -> None:
     print(f"{'PASS' if passed else 'FAIL'} criterion {criterion}: {description}")
     assert passed, f"criterion {criterion}: {description}"
-
-
-def _run_cli(args: list[str]) -> subprocess.CompletedProcess:
-    return subprocess.run(
-        [sys.executable, "-m", "ringfill.cli"] + args,
-        capture_output=True,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +97,7 @@ def test_criterion_3_reshard_split_verdict(default_sweep):
                 clean_split = False
     found_spread_two = report.violation_counts["R6"] > 0
 
-    pinned = _run_cli(
+    pinned = run_module_cli(
         [
             "verify",
             "--tokens", "5",
@@ -194,7 +187,7 @@ def test_criterion_6_cli_determinism_and_round_trip():
     ]
     round_trips_ok = True
     for params in instances:
-        result = _run_cli(
+        result = run_module_cli(
             [
                 "trace",
                 "--tokens", str(params.token_count),
@@ -229,8 +222,8 @@ def test_criterion_6_cli_determinism_and_round_trip():
     ]
     deterministic = True
     for command in commands:
-        first = _run_cli(command)
-        second = _run_cli(command)
+        first = run_module_cli(command)
+        second = run_module_cli(command)
         if (
             first.stdout != second.stdout
             or first.stderr != second.stderr

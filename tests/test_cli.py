@@ -3,15 +3,13 @@
 from __future__ import annotations
 
 import json
-import subprocess
-import sys
 
 import pytest
 
 from ringfill import check_requirements, run_lifecycle
 from ringfill.cli import main, parse_trace_report, trace_report
 
-from conftest import make_params
+from conftest import make_params, run_module_cli
 
 PLAN_ARGS = ["plan", "--tokens", "4", "--buckets", "4", "--fill", "2", "--first", "0"]
 TRACE_ARGS = [
@@ -344,13 +342,9 @@ class TestOutputHandling:
         assert outputs[0] == outputs[1]
 
     def test_module_entry_point_matches_the_library(self):
-        result = subprocess.run(
-            [sys.executable, "-m", "ringfill.cli"] + PLAN_ARGS + ["--format", "csv"],
-            capture_output=True,
-            text=True,
-        )
+        result = run_module_cli(PLAN_ARGS + ["--format", "csv"])
         assert result.returncode == 0
-        assert result.stdout.splitlines()[1] == "0,1,1"
+        assert result.stdout.splitlines()[1] == b"0,1,1"
 
 
 class TestTraceRoundTrip:

@@ -1,10 +1,10 @@
-"""Tests for full-lifecycle traces and end-state extraction."""
+"""Tests for full-lifecycle traces."""
 
 from __future__ import annotations
 
 from hypothesis import given
 
-from ringfill import TokenPlacement, end_state, run_lifecycle
+from ringfill import TokenPlacement, run_lifecycle
 
 from conftest import make_params, placement_params
 
@@ -65,6 +65,16 @@ class TestRunLifecycle:
             )
 
     @given(placement_params())
+    def test_each_complete_round_has_fill_width_unmoved_tokens(self, params):
+        placements = run_lifecycle(params).placements
+        size = params.first_set_size
+        for start in range(0, params.token_count - size + 1, size):
+            unmoved = sum(
+                not p.moved_in_stage2 for p in placements[start : start + size]
+            )
+            assert unmoved == params.fill_width
+
+    @given(placement_params())
     def test_tokens_are_dense_and_ordered(self, params):
         trace = run_lifecycle(params)
         assert [p.token for p in trace.placements] == list(range(params.token_count))
@@ -72,31 +82,3 @@ class TestRunLifecycle:
     @given(placement_params())
     def test_reruns_are_identical(self, params):
         assert run_lifecycle(params) == run_lifecycle(params)
-
-
-class TestEndState:
-    def test_reports_both_streams_final_buckets(self):
-        state = end_state(run_lifecycle(make_params(4, 4, 2)))
-        assert state.last_second_cycle_bucket == 1
-        assert state.last_first_cycle_bucket == 0
-
-    def test_full_width_window_has_no_ascending_stream(self):
-        state = end_state(run_lifecycle(make_params(4, 4, 4)))
-        assert state.last_second_cycle_bucket is None
-        assert state.last_first_cycle_bucket == 0
-
-    def test_empty_trace_has_neither(self):
-        state = end_state(run_lifecycle(make_params(0, 4, 2)))
-        assert state.last_second_cycle_bucket is None
-        assert state.last_first_cycle_bucket is None
-
-    @given(placement_params())
-    def test_matches_a_direct_scan_of_the_trace(self, params):
-        trace = run_lifecycle(params)
-        state = end_state(trace)
-        ascending = [p for p in trace.placements if p.moved_in_stage2]
-        descending = [p for p in trace.placements if not p.moved_in_stage2]
-        expected_second = ascending[-1].stage1_bucket if ascending else None
-        expected_first = descending[-1].stage1_bucket if descending else None
-        assert state.last_second_cycle_bucket == expected_second
-        assert state.last_first_cycle_bucket == expected_first

@@ -6,13 +6,11 @@ import pytest
 from hypothesis import given
 
 from ringfill import (
-    Cycle,
     PlacementParams,
-    Stage1Planner,
-    cycle_class,
     gap,
     label,
     plan_stage1,
+    run_lifecycle,
     stage2_bucket,
     stage3_bucket,
 )
@@ -64,38 +62,17 @@ class TestPlacementParams:
 
 
 class TestCycleClass:
+    """Which stream carries each token, read off the move flag: only the
+    ascending stream's tokens move in the rebalance."""
+
     def test_round_starts_with_descending_tokens(self):
-        params = make_params(8, 4, 2)
-        observed = [cycle_class(params, token) for token in range(8)]
-        assert observed == [
-            Cycle.FIRST,
-            Cycle.FIRST,
-            Cycle.SECOND,
-            Cycle.SECOND,
-            Cycle.FIRST,
-            Cycle.FIRST,
-            Cycle.SECOND,
-            Cycle.SECOND,
-        ]
+        trace = run_lifecycle(make_params(8, 4, 2))
+        observed = [not p.moved_in_stage2 for p in trace.placements]
+        assert observed == [True, True, False, False, True, True, False, False]
 
     def test_full_width_window_has_no_ascending_tokens(self):
-        params = make_params(8, 4, 4)
-        assert all(cycle_class(params, token) is Cycle.FIRST for token in range(8))
-
-    def test_rejects_out_of_range_token(self):
-        params = make_params(3, 4, 2)
-        with pytest.raises(ValueError, match="out of range"):
-            cycle_class(params, 3)
-
-    @given(placement_params())
-    def test_each_complete_round_has_fill_width_descending_tokens(self, params):
-        size = params.first_set_size
-        for start in range(0, params.token_count - size + 1, size):
-            count = sum(
-                cycle_class(params, token) is Cycle.FIRST
-                for token in range(start, start + size)
-            )
-            assert count == params.fill_width
+        trace = run_lifecycle(make_params(8, 4, 4))
+        assert not any(p.moved_in_stage2 for p in trace.placements)
 
 
 class TestLabel:
@@ -155,14 +132,6 @@ class TestPlanStage1:
     def test_empty_instance_yields_empty_plan(self):
         assert plan_stage1(make_params(0, 3, 1)) == []
 
-    def test_planner_counter_ignores_descending_tokens(self):
-        planner = Stage1Planner(make_params(6, 4, 2))
-        counters = []
-        for _ in range(6):
-            planner.step()
-            counters.append(planner.counter)
-        assert counters == [0, 0, 1, 0, 0, 0]
-
     @given(placement_params())
     def test_all_assignments_stay_inside_the_window(self, params):
         for _, bucket in plan_stage1(params):
@@ -171,11 +140,18 @@ class TestPlanStage1:
     @given(placement_params())
     def test_descending_tokens_sit_at_their_label_residue(self, params):
         for token, bucket in plan_stage1(params):
-            if cycle_class(params, token) is Cycle.FIRST:
+            if token % params.first_set_size < params.fill_width:
                 assert bucket == label(params, token) % params.first_set_size
 
 
 class TestStageMaps:
+    def test_rejects_out_of_range_token(self):
+        params = make_params(3, 4, 2)
+        for closed_form in (label, stage2_bucket, stage3_bucket):
+            for token in (-1, 3):
+                with pytest.raises(ValueError, match="out of range"):
+                    closed_form(params, token)
+
     def test_rebalance_reduces_label_modulo_ring_size(self):
         params = make_params(5, 4, 3, target=5)
         assert [stage2_bucket(params, t) for t in range(5)] == [2, 1, 0, 3, 2]

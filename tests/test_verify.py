@@ -11,7 +11,6 @@ from ringfill import (
     REQUIREMENT_IDS,
     LifecycleTrace,
     PlacementParams,
-    ResidueHistogram,
     SweepDomain,
     TokenPlacement,
     check_requirements,
@@ -244,15 +243,6 @@ class TestSpreadHelpers:
 
     def test_spread_counts_empty_buckets(self):
         assert spread([2, 0, 1]) == 2
-
-    def test_residue_histogram_tallies_by_modulus(self):
-        histogram = ResidueHistogram.of([0, 5, 10, 7], 5)
-        assert histogram.counts == (3, 0, 1, 0, 0)
-        assert histogram.spread == 3
-
-    def test_residue_histogram_rejects_bad_modulus(self):
-        with pytest.raises(ValueError, match="modulus"):
-            ResidueHistogram.of([1], 0)
 
 
 class TestProseOracle:
