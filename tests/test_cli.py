@@ -421,6 +421,29 @@ class TestTraceReportValidation:
         with pytest.raises(ValueError, match="occupancy3"):
             parse_trace_report(document)
 
+    def test_histogram_that_is_not_a_list_is_rejected(self, document):
+        document["occupancy2"] = {"0": 1, "1": 1, "2": 2, "3": 1}
+        with pytest.raises(ValueError, match="occupancy2 must be a list"):
+            parse_trace_report(document)
+
+    @pytest.mark.parametrize(("bucket", "count"), [(0, 2.0), (1, True)])
+    def test_histogram_entries_equal_to_integers_are_rejected(
+        self, document, bucket, count
+    ):
+        # 2.0 == 2 and True == 1: only the type check can object.
+        assert document["occupancy1"][bucket] == count
+        document["occupancy1"][bucket] = count
+        with pytest.raises(ValueError, match="occupancy1 entries must be integers"):
+            parse_trace_report(document)
+
+    def test_huge_set_size_is_rejected_before_any_tally(self, document):
+        # A tally of 10**20 buckets cannot even be requested, so a parser
+        # that tallies before checking the length raises OverflowError.
+        document["params"]["second_set_size"] = 10**20
+        document["occupancy3"] = []
+        with pytest.raises(ValueError, match="occupancy3"):
+            parse_trace_report(document)
+
     def test_mismatched_tally_is_rejected(self, document):
         document["occupancy2"][0] += 1
         document["occupancy2"][1] -= 1

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import asdict
+
 import pytest
 from hypothesis import given
 
@@ -52,6 +54,12 @@ def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
     )
 
 
+def assert_witness_fields(check, trace, *fields) -> None:
+    """The witness leads with the instance's params, then exactly ``fields``."""
+    assert list(check.witness) == ["params", *fields]
+    assert check.witness["params"] == asdict(trace.params)
+
+
 class TestReportContainer:
     def test_requirements_are_reported_in_declaration_order(self):
         report = check_requirements(run_lifecycle(make_params(6, 3, 2)))
@@ -97,6 +105,7 @@ class TestCheckRequirements:
         assert check.witness["token_a"] == 1
         assert check.witness["token_b"] == 2
         assert check.witness["label"] == 1
+        assert_witness_fields(check, trace, "token_a", "token_b", "label")
         assert [c.id for c in report.failures()] == ["R1"]
 
     def test_lopsided_window_fails_count_homogeneity(self):
@@ -118,6 +127,7 @@ class TestCheckRequirements:
         assert not check.passed
         assert check.witness["window_counts"] == [4, 2]
         assert check.witness["spread"] == 2
+        assert_witness_fields(check, trace, "window_counts", "spread")
         assert [c.id for c in report.failures()] == ["R2"]
 
     def test_unbalanced_label_residues_are_detected(self):
@@ -132,6 +142,7 @@ class TestCheckRequirements:
         assert not check.passed
         assert check.witness["residue_counts"] == [2, 0]
         assert check.witness["spread"] == 2
+        assert_witness_fields(check, trace, "residue_counts", "spread")
 
     def test_lying_move_flag_is_detected(self):
         trace = run_lifecycle(make_params(4, 4, 2, target=5))
@@ -140,10 +151,14 @@ class TestCheckRequirements:
             for p in trace.placements
         ]
         rows[2] = rows[2][:4] + (False,)
-        check = check_requirements(build_trace(trace.params, rows))["R4"]
+        lying = build_trace(trace.params, rows)
+        check = check_requirements(lying)["R4"]
         assert not check.passed
         assert check.witness["token"] == 2
         assert check.witness["reason"] == "flag_mismatch"
+        assert_witness_fields(
+            check, lying, "token", "stage1_bucket", "stage2_bucket", "reason"
+        )
 
     def test_move_landing_inside_the_window_is_detected(self):
         trace = build_trace(
@@ -154,6 +169,9 @@ class TestCheckRequirements:
         check = report["R4"]
         assert not check.passed
         assert check.witness["reason"] == "moved_within_window"
+        assert_witness_fields(
+            check, trace, "token", "stage1_bucket", "stage2_bucket", "reason"
+        )
         assert [c.id for c in report.failures()] == ["R4"]
 
     def test_rebalance_off_the_label_residue_is_detected(self):
@@ -167,6 +185,9 @@ class TestCheckRequirements:
         assert check.witness["clause"] == "residue"
         assert check.witness["token"] == 0
         assert check.witness["expected"] == 0
+        assert_witness_fields(
+            check, trace, "clause", "token", "label", "stage2_bucket", "expected"
+        )
         assert [c.id for c in report.failures()] == ["R5"]
 
     def test_lopsided_rebalance_counts_are_detected(self):
@@ -182,6 +203,7 @@ class TestCheckRequirements:
         assert check.witness["clause"] == "count"
         assert check.witness["occupancy2"] == [2, 0]
         assert check.witness["spread"] == 2
+        assert_witness_fields(check, trace, "clause", "occupancy2", "spread")
 
     def test_reshard_off_the_label_residue_is_detected(self):
         trace = build_trace(
@@ -193,15 +215,20 @@ class TestCheckRequirements:
         assert not check.passed
         assert check.witness["clause"] == "residue"
         assert check.witness["expected"] == 0
+        assert_witness_fields(
+            check, trace, "clause", "token", "label", "stage3_bucket", "expected"
+        )
         assert [c.id for c in report.failures()] == ["R6"]
 
     def test_gap_instance_fails_reshard_counts(self):
-        report = check_requirements(run_lifecycle(make_params(5, 4, 3, target=5)))
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        report = check_requirements(trace)
         check = report["R6"]
         assert not check.passed
         assert check.witness["clause"] == "count"
         assert check.witness["occupancy3"] == [1, 2, 1, 1, 0]
         assert check.witness["spread"] == 2
+        assert_witness_fields(check, trace, "clause", "occupancy3", "spread")
         assert [c.id for c in report.failures()] == ["R6"]
 
     def test_ascending_stream_starting_off_the_window_start_is_detected(self):
@@ -212,13 +239,17 @@ class TestCheckRequirements:
         ]
         rows[2] = (rows[2][0], 1) + rows[2][2:]
         rows[3] = (rows[3][0], 0) + rows[3][2:]
-        report = check_requirements(build_trace(trace.params, rows))
+        shifted = build_trace(trace.params, rows)
+        report = check_requirements(shifted)
         check = report["RC"]
         assert not check.passed
         assert check.witness["position"] == 0
         assert check.witness["token"] == 2
         assert check.witness["expected_offset"] == 0
         assert check.witness["actual_offset"] == 1
+        assert_witness_fields(
+            check, shifted, "position", "token", "expected_offset", "actual_offset"
+        )
         assert [c.id for c in report.failures()] == ["RC"]
 
     def test_witness_params_reproduce_the_failure(self):
