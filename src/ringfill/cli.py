@@ -20,10 +20,10 @@ import csv
 import io
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from typing import Any
 
-from .lifecycle import LifecycleTrace, TokenPlacement, _tally, run_lifecycle
+from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
 from .placement import PlacementParams, gap, label, plan_stage1
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
@@ -133,13 +133,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     _require("params" in document, "report is missing params")
     raw_params = document["params"]
     _require(isinstance(raw_params, dict), "params must be an object")
-    expected_fields = {
-        "token_count",
-        "first_set_size",
-        "fill_width",
-        "first_bucket",
-        "second_set_size",
-    }
+    expected_fields = {param.name for param in fields(PlacementParams)}
     _require(
         set(raw_params) == expected_fields,
         f"params must have exactly the fields {sorted(expected_fields)}",
@@ -186,12 +180,14 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
             f"placement {index} has a bucket outside its set",
         )
         placements.append(TokenPlacement(**entry))
+    trace = LifecycleTrace(params, tuple(placements))
 
-    histograms = {}
-    for name, size in (
-        ("occupancy1", params.first_set_size),
-        ("occupancy2", params.first_set_size),
-        ("occupancy3", params.second_set_size),
+    # The length check must come before the trace tallies its column, so
+    # a huge set size with a short histogram never allocates the tally.
+    for name, field, size in (
+        ("occupancy1", "stage1_bucket", params.first_set_size),
+        ("occupancy2", "stage2_bucket", params.first_set_size),
+        ("occupancy3", "stage3_bucket", params.second_set_size),
     ):
         raw = document.get(name)
         _require(isinstance(raw, list), f"{name} must be a list")
@@ -200,34 +196,16 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
             all(isinstance(count, int) and not isinstance(count, bool) for count in raw),
             f"{name} entries must be integers",
         )
-        histograms[name] = tuple(raw)
-
-    for name, field in (
-        ("occupancy1", "stage1_bucket"),
-        ("occupancy2", "stage2_bucket"),
-        ("occupancy3", "stage3_bucket"),
-    ):
-        counts = _tally(
-            (getattr(placement, field) for placement in placements),
-            len(histograms[name]),
-        )
         _require(
-            counts == histograms[name],
+            tuple(raw) == getattr(trace, name),
             f"{name} does not tally the {field} column",
         )
-    for bucket, count in enumerate(histograms["occupancy1"]):
+    for bucket, count in enumerate(trace.occupancy1):
         _require(
             count == 0 or params.in_fill_window(bucket),
             f"occupancy1 is nonzero at bucket {bucket}, outside the fill window",
         )
-
-    return LifecycleTrace(
-        params=params,
-        placements=tuple(placements),
-        occupancy1=histograms["occupancy1"],
-        occupancy2=histograms["occupancy2"],
-        occupancy3=histograms["occupancy3"],
-    )
+    return trace
 
 
 def sweep_report_document(report: SweepReport) -> dict:
@@ -346,9 +324,8 @@ def _trace_rows(trace: LifecycleTrace) -> list[tuple]:
 def cmd_trace(args: argparse.Namespace) -> int:
     params = _instance_params(args, args.target_buckets)
     trace = run_lifecycle(params)
-    report = check_requirements(trace)
     if args.format == "json":
-        text = _render_json(trace_report(trace, report))
+        text = _render_json(trace_report(trace, check_requirements(trace)))
     elif args.format == "csv":
         text = _render_csv(TRACE_CSV_FIELDS, _trace_rows(trace))
     else:
@@ -499,10 +476,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except OSError as error:
+    except (ValueError, OSError, OverflowError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
 

@@ -8,12 +8,16 @@ a second move inexpressible by construction.  Stage 3 is a fresh
 assignment into the second bucket set and is not counted as a move
 within the first set.
 
+A trace stores only its parameters and placements; each per-stage
+occupancy histogram is tallied from its bucket column on first use.
+
 Traces are immutable once produced and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .placement import PlacementParams, _label, plan_stage1
@@ -36,28 +40,43 @@ class TokenPlacement(NamedTuple):
     moved_in_stage2: bool
 
 
-@dataclass(frozen=True)
-class LifecycleTrace:
-    """Ordered placements for one instance plus occupancy per stage.
-
-    ``occupancy1`` and ``occupancy2`` are indexed by first-set bucket,
-    ``occupancy3`` by second-set bucket.  ``occupancy1`` is zero outside
-    the fill window.  Each histogram sums to ``token_count``.
-    """
-
-    params: PlacementParams
-    placements: tuple[TokenPlacement, ...]
-    occupancy1: tuple[int, ...]
-    occupancy2: tuple[int, ...]
-    occupancy3: tuple[int, ...]
-
-
 def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
     """Histogram of bucket indices in ``[0, size)``, zero counts included."""
     counts = [0] * size
     for bucket in buckets:
         counts[bucket] += 1
     return tuple(counts)
+
+
+@dataclass(frozen=True)
+class LifecycleTrace:
+    """Ordered placements for one instance plus occupancy per stage.
+
+    ``occupancyN`` is the read-only tally of the ``stageN_bucket`` column,
+    made at most once per trace.  ``occupancy1`` and ``occupancy2`` are
+    indexed by first-set bucket, ``occupancy3`` by second-set bucket.
+    """
+
+    params: PlacementParams
+    placements: tuple[TokenPlacement, ...]
+
+    @cached_property
+    def occupancy1(self) -> tuple[int, ...]:
+        return _tally(
+            (p.stage1_bucket for p in self.placements), self.params.first_set_size
+        )
+
+    @cached_property
+    def occupancy2(self) -> tuple[int, ...]:
+        return _tally(
+            (p.stage2_bucket for p in self.placements), self.params.first_set_size
+        )
+
+    @cached_property
+    def occupancy3(self) -> tuple[int, ...]:
+        return _tally(
+            (p.stage3_bucket for p in self.placements), self.params.second_set_size
+        )
 
 
 def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
@@ -76,10 +95,4 @@ def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
         placements.append(
             TokenPlacement(token, value, bucket, after, final, bucket != after)
         )
-    return LifecycleTrace(
-        params=params,
-        placements=tuple(placements),
-        occupancy1=_tally((p.stage1_bucket for p in placements), first_size),
-        occupancy2=_tally((p.stage2_bucket for p in placements), first_size),
-        occupancy3=_tally((p.stage3_bucket for p in placements), second_size),
-    )
+    return LifecycleTrace(params, tuple(placements))

@@ -28,6 +28,7 @@ for R6.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from typing import Iterator, NamedTuple
 
 from .lifecycle import LifecycleTrace, TokenPlacement, _tally, run_lifecycle
@@ -47,18 +48,6 @@ __all__ = [
     "spread",
     "sweep",
 ]
-
-REQUIREMENT_IDS = ("R1", "R2", "R3", "R4", "R5", "R6", "RC")
-
-REQUIREMENT_DESCRIPTIONS = {
-    "R1": "labels are pairwise distinct",
-    "R2": "fill-window token counts differ by at most 1",
-    "R3": "label residue counts over the first set differ by at most 1",
-    "R4": "each token moves at most once and never inside the window",
-    "R5": "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
-    "R6": "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
-    "RC": "ascending stream starts at the window start and steps by one slot",
-}
 
 
 def spread(counts) -> int:
@@ -94,59 +83,38 @@ class RequirementReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-def _check_distinct_labels(trace: LifecycleTrace) -> RequirementCheck:
+def _check_distinct_labels(trace: LifecycleTrace) -> dict | None:
     seen: dict[int, int] = {}
     for placement in trace.placements:
         other = seen.get(placement.label)
         if other is not None:
-            return RequirementCheck(
-                "R1",
-                False,
-                {
-                    "params": asdict(trace.params),
-                    "token_a": other,
-                    "token_b": placement.token,
-                    "label": placement.label,
-                },
-            )
+            return {
+                "token_a": other,
+                "token_b": placement.token,
+                "label": placement.label,
+            }
         seen[placement.label] = placement.token
-    return RequirementCheck("R1", True)
+    return None
 
 
-def _check_window_counts(trace: LifecycleTrace) -> RequirementCheck:
+def _check_window_counts(trace: LifecycleTrace) -> dict | None:
     counts = [trace.occupancy1[b] for b in trace.params.fill_window()]
     observed = spread(counts)
     if observed > 1:
-        return RequirementCheck(
-            "R2",
-            False,
-            {
-                "params": asdict(trace.params),
-                "window_counts": counts,
-                "spread": observed,
-            },
-        )
-    return RequirementCheck("R2", True)
+        return {"window_counts": counts, "spread": observed}
+    return None
 
 
-def _check_label_residues(trace: LifecycleTrace) -> RequirementCheck:
+def _check_label_residues(trace: LifecycleTrace) -> dict | None:
     size = trace.params.first_set_size
     counts = _tally((p.label % size for p in trace.placements), size)
     observed = spread(counts)
     if observed > 1:
-        return RequirementCheck(
-            "R3",
-            False,
-            {
-                "params": asdict(trace.params),
-                "residue_counts": list(counts),
-                "spread": observed,
-            },
-        )
-    return RequirementCheck("R3", True)
+        return {"residue_counts": list(counts), "spread": observed}
+    return None
 
 
-def _check_move_budget(trace: LifecycleTrace) -> RequirementCheck:
+def _check_move_budget(trace: LifecycleTrace) -> dict | None:
     params = trace.params
     for placement in trace.placements:
         moved = placement.stage1_bucket != placement.stage2_bucket
@@ -157,66 +125,44 @@ def _check_move_budget(trace: LifecycleTrace) -> RequirementCheck:
             reason = "moved_within_window"
         else:
             continue
-        return RequirementCheck(
-            "R4",
-            False,
-            {
-                "params": asdict(params),
-                "token": placement.token,
-                "stage1_bucket": placement.stage1_bucket,
-                "stage2_bucket": placement.stage2_bucket,
-                "reason": reason,
-            },
-        )
-    return RequirementCheck("R4", True)
+        return {
+            "token": placement.token,
+            "stage1_bucket": placement.stage1_bucket,
+            "stage2_bucket": placement.stage2_bucket,
+            "reason": reason,
+        }
+    return None
 
 
 def _check_stage_map(
-    trace: LifecycleTrace,
-    requirement_id: str,
-    column: str,
-    occupancy_name: str,
-    size: int,
-) -> RequirementCheck:
+    column: str, occupancy_name: str, size_name: str, trace: LifecycleTrace
+) -> dict | None:
     """R5 (stage 2, first set) and R6 (stage 3, second set).
 
-    Every token's bucket in ``column`` must be its label modulo ``size``
-    (the residue clause), and the histogram ``occupancy_name`` must have
-    spread at most 1 (the count clause).
+    Every token's bucket in ``column`` must be its label modulo the
+    ``size_name`` parameter (the residue clause), and the histogram
+    ``occupancy_name`` must have spread at most 1 (the count clause).
     """
+    size = getattr(trace.params, size_name)
     index = TokenPlacement._fields.index(column)
     for placement in trace.placements:
         expected = placement.label % size
         if placement[index] != expected:
-            return RequirementCheck(
-                requirement_id,
-                False,
-                {
-                    "params": asdict(trace.params),
-                    "clause": "residue",
-                    "token": placement.token,
-                    "label": placement.label,
-                    column: placement[index],
-                    "expected": expected,
-                },
-            )
+            return {
+                "clause": "residue",
+                "token": placement.token,
+                "label": placement.label,
+                column: placement[index],
+                "expected": expected,
+            }
     occupancy = getattr(trace, occupancy_name)
     observed = spread(occupancy)
     if observed > 1:
-        return RequirementCheck(
-            requirement_id,
-            False,
-            {
-                "params": asdict(trace.params),
-                "clause": "count",
-                occupancy_name: list(occupancy),
-                "spread": observed,
-            },
-        )
-    return RequirementCheck(requirement_id, True)
+        return {"clause": "count", occupancy_name: list(occupancy), "spread": observed}
+    return None
 
 
-def _check_ascending_direction(trace: LifecycleTrace) -> RequirementCheck:
+def _check_ascending_direction(trace: LifecycleTrace) -> dict | None:
     params = trace.params
     expected = 0
     position = 0
@@ -225,20 +171,55 @@ def _check_ascending_direction(trace: LifecycleTrace) -> RequirementCheck:
             continue
         offset = params.window_offset(placement.stage1_bucket)
         if offset != expected:
-            return RequirementCheck(
-                "RC",
-                False,
-                {
-                    "params": asdict(params),
-                    "position": position,
-                    "token": placement.token,
-                    "expected_offset": expected,
-                    "actual_offset": offset,
-                },
-            )
+            return {
+                "position": position,
+                "token": placement.token,
+                "expected_offset": expected,
+                "actual_offset": offset,
+            }
         expected = (offset + 1) % params.fill_width
         position += 1
-    return RequirementCheck("RC", True)
+    return None
+
+
+# The requirements in report order: (id, description, check).  A check
+# returns None when its requirement holds, else the witness fields that
+# follow "params".
+_REQUIREMENTS = (
+    ("R1", "labels are pairwise distinct", _check_distinct_labels),
+    ("R2", "fill-window token counts differ by at most 1", _check_window_counts),
+    (
+        "R3",
+        "label residue counts over the first set differ by at most 1",
+        _check_label_residues,
+    ),
+    (
+        "R4",
+        "each token moves at most once and never inside the window",
+        _check_move_budget,
+    ),
+    (
+        "R5",
+        "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
+        partial(_check_stage_map, "stage2_bucket", "occupancy2", "first_set_size"),
+    ),
+    (
+        "R6",
+        "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
+        partial(_check_stage_map, "stage3_bucket", "occupancy3", "second_set_size"),
+    ),
+    (
+        "RC",
+        "ascending stream starts at the window start and steps by one slot",
+        _check_ascending_direction,
+    ),
+)
+
+REQUIREMENT_IDS = tuple(requirement_id for requirement_id, _, _ in _REQUIREMENTS)
+
+REQUIREMENT_DESCRIPTIONS = {
+    requirement_id: description for requirement_id, description, _ in _REQUIREMENTS
+}
 
 
 def check_requirements(trace: LifecycleTrace) -> RequirementReport:
@@ -249,21 +230,13 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     offending indices) to reproduce the failure from scratch.  The empty
     trace passes everything vacuously.
     """
-    return RequirementReport(
-        (
-            _check_distinct_labels(trace),
-            _check_window_counts(trace),
-            _check_label_residues(trace),
-            _check_move_budget(trace),
-            _check_stage_map(
-                trace, "R5", "stage2_bucket", "occupancy2", trace.params.first_set_size
-            ),
-            _check_stage_map(
-                trace, "R6", "stage3_bucket", "occupancy3", trace.params.second_set_size
-            ),
-            _check_ascending_direction(trace),
-        )
-    )
+    checks = []
+    for requirement_id, _, check in _REQUIREMENTS:
+        witness = check(trace)
+        if witness is not None:
+            witness = {"params": asdict(trace.params), **witness}
+        checks.append(RequirementCheck(requirement_id, witness is None, witness))
+    return RequirementReport(tuple(checks))
 
 
 def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:

@@ -315,6 +315,19 @@ class TestArgumentHandling:
             main(VERIFY_PASS_ARGS + ["--format", "csv"])
         assert excinfo.value.code == 1
 
+    @pytest.mark.parametrize("command", [["verify"], ["trace", "--format", "json"]])
+    def test_set_too_large_to_index_is_an_input_error(self, capsys, command):
+        # A histogram of 10**20 buckets overflows a list index before
+        # anything is allocated.
+        instance = ["--tokens", "0", "--buckets", str(10**20), "--fill", "1", "--first", "0"]
+        code, out, err = run_cli(
+            capsys, command + instance + ["--target-buckets", str(10**20 + 1)]
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestOutputHandling:
     def test_report_goes_to_the_requested_file(self, capsys, tmp_path):

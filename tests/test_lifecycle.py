@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from dataclasses import FrozenInstanceError, fields
+
+import pytest
 from hypothesis import given
 
-from ringfill import TokenPlacement, run_lifecycle
+import ringfill.lifecycle
+from ringfill import LifecycleTrace, TokenPlacement, run_lifecycle
 
 from conftest import make_params, placement_params
 
@@ -50,6 +54,30 @@ class TestRunLifecycle:
             assert trace.occupancy1[placement.stage1_bucket] > 0
             assert trace.occupancy2[placement.stage2_bucket] > 0
             assert trace.occupancy3[placement.stage3_bucket] > 0
+
+    def test_histograms_are_tallied_on_first_read_and_only_once(self, monkeypatch):
+        sizes = []
+        real_tally = ringfill.lifecycle._tally
+
+        def counting_tally(buckets, size):
+            sizes.append(size)
+            return real_tally(buckets, size)
+
+        monkeypatch.setattr(ringfill.lifecycle, "_tally", counting_tally)
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        assert sizes == []
+        for _ in range(2):
+            assert trace.occupancy3 == (1, 2, 1, 1, 0)
+            assert trace.occupancy1 == (2, 1, 2, 0)
+            assert trace.occupancy2 == (1, 1, 2, 1)
+        assert sizes == [5, 4, 4]
+
+    def test_trace_stores_only_params_and_placements(self):
+        assert [f.name for f in fields(LifecycleTrace)] == ["params", "placements"]
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        with pytest.raises(FrozenInstanceError):
+            trace.occupancy1 = (5, 0, 0, 0)
+        assert trace.occupancy1 == (2, 1, 2, 0)
 
     @given(placement_params())
     def test_stage1_occupancy_is_confined_to_the_window(self, params):

@@ -29,28 +29,14 @@ from conftest import make_params, placement_params
 
 
 def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
-    """Assemble a trace from raw placement rows, tallying histograms.
+    """Assemble a trace from raw placement rows.
 
     Rows are (label, stage1, stage2, stage3, moved); tokens are numbered
     in order.  Used to feed the checker traces the real planner would
     never produce.
     """
-    placements = tuple(
-        TokenPlacement(token, *row) for token, row in enumerate(rows)
-    )
-
-    def tally(field: str, size: int) -> tuple[int, ...]:
-        counts = [0] * size
-        for placement in placements:
-            counts[getattr(placement, field)] += 1
-        return tuple(counts)
-
     return LifecycleTrace(
-        params=params,
-        placements=placements,
-        occupancy1=tally("stage1_bucket", params.first_set_size),
-        occupancy2=tally("stage2_bucket", params.first_set_size),
-        occupancy3=tally("stage3_bucket", params.second_set_size),
+        params, tuple(TokenPlacement(token, *row) for token, row in enumerate(rows))
     )
 
 
