@@ -331,9 +331,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     else:
         lines = [_render_table(TRACE_CSV_FIELDS, _trace_rows(trace)).rstrip("\n")]
         lines.append("")
-        lines.append("occupancy1: " + " ".join(map(str, trace.occupancy1)))
-        lines.append("occupancy2: " + " ".join(map(str, trace.occupancy2)))
-        lines.append("occupancy3: " + " ".join(map(str, trace.occupancy3)))
+        for name in ("occupancy1", "occupancy2", "occupancy3"):
+            lines.append(f"{name}: " + " ".join(map(str, getattr(trace, name))))
         lines.append(_gap_line(gap(params)))
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)

@@ -10,7 +10,6 @@ within the first set.
 
 A trace stores only its parameters and placements; each per-stage
 occupancy histogram is tallied from its bucket column on first use.
-
 Traces are immutable once produced and safe to share between threads.
 """
 
@@ -40,14 +39,6 @@ class TokenPlacement(NamedTuple):
     moved_in_stage2: bool
 
 
-def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
-    """Histogram of bucket indices in ``[0, size)``, zero counts included."""
-    counts = [0] * size
-    for bucket in buckets:
-        counts[bucket] += 1
-    return tuple(counts)
-
-
 @dataclass(frozen=True)
 class LifecycleTrace:
     """Ordered placements for one instance plus occupancy per stage.
@@ -62,21 +53,26 @@ class LifecycleTrace:
 
     @cached_property
     def occupancy1(self) -> tuple[int, ...]:
-        return _tally(
-            (p.stage1_bucket for p in self.placements), self.params.first_set_size
-        )
+        buckets = (p.stage1_bucket for p in self.placements)
+        return _tally(buckets, self.params.first_set_size)
 
     @cached_property
     def occupancy2(self) -> tuple[int, ...]:
-        return _tally(
-            (p.stage2_bucket for p in self.placements), self.params.first_set_size
-        )
+        buckets = (p.stage2_bucket for p in self.placements)
+        return _tally(buckets, self.params.first_set_size)
 
     @cached_property
     def occupancy3(self) -> tuple[int, ...]:
-        return _tally(
-            (p.stage3_bucket for p in self.placements), self.params.second_set_size
-        )
+        buckets = (p.stage3_bucket for p in self.placements)
+        return _tally(buckets, self.params.second_set_size)
+
+
+def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
+    """Histogram of bucket indices in ``[0, size)``, zero counts included."""
+    counts = [0] * size
+    for bucket in buckets:
+        counts[bucket] += 1
+    return tuple(counts)
 
 
 def run_lifecycle(params: PlacementParams) -> LifecycleTrace:

@@ -221,6 +221,9 @@ REQUIREMENT_DESCRIPTIONS = {
     requirement_id: description for requirement_id, description, _ in _REQUIREMENTS
 }
 
+# A passing verdict carries no witness, so every report shares one per id.
+_PASSED = {rid: RequirementCheck(rid, True) for rid in REQUIREMENT_IDS}
+
 
 def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     """Check all seven requirements against one trace.
@@ -233,9 +236,11 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     checks = []
     for requirement_id, _, check in _REQUIREMENTS:
         witness = check(trace)
-        if witness is not None:
+        if witness is None:
+            checks.append(_PASSED[requirement_id])
+        else:
             witness = {"params": asdict(trace.params), **witness}
-        checks.append(RequirementCheck(requirement_id, witness is None, witness))
+            checks.append(RequirementCheck(requirement_id, False, witness))
     return RequirementReport(tuple(checks))
 
 
