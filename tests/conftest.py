@@ -1,5 +1,5 @@
-"""Shared helpers: a terse instance builder, a hypothesis strategy and a
-runner for the module command line."""
+"""Shared helpers: a terse instance builder, a hypothesis strategy, a
+runner for the module command line and a recorder of histogram tallies."""
 
 from __future__ import annotations
 
@@ -8,8 +8,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
+import ringfill.lifecycle
 from ringfill import PlacementParams
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -62,3 +64,17 @@ def placement_params(
         first_bucket=first,
         second_set_size=target,
     )
+
+
+@pytest.fixture
+def tally_sizes(monkeypatch) -> list[int]:
+    """Set sizes of the trace histograms tallied from now on, in order."""
+    sizes: list[int] = []
+    real_tally = ringfill.lifecycle._tally
+
+    def counting_tally(buckets, size):
+        sizes.append(size)
+        return real_tally(buckets, size)
+
+    monkeypatch.setattr(ringfill.lifecycle, "_tally", counting_tally)
+    return sizes

@@ -381,6 +381,13 @@ class TestTraceRoundTrip:
     def test_wrapped_window_survives_the_round_trip(self):
         self.trip(make_params(9, 4, 3, first=3, target=7))
 
+    def test_reverification_tallies_each_histogram_once(self, tally_sizes):
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        document = json.loads(json.dumps(trace_report(trace, check_requirements(trace))))
+        tally_sizes.clear()
+        check_requirements(parse_trace_report(document))
+        assert tally_sizes == [4, 4, 5]
+
 
 class TestTraceReportValidation:
     @pytest.fixture

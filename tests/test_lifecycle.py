@@ -7,7 +7,6 @@ from dataclasses import FrozenInstanceError, fields
 import pytest
 from hypothesis import given
 
-import ringfill.lifecycle
 from ringfill import LifecycleTrace, TokenPlacement, run_lifecycle
 
 from conftest import make_params, placement_params
@@ -55,22 +54,14 @@ class TestRunLifecycle:
             assert trace.occupancy2[placement.stage2_bucket] > 0
             assert trace.occupancy3[placement.stage3_bucket] > 0
 
-    def test_histograms_are_tallied_on_first_read_and_only_once(self, monkeypatch):
-        sizes = []
-        real_tally = ringfill.lifecycle._tally
-
-        def counting_tally(buckets, size):
-            sizes.append(size)
-            return real_tally(buckets, size)
-
-        monkeypatch.setattr(ringfill.lifecycle, "_tally", counting_tally)
+    def test_histograms_are_tallied_on_first_read_and_only_once(self, tally_sizes):
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
-        assert sizes == []
+        assert tally_sizes == []
         for _ in range(2):
             assert trace.occupancy3 == (1, 2, 1, 1, 0)
             assert trace.occupancy1 == (2, 1, 2, 0)
             assert trace.occupancy2 == (1, 1, 2, 1)
-        assert sizes == [5, 4, 4]
+        assert tally_sizes == [5, 4, 4]
 
     def test_trace_stores_only_params_and_placements(self):
         assert [f.name for f in fields(LifecycleTrace)] == ["params", "placements"]
