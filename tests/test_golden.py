@@ -3,9 +3,9 @@
 Each entry pins the sha256 of everything a command writes to standard
 output, plus its exit code.  The commands are the ones the acceptance
 suite replays for determinism, the verify table of the pinned violating
-instance, and a three-bucket JSON sweep.  A refactor that changes any
-byte of these reports fails here; a deliberate format change must update
-the digests in the same commit.
+instance, a three-bucket JSON sweep and the default sweep in both
+formats.  A refactor that changes any byte of these reports fails here;
+a deliberate format change must update the digests in the same commit.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ GOLDEN = [
     (["sweep", "--max-buckets", "2"], 0, "ca356588c352be8674dba15650cac08d2158ef9ab52d0c6b5df96b8554796407"),
     (["sweep", "--max-buckets", "2", "--format", "json"], 0, "d65a45472cefc9563dc132192135d819c17f5e0e491a7c1d6fdcd7b09e8f56b3"),
     (["sweep", "--max-buckets", "3", "--format", "json"], 0, "0ce8bc4ab598a0fa47e2dc986028991cfe0119a3bb75ea8a5f3a204541988962"),
+    (["sweep"], 0, "09fe288d4e456b00624af5af68722ae79c87e974e83b9904338d68a2073b9528"),
+    (["sweep", "--format", "json"], 0, "a727cbc1fe46852c307e156a3896f8ee07a1382da957dded32eff66516688e9b"),
 ]
 
 
