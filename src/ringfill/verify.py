@@ -20,6 +20,16 @@ from an otherwise contiguous range can push the spread in the second
 bucket set to 2.  The sweep classifies exactly those failures as
 expected and flags anything else.
 
+The sweep gives each instance the verdict ``check_requirements`` would
+give its trace, doing each piece of work once for what it depends on.
+R1–R5, RC, the gap descriptor and the oracle comparison read only the
+stage-1 quadruple ``(T, B, C, f)``, so they run once per quadruple on
+one trace.  R6 is the only requirement that reads the second-set size
+``B'``; its histogram is derived per ``B'`` from the label set alone,
+which is a contiguous range minus the gap interval.  The acceptance
+suite holds every such report to ``check_requirements`` on the full
+per-token trace.
+
 Spreads include zero-count buckets of the relevant set: all fill-window
 buckets for R2, the whole first set for R3 and R5, the whole second set
 for R6.
@@ -27,12 +37,12 @@ for R6.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from typing import Iterator, NamedTuple
 
 from .lifecycle import LifecycleTrace, TokenPlacement, _tally, run_lifecycle
-from .placement import PlacementParams, gap, plan_stage1
+from .placement import GapDescriptor, PlacementParams, gap
 
 __all__ = [
     "REQUIREMENT_DESCRIPTIONS",
@@ -155,7 +165,11 @@ def _check_stage_map(
                 column: placement[index],
                 "expected": expected,
             }
-    occupancy = getattr(trace, occupancy_name)
+    return _count_clause(occupancy_name, getattr(trace, occupancy_name))
+
+
+def _count_clause(occupancy_name: str, occupancy) -> dict | None:
+    """R5's or R6's count clause: the histogram's spread is at most 1."""
     observed = spread(occupancy)
     if observed > 1:
         return {"clause": "count", occupancy_name: list(occupancy), "spread": observed}
@@ -221,8 +235,37 @@ REQUIREMENT_DESCRIPTIONS = {
     requirement_id: description for requirement_id, description, _ in _REQUIREMENTS
 }
 
-# A passing verdict carries no witness, so every report shares one per id.
+# R6 is the one requirement that depends on the second-set size.
+_RESHARD = REQUIREMENT_IDS.index("R6")
+
+# asdict would deep-copy each field; they are ints, so a plain dict of
+# them is equal and an order of magnitude cheaper.
+_PARAM_NAMES = tuple(param.name for param in fields(PlacementParams))
+
+# A passing verdict carries no witness, so every report shares one per id,
+# and every report that passes everything is this one.
 _PASSED = {rid: RequirementCheck(rid, True) for rid in REQUIREMENT_IDS}
+_ALL_PASSED = RequirementReport(tuple(_PASSED.values()))
+
+
+def _report(params: PlacementParams, witnesses: list[dict | None]) -> RequirementReport:
+    """Verdicts in report order, one per entry of ``witnesses``.
+
+    Each entry is None for a requirement that holds, else the witness
+    fields that follow ``"params"``.  This is the one place a failing
+    verdict is built; ``"params"`` is the instance's and comes first.
+    """
+    if all(witness_fields is None for witness_fields in witnesses):
+        return _ALL_PASSED
+    checks = []
+    for requirement_id, witness_fields in zip(REQUIREMENT_IDS, witnesses):
+        if witness_fields is None:
+            checks.append(_PASSED[requirement_id])
+        else:
+            params_dict = {name: getattr(params, name) for name in _PARAM_NAMES}
+            witness = {"params": params_dict, **witness_fields}
+            checks.append(RequirementCheck(requirement_id, False, witness))
+    return RequirementReport(tuple(checks))
 
 
 def check_requirements(trace: LifecycleTrace) -> RequirementReport:
@@ -233,15 +276,7 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     offending indices) to reproduce the failure from scratch.  The empty
     trace passes everything vacuously.
     """
-    checks = []
-    for requirement_id, _, check in _REQUIREMENTS:
-        witness = check(trace)
-        if witness is None:
-            checks.append(_PASSED[requirement_id])
-        else:
-            witness = {"params": asdict(trace.params), **witness}
-            checks.append(RequirementCheck(requirement_id, False, witness))
-    return RequirementReport(tuple(checks))
+    return _report(trace.params, [check(trace) for _, _, check in _REQUIREMENTS])
 
 
 def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -413,46 +448,102 @@ class SweepReport:
         return self.unexpected_violations == 0 and self.oracle_mismatches == 0
 
 
-def _expected_failure(params: PlacementParams, check: RequirementCheck) -> bool:
+def _expected_failure(check: RequirementCheck, descriptor: GapDescriptor) -> bool:
     if check.id != "R6" or check.witness is None:
         return False
     if check.witness.get("clause") != "count":
         return False
     if check.witness.get("spread") != 2:
         return False
-    return gap(params).present
+    return descriptor.present
+
+
+def _label_residue_counts(
+    params: PlacementParams, descriptor: GapDescriptor, size: int
+) -> list[int]:
+    """Tally of ``label % size`` over every token, from the label set alone.
+
+    The labels are the contiguous range of ``token_count + gap_length``
+    values from ``first_bucket`` up, minus the gap interval.  The range
+    puts ``length // size`` labels in every residue class and one more
+    in the ``length % size`` classes that follow ``first_bucket``; the
+    gap takes one label from each of its values' classes.
+    """
+    base, extra = divmod(params.token_count + descriptor.gap_length, size)
+    # Counts by class offset from first_bucket, then rotated into place.
+    counts = [base + 1] * extra + [base] * (size - extra)
+    gap_offset = descriptor.gap_start - params.first_bucket
+    for offset in range(gap_offset, gap_offset + descriptor.gap_length):
+        counts[offset % size] -= 1
+    turn = -params.first_bucket % size
+    return counts[turn:] + counts[:turn]
+
+
+class _Quadruple(NamedTuple):
+    """What the instances of one stage-1 quadruple share."""
+
+    gap: GapDescriptor
+    oracle_ok: bool
+
+
+def _sweep_reports(
+    domain: SweepDomain,
+) -> Iterator[tuple[PlacementParams, RequirementReport, _Quadruple]]:
+    """Yield ``(params, report, quadruple)`` for every instance, in sweep order.
+
+    Each report equals ``check_requirements(run_lifecycle(params))``.
+    Once per stage-1 quadruple ``(T, B, C, f)``: one trace at the smallest
+    second-set size, the six checks that do not read the second set, one
+    gap descriptor, and the oracle walk against the trace's stage-1
+    column.  Once per second-set size: R6's histogram from
+    :func:`_label_residue_counts`.  R6's residue clause needs no work per
+    size, since stage 3 is ``label % second_set_size`` by definition.
+    """
+    for planning in domain.iter_planning_instances():
+        trace = run_lifecycle(planning)
+        stage1 = [(p.token, p.stage1_bucket) for p in trace.placements]
+        quadruple = _Quadruple(gap(planning), stage1 == prose_oracle_stage1(planning))
+        witnesses = [
+            None if index == _RESHARD else check(trace)
+            for index, (_, _, check) in enumerate(_REQUIREMENTS)
+        ]
+        for params in domain.second_set_instances(planning):
+            occupancy = _label_residue_counts(
+                planning, quadruple.gap, params.second_set_size
+            )
+            witnesses[_RESHARD] = _count_clause("occupancy3", occupancy)
+            yield params, _report(params, witnesses), quadruple
 
 
 def sweep(domain: SweepDomain | None = None) -> SweepReport:
     """Exhaustively check every instance in the domain.
 
-    Runs the full requirement check on each instance and compares the
-    planner against the pointer-walk oracle once per stage-1 quadruple
-    (the comparison does not depend on the second-set size; a mismatch is
-    recorded against every instance sharing the quadruple).  Instances
-    are visited in lexicographic parameter order, so the first recorded
-    violation per requirement is the minimal one and the whole report is
-    deterministic.
+    Each instance gets the verdict ``check_requirements(run_lifecycle(
+    params))`` would give it, with the work split by what it depends on.
+    Once per stage-1 quadruple: one ``run_lifecycle``, R1–R5 and RC, the
+    gap descriptor and the comparison with the pointer-walk oracle (a
+    mismatch is recorded against every instance sharing the quadruple).
+    Once per second-set size: R6's histogram, in closed form from the
+    label set.  Instances are visited in lexicographic parameter order,
+    so the first recorded violation per requirement is the minimal one
+    and the whole report is deterministic.
     """
     if domain is None:
         domain = SweepDomain()
     report = SweepReport(domain=domain)
-    for planning in domain.iter_planning_instances():
-        oracle_ok = plan_stage1(planning) == prose_oracle_stage1(planning)
-        for params in domain.second_set_instances(planning):
-            report.instances_checked += 1
-            if not oracle_ok:
-                report.oracle_mismatches += 1
-                if report.minimal_oracle_mismatch is None:
-                    report.minimal_oracle_mismatch = params
-            result = check_requirements(run_lifecycle(params))
-            if result.all_pass:
-                continue
-            report.violations.append((params, result))
-            for check in result.failures():
-                report.violation_counts[check.id] += 1
-                if check.id not in report.minimal_violations:
-                    report.minimal_violations[check.id] = (params, check)
-                if not _expected_failure(params, check):
-                    report.unexpected_violations += 1
+    for params, result, quadruple in _sweep_reports(domain):
+        report.instances_checked += 1
+        if not quadruple.oracle_ok:
+            report.oracle_mismatches += 1
+            if report.minimal_oracle_mismatch is None:
+                report.minimal_oracle_mismatch = params
+        if result is _ALL_PASSED:
+            continue
+        report.violations.append((params, result))
+        for check in result.failures():
+            report.violation_counts[check.id] += 1
+            if check.id not in report.minimal_violations:
+                report.minimal_violations[check.id] = (params, check)
+            if not _expected_failure(check, quadruple.gap):
+                report.unexpected_violations += 1
     return report

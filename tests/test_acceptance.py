@@ -26,6 +26,7 @@ from ringfill import (
     sweep,
 )
 from ringfill.cli import parse_trace_report
+from ringfill.verify import _sweep_reports
 
 from conftest import run_module_cli
 
@@ -64,6 +65,24 @@ def test_criterion_1_oracle_equivalence(default_sweep):
         f"planner matches the pointer-walk oracle on all {quadruples} stage-1 "
         f"quadruples covering {report.instances_checked} instances "
         f"(sweep took {elapsed:.1f}s)",
+    )
+
+
+def test_criterion_1_sweep_reports_match_the_per_token_trace():
+    # The sweep checks each stage-1 quadruple once and derives R6 per
+    # second-set size in closed form; the per-token trace is its oracle.
+    instances = 0
+    mismatches = 0
+    for params, report, _ in _sweep_reports(SweepDomain()):
+        instances += 1
+        if report != check_requirements(run_lifecycle(params)):
+            mismatches += 1
+    assert instances == 113432
+    _verdict(
+        1,
+        mismatches == 0,
+        f"the sweep's per-quadruple reports equal a full per-token check on all "
+        f"{instances} instances ({mismatches} mismatches)",
     )
 
 

@@ -25,6 +25,8 @@ from ringfill import (
     sweep,
 )
 
+from ringfill.verify import _label_residue_counts
+
 from conftest import make_params, placement_params
 
 
@@ -379,6 +381,29 @@ class TestSweep:
             if not gap(params).present:
                 assert check_requirements(run_lifecycle(params)).all_pass
 
+    def test_quadruple_failure_fans_out_to_every_instance(self, monkeypatch):
+        table = list(ringfill.verify._REQUIREMENTS)
+        index = REQUIREMENT_IDS.index("R2")
+        requirement_id, description, _ = table[index]
+        table[index] = (requirement_id, description, lambda trace: {"forced": True})
+        monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
+        domain = SweepDomain(max_buckets=2)
+        report = sweep(domain)
+        assert report.violation_counts["R2"] == 104
+        assert len(report.violations) == 104
+        for params, result in report.violations:
+            assert result["R2"].witness == {"params": asdict(params), "forced": True}
+        second_sizes = [
+            result["R2"].witness["params"]["second_set_size"]
+            for _, result in report.violations
+        ]
+        assert second_sizes == [p.second_set_size for p in domain.iter_instances()]
+        first = next(domain.iter_instances())
+        assert report.minimal_violations["R2"] == (first, report.violations[0][1]["R2"])
+        assert first.second_set_size == first.first_set_size + 1
+        assert report.unexpected_violations == 104
+        assert report.violation_counts["R6"] == 4
+
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
             ringfill.verify, "prose_oracle_stage1", lambda params: []
@@ -387,6 +412,17 @@ class TestSweep:
         assert report.oracle_mismatches == 7
         assert report.minimal_oracle_mismatch == PlacementParams(1, 1, 1, 0, 2)
         assert not report.only_expected_failures
+
+
+class TestLabelResidueCounts:
+    def test_gap_instance(self):
+        params = make_params(5, 4, 3, target=5)
+        assert _label_residue_counts(params, gap(params), 5) == [1, 2, 1, 1, 0]
+
+    @given(placement_params(max_buckets=64, max_tokens=5000, target_span=4))
+    def test_closed_form_equals_the_trace_tally(self, params):
+        counts = _label_residue_counts(params, gap(params), params.second_set_size)
+        assert counts == list(run_lifecycle(params).occupancy3)
 
 
 class TestClassifyEndState:
