@@ -1,4 +1,4 @@
-"""Acceptance suite: one test and one printed verdict line per criterion.
+"""Acceptance suite: each test prints one verdict line for its criterion.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines.  Each criterion is evaluated over the default sweep domain

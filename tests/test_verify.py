@@ -24,7 +24,6 @@ from ringfill import (
     spread,
     sweep,
 )
-
 from ringfill.verify import _label_residue_counts
 
 from conftest import make_params, placement_params
