@@ -1,5 +1,6 @@
 """Shared helpers: a terse instance builder, a hypothesis strategy, a
-runner for the module command line and a recorder of histogram tallies."""
+runner for the module command line, a recorder of histogram tallies and
+the per-token reference fold that every sweep verdict is held to."""
 
 from __future__ import annotations
 
@@ -12,7 +13,16 @@ import pytest
 from hypothesis import strategies as st
 
 import ringfill.lifecycle
-from ringfill import PlacementParams
+import ringfill.verify
+from ringfill import (
+    PlacementParams,
+    SweepDomain,
+    SweepReport,
+    check_requirements,
+    gap,
+    run_lifecycle,
+)
+from ringfill.verify import _label_residue_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -78,3 +88,40 @@ def tally_sizes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(ringfill.lifecycle, "_tally", counting_tally)
     return sizes
+
+
+def reference_sweep(domain: SweepDomain) -> SweepReport:
+    """The verdict ``sweep(domain)`` must give, from a full check of every instance.
+
+    Each instance of ``domain.iter_instances()`` gets its own
+    ``run_lifecycle``, its own comparison with the pointer-walk oracle
+    (looked up in ``ringfill.verify`` at call time, so a test can replace
+    it) and ``check_requirements`` on its trace.  A failure is expected
+    only when it is R6's count clause at spread 2 on an instance whose
+    labels have a gap.  On every instance it also asserts that the closed
+    form ``_label_residue_counts`` equals the trace's ``occupancy3`` and
+    that every R6 failure has that expected form, so a failure of any
+    other requirement is the only kind counted as unexpected.
+    """
+    report = SweepReport(domain=domain)
+    for params in domain.iter_instances():
+        report.instances_checked += 1
+        trace = run_lifecycle(params)
+        stage1 = [(p.token, p.stage1_bucket) for p in trace.placements]
+        if stage1 != ringfill.verify.prose_oracle_stage1(params):
+            report.oracle_mismatches += 1
+            if report.minimal_oracle_mismatch is None:
+                report.minimal_oracle_mismatch = params
+        descriptor = gap(params)
+        occupancy = _label_residue_counts(params, descriptor, params.second_set_size)
+        assert occupancy == list(trace.occupancy3), params
+        for check in check_requirements(trace).failures():
+            report.violation_counts[check.id] += 1
+            report.minimal_violations.setdefault(check.id, (params, check))
+            if check.id != "R6":
+                report.unexpected_violations += 1
+            else:
+                witness = check.witness
+                assert witness["clause"] == "count" and witness["spread"] == 2, check
+                assert descriptor.present, check
+    return report

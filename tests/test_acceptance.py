@@ -4,11 +4,13 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the verdict
 lines.  Each criterion is evaluated over the default sweep domain
 (first-set sizes 1 through 10, every window width and start, token
 counts through four rounds plus three, second-set sizes up to twice the
-first), which the module-scoped fixture sweeps exactly once.
+first).  Module-scoped fixtures sweep it exactly once with the library
+and once with the per-token reference fold of ``conftest.py``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 
@@ -26,9 +28,8 @@ from ringfill import (
     sweep,
 )
 from ringfill.cli import parse_trace_report
-from ringfill.verify import _sweep_reports
 
-from conftest import run_module_cli
+from conftest import reference_sweep, run_module_cli
 
 
 def _verdict(criterion: int, passed: bool, description: str) -> None:
@@ -43,6 +44,11 @@ def default_sweep():
     report = sweep(domain)
     elapsed = time.perf_counter() - started
     return report, elapsed
+
+
+@pytest.fixture(scope="module")
+def default_reference():
+    return reference_sweep(SweepDomain())
 
 
 def test_criterion_1_oracle_equivalence(default_sweep):
@@ -68,21 +74,19 @@ def test_criterion_1_oracle_equivalence(default_sweep):
     )
 
 
-def test_criterion_1_sweep_reports_match_the_per_token_trace():
+def test_criterion_1_sweep_reports_match_the_per_token_trace(
+    default_sweep, default_reference
+):
     # The sweep checks each stage-1 quadruple once and derives R6 per
-    # second-set size in closed form; the per-token trace is its oracle.
-    instances = 0
-    mismatches = 0
-    for params, report, _ in _sweep_reports(SweepDomain()):
-        instances += 1
-        if report != check_requirements(run_lifecycle(params)):
-            mismatches += 1
-    assert instances == 113432
+    # second-set size in closed form; the per-token fold is its oracle.
+    report, _ = default_sweep
+    folded = dataclasses.replace(report, violations=[])
+    assert report.instances_checked == 113432
     _verdict(
         1,
-        mismatches == 0,
-        f"the sweep's per-quadruple reports equal a full per-token check on all "
-        f"{instances} instances ({mismatches} mismatches)",
+        folded == default_reference,
+        f"the sweep's verdict equals a full per-token check of all "
+        f"{default_reference.instances_checked} instances",
     )
 
 
@@ -101,19 +105,15 @@ def test_criterion_2_unconditional_requirements(default_sweep):
     )
 
 
-def test_criterion_3_reshard_split_verdict(default_sweep):
+def test_criterion_3_reshard_split_verdict(default_sweep, default_reference):
+    # The reference fold asserts, failure by failure, that R6 breaks only
+    # in its count clause, at spread 2, on gap instances; every failure of
+    # another requirement is unexpected.
     report, _ = default_sweep
-    clean_split = True
-    for params, result in report.violations:
-        for check in result.failures():
-            if check.id != "R6":
-                clean_split = False
-            elif (
-                check.witness.get("clause") != "count"
-                or check.witness.get("spread") != 2
-                or not gap(params).present
-            ):
-                clean_split = False
+    clean_split = (
+        default_reference.unexpected_violations == 0
+        and report.unexpected_violations == 0
+    )
     found_spread_two = report.violation_counts["R6"] > 0
 
     pinned = run_module_cli(
