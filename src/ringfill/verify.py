@@ -20,15 +20,19 @@ from an otherwise contiguous range can push the spread in the second
 bucket set to 2.  The sweep classifies exactly those failures as
 expected and flags anything else.
 
-The sweep gives each instance the verdict ``check_requirements`` would
-give its trace, doing each piece of work once for what it depends on.
-R1–R5, RC, the gap descriptor and the oracle comparison read only the
-stage-1 quadruple ``(T, B, C, f)``, so they run once per quadruple on
-one trace.  R6 is the only requirement that reads the second-set size
-``B'``; its histogram is derived per ``B'`` from the label set alone,
-which is a contiguous range minus the gap interval.  The acceptance
-suite holds every such report to ``check_requirements`` on the full
-per-token trace.
+The sweep folds its domain straight into the verdict: per-requirement
+failure counts, the minimal witness of each requirement, the unexpected
+count and the oracle mismatches.  It does each piece of work once for
+what it depends on.  R1–R5, RC, the gap descriptor and the oracle
+comparison read only the stage-1 quadruple ``(T, B, C, f)``, so they run
+once per quadruple on one trace, and a failure counts for every
+second-set size.  R6 is the only requirement that reads the second-set
+size ``B'``; its histogram is derived per ``B'`` from the label set
+alone, which is a contiguous range minus the gap interval.  Parameters
+and witnesses are built only for each requirement's first failure and
+the first oracle mismatch.  The test suite holds the verdict to a fold
+of ``check_requirements`` over the full per-token trace of every
+instance.
 
 Spreads include zero-count buckets of the relevant set: all fill-window
 buckets for R2, the whole first set for R3 and R5, the whole second set
@@ -37,7 +41,7 @@ for R6.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Iterator, NamedTuple
 
@@ -235,37 +239,14 @@ REQUIREMENT_DESCRIPTIONS = {
     requirement_id: description for requirement_id, description, _ in _REQUIREMENTS
 }
 
-# R6 is the one requirement that depends on the second-set size.
-_RESHARD = REQUIREMENT_IDS.index("R6")
 
-# asdict would deep-copy each field; they are ints, so a plain dict of
-# them is equal and an order of magnitude cheaper.
-_PARAM_NAMES = tuple(param.name for param in fields(PlacementParams))
-
-# A passing verdict carries no witness, so every report shares one per id,
-# and every report that passes everything is this one.
-_PASSED = {rid: RequirementCheck(rid, True) for rid in REQUIREMENT_IDS}
-_ALL_PASSED = RequirementReport(tuple(_PASSED.values()))
-
-
-def _report(params: PlacementParams, witnesses: list[dict | None]) -> RequirementReport:
-    """Verdicts in report order, one per entry of ``witnesses``.
-
-    Each entry is None for a requirement that holds, else the witness
-    fields that follow ``"params"``.  This is the one place a failing
-    verdict is built; ``"params"`` is the instance's and comes first.
-    """
-    if all(witness_fields is None for witness_fields in witnesses):
-        return _ALL_PASSED
-    checks = []
-    for requirement_id, witness_fields in zip(REQUIREMENT_IDS, witnesses):
-        if witness_fields is None:
-            checks.append(_PASSED[requirement_id])
-        else:
-            params_dict = {name: getattr(params, name) for name in _PARAM_NAMES}
-            witness = {"params": params_dict, **witness_fields}
-            checks.append(RequirementCheck(requirement_id, False, witness))
-    return RequirementReport(tuple(checks))
+def _failed(
+    requirement_id: str, params: PlacementParams, witness_fields: dict
+) -> RequirementCheck:
+    """A failing verdict whose witness is the instance's params, then ``witness_fields``."""
+    return RequirementCheck(
+        requirement_id, False, {"params": asdict(params), **witness_fields}
+    )
 
 
 def check_requirements(trace: LifecycleTrace) -> RequirementReport:
@@ -276,7 +257,14 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     offending indices) to reproduce the failure from scratch.  The empty
     trace passes everything vacuously.
     """
-    return _report(trace.params, [check(trace) for _, _, check in _REQUIREMENTS])
+    checks = []
+    for requirement_id, _, check in _REQUIREMENTS:
+        witness_fields = check(trace)
+        if witness_fields is None:
+            checks.append(RequirementCheck(requirement_id, True))
+        else:
+            checks.append(_failed(requirement_id, trace.params, witness_fields))
+    return RequirementReport(tuple(checks))
 
 
 def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -396,43 +384,32 @@ class SweepDomain:
                     for tokens in range(self.token_limit(size) + 1):
                         yield PlacementParams(tokens, size, width, start, size + 1)
 
-    def second_set_instances(
-        self, planning: PlacementParams
-    ) -> Iterator[PlacementParams]:
-        """Every instance of the domain sharing ``planning``'s stage-1 quadruple."""
-        size = planning.first_set_size
-        for second in range(size + 1, self.target_span * size + 1):
-            yield PlacementParams(
-                planning.token_count,
-                size,
-                planning.fill_width,
-                planning.first_bucket,
-                second,
-            )
+    def second_set_sizes(self, first_set_size: int) -> range:
+        """Second-set sizes swept for one first-set size."""
+        return range(first_set_size + 1, self.target_span * first_set_size + 1)
 
     def iter_instances(self) -> Iterator[PlacementParams]:
         """The whole domain, in lexicographic parameter order."""
         for planning in self.iter_planning_instances():
-            yield from self.second_set_instances(planning)
+            for second in self.second_set_sizes(planning.first_set_size):
+                yield replace(planning, second_set_size=second)
 
 
 @dataclass
 class SweepReport:
-    """Outcome of an exhaustive sweep.
+    """Verdict of an exhaustive sweep.
 
-    ``violations`` holds every failing instance with its full report, in
-    sweep order.  ``minimal_violations`` maps requirement id to the
-    lexicographically smallest failing instance.  A violation is expected
-    only when it is R6's count clause at spread exactly 2 on an instance
-    whose label sequence has a gap; ``unexpected_violations`` counts
-    everything else, oracle mismatches aside.
+    ``violation_counts`` counts the failing instances per requirement.
+    ``minimal_violations`` maps requirement id to the lexicographically
+    smallest failing instance and its failing check.  A violation is
+    expected only when it is R6's count clause at spread exactly 2 on an
+    instance whose label sequence has a gap; ``unexpected_violations``
+    counts everything else, oracle mismatches aside.  No per-instance
+    report is kept.
     """
 
     domain: SweepDomain
     instances_checked: int = 0
-    violations: list[tuple[PlacementParams, RequirementReport]] = field(
-        default_factory=list
-    )
     violation_counts: dict[str, int] = field(
         default_factory=lambda: {rid: 0 for rid in REQUIREMENT_IDS}
     )
@@ -446,16 +423,6 @@ class SweepReport:
     @property
     def only_expected_failures(self) -> bool:
         return self.unexpected_violations == 0 and self.oracle_mismatches == 0
-
-
-def _expected_failure(check: RequirementCheck, descriptor: GapDescriptor) -> bool:
-    if check.id != "R6" or check.witness is None:
-        return False
-    if check.witness.get("clause") != "count":
-        return False
-    if check.witness.get("spread") != 2:
-        return False
-    return descriptor.present
 
 
 def _label_residue_counts(
@@ -479,71 +446,59 @@ def _label_residue_counts(
     return counts[turn:] + counts[:turn]
 
 
-class _Quadruple(NamedTuple):
-    """What the instances of one stage-1 quadruple share."""
-
-    gap: GapDescriptor
-    oracle_ok: bool
-
-
-def _sweep_reports(
-    domain: SweepDomain,
-) -> Iterator[tuple[PlacementParams, RequirementReport, _Quadruple]]:
-    """Yield ``(params, report, quadruple)`` for every instance, in sweep order.
-
-    Each report equals ``check_requirements(run_lifecycle(params))``.
-    Once per stage-1 quadruple ``(T, B, C, f)``: one trace at the smallest
-    second-set size, the six checks that do not read the second set, one
-    gap descriptor, and the oracle walk against the trace's stage-1
-    column.  Once per second-set size: R6's histogram from
-    :func:`_label_residue_counts`.  R6's residue clause needs no work per
-    size, since stage 3 is ``label % second_set_size`` by definition.
-    """
-    for planning in domain.iter_planning_instances():
-        trace = run_lifecycle(planning)
-        stage1 = [(p.token, p.stage1_bucket) for p in trace.placements]
-        quadruple = _Quadruple(gap(planning), stage1 == prose_oracle_stage1(planning))
-        witnesses = [
-            None if index == _RESHARD else check(trace)
-            for index, (_, _, check) in enumerate(_REQUIREMENTS)
-        ]
-        for params in domain.second_set_instances(planning):
-            occupancy = _label_residue_counts(
-                planning, quadruple.gap, params.second_set_size
-            )
-            witnesses[_RESHARD] = _count_clause("occupancy3", occupancy)
-            yield params, _report(params, witnesses), quadruple
-
-
 def sweep(domain: SweepDomain | None = None) -> SweepReport:
     """Exhaustively check every instance in the domain.
 
-    Each instance gets the verdict ``check_requirements(run_lifecycle(
-    params))`` would give it, with the work split by what it depends on.
+    Each instance is counted as ``check_requirements(run_lifecycle(
+    params))`` would judge it, with the work split by what it depends on.
     Once per stage-1 quadruple: one ``run_lifecycle``, R1–R5 and RC, the
-    gap descriptor and the comparison with the pointer-walk oracle (a
-    mismatch is recorded against every instance sharing the quadruple).
-    Once per second-set size: R6's histogram, in closed form from the
-    label set.  Instances are visited in lexicographic parameter order,
-    so the first recorded violation per requirement is the minimal one
-    and the whole report is deterministic.
+    gap descriptor and the comparison with the pointer-walk oracle; a
+    failure or mismatch there counts for every second-set size.  Once per
+    second-set size: R6's histogram, in closed form from the label set;
+    its residue clause holds by definition, since stage 3 is
+    ``label % second_set_size``.  Instances are visited in lexicographic
+    parameter order, so the first failure recorded per requirement is
+    the minimal one and the whole report is deterministic.
     """
     if domain is None:
         domain = SweepDomain()
     report = SweepReport(domain=domain)
-    for params, result, quadruple in _sweep_reports(domain):
-        report.instances_checked += 1
-        if not quadruple.oracle_ok:
-            report.oracle_mismatches += 1
+    counts = report.violation_counts
+    minimal = report.minimal_violations
+    for planning in domain.iter_planning_instances():
+        # planning carries the smallest second-set size, the quadruple's
+        # first instance in sweep order.
+        seconds = domain.second_set_sizes(planning.first_set_size)
+        report.instances_checked += len(seconds)
+        trace = run_lifecycle(planning)
+        stage1 = [(p.token, p.stage1_bucket) for p in trace.placements]
+        if stage1 != prose_oracle_stage1(planning):
+            report.oracle_mismatches += len(seconds)
             if report.minimal_oracle_mismatch is None:
-                report.minimal_oracle_mismatch = params
-        if result is _ALL_PASSED:
-            continue
-        report.violations.append((params, result))
-        for check in result.failures():
-            report.violation_counts[check.id] += 1
-            if check.id not in report.minimal_violations:
-                report.minimal_violations[check.id] = (params, check)
-            if not _expected_failure(check, quadruple.gap):
+                report.minimal_oracle_mismatch = planning
+        for requirement_id, _, check in _REQUIREMENTS:
+            if requirement_id == "R6":
+                continue
+            witness_fields = check(trace)
+            if witness_fields is not None:
+                counts[requirement_id] += len(seconds)
+                report.unexpected_violations += len(seconds)
+                if requirement_id not in minimal:
+                    minimal[requirement_id] = (
+                        planning,
+                        _failed(requirement_id, planning, witness_fields),
+                    )
+        descriptor = gap(planning)
+        for second in seconds:
+            occupancy = _label_residue_counts(planning, descriptor, second)
+            witness_fields = _count_clause("occupancy3", occupancy)
+            if witness_fields is None:
+                continue
+            counts["R6"] += 1
+            # Expected: the documented gap case at spread exactly 2.
+            if not (descriptor.present and witness_fields["spread"] == 2):
                 report.unexpected_violations += 1
+            if "R6" not in minimal:
+                params = replace(planning, second_set_size=second)
+                minimal["R6"] = (params, _failed("R6", params, witness_fields))
     return report

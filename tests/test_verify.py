@@ -13,6 +13,7 @@ from ringfill import (
     REQUIREMENT_IDS,
     LifecycleTrace,
     PlacementParams,
+    RequirementCheck,
     SweepDomain,
     TokenPlacement,
     check_requirements,
@@ -26,7 +27,7 @@ from ringfill import (
 )
 from ringfill.verify import _label_residue_counts
 
-from conftest import make_params, placement_params
+from conftest import make_params, placement_params, reference_sweep
 
 
 def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
@@ -339,15 +340,19 @@ class TestSweepDomain:
 
 class TestSweep:
     def test_single_bucket_domain_is_violation_free(self):
-        report = sweep(SweepDomain(max_buckets=1))
+        domain = SweepDomain(max_buckets=1)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
         assert report.instances_checked == 8
-        assert report.violations == []
         assert all(count == 0 for count in report.violation_counts.values())
+        assert report.minimal_violations == {}
         assert report.oracle_mismatches == 0
         assert report.only_expected_failures
 
     def test_two_bucket_domain_finds_exactly_the_gap_cases(self):
-        report = sweep(SweepDomain(max_buckets=2))
+        domain = SweepDomain(max_buckets=2)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
         assert report.instances_checked == 104
         assert report.violation_counts == {
             "R1": 0,
@@ -358,7 +363,12 @@ class TestSweep:
             "R6": 4,
             "RC": 0,
         }
-        assert [params for params, _ in report.violations] == [
+        failing = [
+            params
+            for params in domain.iter_instances()
+            if not check_requirements(run_lifecycle(params)).all_pass
+        ]
+        assert failing == [
             PlacementParams(3, 2, 2, 0, 3),
             PlacementParams(9, 2, 2, 0, 3),
             PlacementParams(3, 2, 2, 1, 3),
@@ -388,18 +398,15 @@ class TestSweep:
         monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
         domain = SweepDomain(max_buckets=2)
         report = sweep(domain)
+        assert report == reference_sweep(domain)
         assert report.violation_counts["R2"] == 104
-        assert len(report.violations) == 104
-        for params, result in report.violations:
-            assert result["R2"].witness == {"params": asdict(params), "forced": True}
-        second_sizes = [
-            result["R2"].witness["params"]["second_set_size"]
-            for _, result in report.violations
-        ]
-        assert second_sizes == [p.second_set_size for p in domain.iter_instances()]
         first = next(domain.iter_instances())
-        assert report.minimal_violations["R2"] == (first, report.violations[0][1]["R2"])
         assert first.second_set_size == first.first_set_size + 1
+        witness = {"params": asdict(first), "forced": True}
+        assert report.minimal_violations["R2"] == (
+            first,
+            RequirementCheck("R2", False, witness),
+        )
         assert report.unexpected_violations == 104
         assert report.violation_counts["R6"] == 4
 
@@ -407,7 +414,9 @@ class TestSweep:
         monkeypatch.setattr(
             ringfill.verify, "prose_oracle_stage1", lambda params: []
         )
-        report = sweep(SweepDomain(max_buckets=1))
+        domain = SweepDomain(max_buckets=1)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
         assert report.oracle_mismatches == 7
         assert report.minimal_oracle_mismatch == PlacementParams(1, 1, 1, 0, 2)
         assert not report.only_expected_failures
