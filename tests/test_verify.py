@@ -385,6 +385,23 @@ class TestSweep:
         assert check.witness["occupancy3"] == [2, 1, 0]
         assert check.witness["spread"] == 2
 
+    def test_minimal_r6_witness_is_taken_at_its_own_second_set_size(self):
+        # Every domain's smallest R6 failure sits at the smallest second-set
+        # size; with five tokens the first failure is at B' = 5, not B + 1.
+        class FiveTokens(SweepDomain):
+            def iter_planning_instances(self):
+                for planning in super().iter_planning_instances():
+                    if planning.token_count == 5:
+                        yield planning
+
+        domain = FiveTokens(max_buckets=2, target_span=3)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
+        params, check = report.minimal_violations["R6"]
+        assert params == PlacementParams(5, 2, 2, 0, 5)
+        assert check.witness["params"] == asdict(params)
+        assert len(check.witness["occupancy3"]) == 5
+
     def test_gap_free_instances_pass_everything(self):
         for params in SweepDomain(max_buckets=4).iter_instances():
             if not gap(params).present:
