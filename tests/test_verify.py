@@ -386,8 +386,8 @@ class TestSweep:
         assert check.witness["spread"] == 2
 
     def test_minimal_r6_witness_is_taken_at_its_own_second_set_size(self):
-        # Every domain's smallest R6 failure sits at the smallest second-set
-        # size; with five tokens the first failure is at B' = 5, not B + 1.
+        # In every SweepDomain the first R6 failure, (3, 2, 2, 0, 3), is at the
+        # smallest second-set size; with five tokens it is at B' = 5, not B + 1.
         class FiveTokens(SweepDomain):
             def iter_planning_instances(self):
                 for planning in super().iter_planning_instances():
