@@ -24,19 +24,15 @@ from .placement import (
     gap,
     label,
     plan_stage1,
-    stage2_bucket,
-    stage3_bucket,
 )
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
     REQUIREMENT_IDS,
-    EndStateClassification,
     RequirementCheck,
     RequirementReport,
     SweepDomain,
     SweepReport,
     check_requirements,
-    classify_end_state,
     prose_oracle_stage1,
     spread,
     sweep,
@@ -45,7 +41,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EndStateClassification",
     "GapDescriptor",
     "LifecycleTrace",
     "PlacementParams",
@@ -57,15 +52,12 @@ __all__ = [
     "SweepReport",
     "TokenPlacement",
     "check_requirements",
-    "classify_end_state",
     "gap",
     "label",
     "plan_stage1",
     "prose_oracle_stage1",
     "run_lifecycle",
     "spread",
-    "stage2_bucket",
-    "stage3_bucket",
     "sweep",
     "__version__",
 ]

@@ -27,6 +27,7 @@ from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
 from .placement import PlacementParams, gap, label, plan_stage1
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
+    REQUIREMENT_IDS,
     RequirementCheck,
     RequirementReport,
     SweepDomain,
@@ -209,13 +210,19 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
 
 
 def sweep_report_document(report: SweepReport) -> dict:
-    """JSON-native summary of a sweep; witnesses included, instances not."""
+    """JSON-native summary of a sweep; witnesses included, instances not.
+
+    Minimal violations go in requirement order, not the order the sweep
+    found them in, so equal reports render to equal bytes.
+    """
     minimal = {}
-    for requirement_id, (params, check) in report.minimal_violations.items():
-        minimal[requirement_id] = {
-            "params": asdict(params),
-            "check": _check_document(check),
-        }
+    for requirement_id in REQUIREMENT_IDS:
+        if requirement_id in report.minimal_violations:
+            params, check = report.minimal_violations[requirement_id]
+            minimal[requirement_id] = {
+                "params": asdict(params),
+                "check": _check_document(check),
+            }
     mismatch = report.minimal_oracle_mismatch
     return {
         "domain": asdict(report.domain),

@@ -16,6 +16,8 @@ Stage 2 spreads the tokens over the whole ring and stage 3 re-shards them
 into a strictly larger second bucket set.  Every choice after stage 1 is
 a residue of the token's permanent integer label: stage 2 uses
 ``label % first_set_size``, stage 3 uses ``label % second_set_size``.
+First-stream tokens already sit at their stage-2 bucket after stage 1,
+so the rebalance moves only second-stream tokens, each exactly once.
 
 Tokens and labels are plain non-negative ints.  Label arithmetic is done
 on unreduced integers so labels from different rounds never alias; bucket
@@ -33,8 +35,6 @@ __all__ = [
     "gap",
     "label",
     "plan_stage1",
-    "stage2_bucket",
-    "stage3_bucket",
 ]
 
 
@@ -92,13 +92,6 @@ class PlacementParams:
         return self.window_offset(bucket) < self.fill_width
 
 
-def _check_token(params: PlacementParams, token: int) -> None:
-    if not 0 <= token < params.token_count:
-        raise ValueError(
-            f"token {token} out of range for token_count={params.token_count}"
-        )
-
-
 def _label(params: PlacementParams, token: int) -> int:
     """:func:`label` without the range check, for callers that already
     iterate ``range(token_count)``."""
@@ -121,7 +114,10 @@ def label(params: PlacementParams, token: int) -> int:
     Labels never drop below ``first_bucket`` and, except for a possible
     gap left by a truncated final round, cover a contiguous range.
     """
-    _check_token(params, token)
+    if not 0 <= token < params.token_count:
+        raise ValueError(
+            f"token {token} out of range for token_count={params.token_count}"
+        )
     return _label(params, token)
 
 
@@ -151,20 +147,6 @@ def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
             offset = (round_index * ascending_per_round + round_pos - width) % width
         plan.append((token, (start + offset) % size))
     return plan
-
-
-def stage2_bucket(params: PlacementParams, token: int) -> int:
-    """Ring bucket after the rebalance: ``label % first_set_size``.
-
-    First-stream tokens already sit there after stage 1, so the rebalance
-    only ever moves second-stream tokens, each exactly once.
-    """
-    return label(params, token) % params.first_set_size
-
-
-def stage3_bucket(params: PlacementParams, token: int) -> int:
-    """Bucket in the second set: ``label % second_set_size``."""
-    return label(params, token) % params.second_set_size
 
 
 @dataclass(frozen=True)

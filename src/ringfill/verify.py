@@ -51,13 +51,11 @@ from .placement import GapDescriptor, PlacementParams, gap
 __all__ = [
     "REQUIREMENT_DESCRIPTIONS",
     "REQUIREMENT_IDS",
-    "EndStateClassification",
     "RequirementCheck",
     "RequirementReport",
     "SweepDomain",
     "SweepReport",
     "check_requirements",
-    "classify_end_state",
     "prose_oracle_stage1",
     "spread",
     "sweep",
@@ -291,57 +289,6 @@ def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
             up = (up + 1) % width
         assignments.append((token, bucket))
     return assignments
-
-
-@dataclass(frozen=True)
-class EndStateClassification:
-    """Stage-1 fill pattern predicted from the streams' final buckets.
-
-    ``kind`` is one of ``equal``, ``deficit_run`` or ``surplus_run``;
-    ``run_offsets`` lists the window slots holding one token fewer
-    (deficit) or one more (surplus) than the rest, empty for the equal
-    case.
-    """
-
-    kind: str
-    run_offsets: tuple[int, ...]
-
-
-def classify_end_state(trace: LifecycleTrace) -> EndStateClassification | None:
-    """Classify how stage 1 ended, when the interesting case applies.
-
-    Defined when the final token rode the descending stream, landed away
-    from the window start, and the ascending stream has run at all;
-    returns None otherwise.  Comparisons happen in window order: with
-    ``z`` the ascending stream's final slot and ``y`` the descending
-    stream's, the window is evenly filled when ``z + 1 == y``, the slots
-    strictly between them run one short when ``z + 1 < y``, and the slots
-    from ``y`` through ``z`` run one over when ``z + 1 > y``.
-    """
-    if not trace.placements or trace.placements[-1].moved_in_stage2:
-        return None
-    # Moved tokens are exactly the ascending-stream ones, so the move flag
-    # identifies each token's stream without re-deriving it.
-    last_ascending = next(
-        (p for p in reversed(trace.placements) if p.moved_in_stage2), None
-    )
-    if last_ascending is None:
-        return None
-    params = trace.params
-    descending = params.window_offset(trace.placements[-1].stage1_bucket)
-    ascending = params.window_offset(last_ascending.stage1_bucket)
-    if descending == 0:
-        # The sweep reached the window start; plain at-most-1 spread case.
-        return None
-    if ascending + 1 == descending:
-        return EndStateClassification("equal", ())
-    if ascending + 1 < descending:
-        return EndStateClassification(
-            "deficit_run", tuple(range(ascending + 1, descending))
-        )
-    return EndStateClassification(
-        "surplus_run", tuple(range(descending, ascending + 1))
-    )
 
 
 @dataclass(frozen=True)

@@ -5,11 +5,13 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ringfill import check_requirements, run_lifecycle
+from ringfill import LifecycleTrace, check_requirements, run_lifecycle
 from ringfill.cli import main, parse_trace_report, trace_report
 
-from conftest import make_params, run_module_cli
+from conftest import make_params, placement_params, run_module_cli
 
 PLAN_ARGS = ["plan", "--tokens", "4", "--buckets", "4", "--fill", "2", "--first", "0"]
 TRACE_ARGS = [
@@ -53,10 +55,26 @@ VERIFY_FAIL_ARGS = [
 ]
 
 
+JSON_ATOMS = (None, True, -1, 2.0, 10**20, "x", [], {})
+
+
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def node_paths(node, path=()):
+    """Every path into a JSON document, the root's empty path included."""
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield from node_paths(child, path + (key,))
 
 
 class TestPlan:
@@ -477,3 +495,29 @@ class TestTraceReportValidation:
         document["occupancy1"] = [2, 1, 1, 1]
         with pytest.raises(ValueError, match="outside the fill window"):
             parse_trace_report(document)
+
+    @settings(max_examples=300, deadline=None)
+    @given(placement_params(max_buckets=4, max_tokens=8), st.data())
+    def test_any_single_node_mutation_parses_or_raises_value_error(self, params, data):
+        trace = run_lifecycle(params)
+        document = json.loads(json.dumps(trace_report(trace, check_requirements(trace))))
+        path = data.draw(st.sampled_from(list(node_paths(document))))
+        # Cut to a random prefix: a uniform pick of paths mostly hits leaves.
+        path = path[: data.draw(st.integers(0, len(path)))]
+        delete = bool(path) and data.draw(st.booleans())
+        atom = None if delete else data.draw(st.sampled_from(JSON_ATOMS))
+        if not path:
+            document = atom
+        else:
+            parent = document
+            for key in path[:-1]:
+                parent = parent[key]
+            if delete:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = atom
+        try:
+            rebuilt = parse_trace_report(document)
+        except ValueError:
+            return
+        assert isinstance(rebuilt, LifecycleTrace)

@@ -11,8 +11,6 @@ from ringfill import (
     label,
     plan_stage1,
     run_lifecycle,
-    stage2_bucket,
-    stage3_bucket,
 )
 
 from conftest import make_params, placement_params
@@ -61,7 +59,7 @@ class TestPlacementParams:
         assert not params.in_fill_window(3)
 
 
-class TestCycleClass:
+class TestStreams:
     """Which stream carries each token, read off the move flag: only the
     ascending stream's tokens move in the rebalance."""
 
@@ -76,6 +74,12 @@ class TestCycleClass:
 
 
 class TestLabel:
+    def test_rejects_out_of_range_token(self):
+        params = make_params(3, 4, 2)
+        for token in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                label(params, token)
+
     def test_first_rounds_interleave_descending_and_ascending_values(self):
         params = make_params(8, 4, 2)
         assert [label(params, t) for t in range(8)] == [1, 0, 2, 3, 5, 4, 6, 7]
@@ -142,30 +146,6 @@ class TestPlanStage1:
         for token, bucket in plan_stage1(params):
             if token % params.first_set_size < params.fill_width:
                 assert bucket == label(params, token) % params.first_set_size
-
-
-class TestStageMaps:
-    def test_rejects_out_of_range_token(self):
-        params = make_params(3, 4, 2)
-        for closed_form in (label, stage2_bucket, stage3_bucket):
-            for token in (-1, 3):
-                with pytest.raises(ValueError, match="out of range"):
-                    closed_form(params, token)
-
-    def test_rebalance_reduces_label_modulo_ring_size(self):
-        params = make_params(5, 4, 3, target=5)
-        assert [stage2_bucket(params, t) for t in range(5)] == [2, 1, 0, 3, 2]
-
-    def test_reshard_reduces_label_modulo_second_set_size(self):
-        params = make_params(5, 4, 3, target=5)
-        assert [stage3_bucket(params, t) for t in range(5)] == [2, 1, 0, 3, 1]
-
-    @given(placement_params())
-    def test_stage_maps_agree_with_the_label(self, params):
-        for token in range(params.token_count):
-            value = label(params, token)
-            assert stage2_bucket(params, token) == value % params.first_set_size
-            assert stage3_bucket(params, token) == value % params.second_set_size
 
 
 class TestGap:

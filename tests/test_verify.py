@@ -1,7 +1,8 @@
-"""Tests for requirement checking, the oracle, the sweep and end states."""
+"""Tests for requirement checking, the oracle and the sweep."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict
 
 import pytest
@@ -17,7 +18,6 @@ from ringfill import (
     SweepDomain,
     TokenPlacement,
     check_requirements,
-    classify_end_state,
     gap,
     plan_stage1,
     prose_oracle_stage1,
@@ -25,6 +25,7 @@ from ringfill import (
     spread,
     sweep,
 )
+from ringfill.cli import sweep_report_document
 from ringfill.verify import _label_residue_counts
 
 from conftest import make_params, placement_params, reference_sweep
@@ -427,6 +428,31 @@ class TestSweep:
         assert report.unexpected_violations == 104
         assert report.violation_counts["R6"] == 4
 
+    def test_json_lists_minimal_violations_in_requirement_order(self, monkeypatch):
+        # RC fails only on the quadruple where R6 first fails, so the sweep
+        # finds RC first while the reference finds R6 first.
+        def forced(trace):
+            params = trace.params
+            quadruple = (
+                params.token_count,
+                params.first_set_size,
+                params.fill_width,
+                params.first_bucket,
+            )
+            return {"forced": True} if quadruple == (3, 2, 2, 0) else None
+
+        table = list(ringfill.verify._REQUIREMENTS)
+        index = REQUIREMENT_IDS.index("RC")
+        requirement_id, description, _ = table[index]
+        table[index] = (requirement_id, description, forced)
+        monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
+        domain = SweepDomain(max_buckets=2)
+        document = sweep_report_document(sweep(domain))
+        assert list(document["minimal_violations"]) == ["R6", "RC"]
+        assert json.dumps(document) == json.dumps(
+            sweep_report_document(reference_sweep(domain))
+        )
+
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
             ringfill.verify, "prose_oracle_stage1", lambda params: []
@@ -448,55 +474,3 @@ class TestLabelResidueCounts:
     def test_closed_form_equals_the_trace_tally(self, params):
         counts = _label_residue_counts(params, gap(params), params.second_set_size)
         assert counts == list(run_lifecycle(params).occupancy3)
-
-
-class TestClassifyEndState:
-    def test_adjacent_pointers_mean_equal_counts(self):
-        result = classify_end_state(run_lifecycle(make_params(6, 5, 3)))
-        assert result.kind == "equal"
-        assert result.run_offsets == ()
-
-    def test_overlapping_pointers_mean_a_surplus_run(self):
-        result = classify_end_state(run_lifecycle(make_params(7, 5, 3)))
-        assert result.kind == "surplus_run"
-        assert result.run_offsets == (1,)
-
-    def test_separated_pointers_mean_a_deficit_run(self):
-        result = classify_end_state(run_lifecycle(make_params(6, 5, 4)))
-        assert result.kind == "deficit_run"
-        assert result.run_offsets == (1, 2)
-
-    def test_classification_is_phase_invariant(self):
-        result = classify_end_state(run_lifecycle(make_params(7, 5, 3, first=2)))
-        assert result.kind == "surplus_run"
-        assert result.run_offsets == (1,)
-
-    def test_empty_trace_is_unclassified(self):
-        assert classify_end_state(run_lifecycle(make_params(0, 5, 3))) is None
-
-    def test_ascending_final_token_is_unclassified(self):
-        assert classify_end_state(run_lifecycle(make_params(4, 4, 2))) is None
-
-    def test_missing_ascending_stream_is_unclassified(self):
-        assert classify_end_state(run_lifecycle(make_params(3, 4, 4))) is None
-
-    def test_completed_sweep_is_unclassified(self):
-        assert classify_end_state(run_lifecycle(make_params(2, 4, 2))) is None
-
-    @given(placement_params())
-    def test_classification_predicts_the_window_counts(self, params):
-        trace = run_lifecycle(params)
-        result = classify_end_state(trace)
-        if result is None:
-            return
-        counts = [trace.occupancy1[b] for b in params.fill_window()]
-        run = set(result.run_offsets)
-        rest = [counts[i] for i in range(len(counts)) if i not in run]
-        assert len(set(rest)) == 1
-        if result.kind == "equal":
-            assert run == set()
-        elif result.kind == "deficit_run":
-            assert all(counts[i] == rest[0] - 1 for i in run)
-        else:
-            assert result.kind == "surplus_run"
-            assert all(counts[i] == rest[0] + 1 for i in run)
