@@ -74,12 +74,6 @@ class TestStreams:
 
 
 class TestLabel:
-    def test_rejects_out_of_range_token(self):
-        params = make_params(3, 4, 2)
-        for token in (-1, 3):
-            with pytest.raises(ValueError, match="out of range"):
-                label(params, token)
-
     def test_first_rounds_interleave_descending_and_ascending_values(self):
         params = make_params(8, 4, 2)
         assert [label(params, t) for t in range(8)] == [1, 0, 2, 3, 5, 4, 6, 7]
@@ -146,6 +140,35 @@ class TestPlanStage1:
         for token, bucket in plan_stage1(params):
             if token % params.first_set_size < params.fill_width:
                 assert bucket == label(params, token) % params.first_set_size
+
+
+class TestStageMaps:
+    """Stages 2 and 3 reduce the label modulo the first and the second set
+    size; ``run_lifecycle`` records both per token."""
+
+    def test_rejects_out_of_range_token(self):
+        params = make_params(3, 4, 2)
+        for token in (-1, 3):
+            with pytest.raises(ValueError, match="out of range"):
+                label(params, token)
+
+    def test_rebalance_reduces_label_modulo_ring_size(self):
+        trace = run_lifecycle(make_params(12, 5, 3, first=3, target=7))
+        stage2 = [p.stage2_bucket for p in trace.placements]
+        assert stage2 == [0, 4, 3, 1, 2, 0, 4, 3, 1, 2, 0, 4]
+
+    def test_reshard_reduces_label_modulo_second_set_size(self):
+        trace = run_lifecycle(make_params(12, 5, 3, first=3, target=7))
+        stage3 = [p.stage3_bucket for p in trace.placements]
+        assert stage3 == [5, 4, 3, 6, 0, 3, 2, 1, 4, 5, 1, 0]
+
+    @given(placement_params())
+    def test_stage_maps_agree_with_the_label(self, params):
+        for placement in run_lifecycle(params).placements:
+            value = label(params, placement.token)
+            assert placement.label == value
+            assert placement.stage2_bucket == value % params.first_set_size
+            assert placement.stage3_bucket == value % params.second_set_size
 
 
 class TestGap:

@@ -1,4 +1,5 @@
-"""Tests for requirement checking, the oracle and the sweep."""
+"""Tests for requirement checking, the oracle, the sweep and the stage-1
+end state that R2 bounds."""
 
 from __future__ import annotations
 
@@ -474,3 +475,90 @@ class TestLabelResidueCounts:
     def test_closed_form_equals_the_trace_tally(self, params):
         counts = _label_residue_counts(params, gap(params), params.second_set_size)
         assert counts == list(run_lifecycle(params).occupancy3)
+
+
+def window_counts(trace: LifecycleTrace) -> list[int]:
+    """Stage-1 token counts of the fill window, in window order."""
+    return [trace.occupancy1[bucket] for bucket in trace.params.fill_window()]
+
+
+def stream_ends(trace: LifecycleTrace) -> tuple[int | None, int | None]:
+    """Window offsets of the ascending and the descending stream's last
+    token, None for a stream that never ran.  Only ascending tokens move
+    in the rebalance, so the move flag names each token's stream."""
+    ends: dict[bool, int | None] = {True: None, False: None}
+    for placement in trace.placements:
+        offset = trace.params.window_offset(placement.stage1_bucket)
+        ends[placement.moved_in_stage2] = offset
+    return ends[True], ends[False]
+
+
+class TestClassifyEndState:
+    """Where the two streams stop decides how stage 1 leaves the window.
+
+    When the run ends on a descending token short of the window start and
+    the ascending stream has run, with ``z`` the ascending stream's last
+    offset and ``y`` the descending stream's: the counts are even when
+    ``z + 1 == y``, one short on the offsets strictly between them when
+    ``z + 1 < y``, and one over on offsets ``y`` through ``z`` when
+    ``z + 1 > y``.
+    """
+
+    def test_adjacent_pointers_mean_equal_counts(self):
+        trace = run_lifecycle(make_params(6, 5, 3))
+        assert stream_ends(trace) == (1, 2)
+        assert window_counts(trace) == [2, 2, 2]
+
+    def test_overlapping_pointers_mean_a_surplus_run(self):
+        trace = run_lifecycle(make_params(7, 5, 3))
+        assert stream_ends(trace) == (1, 1)
+        assert window_counts(trace) == [2, 3, 2]
+
+    def test_separated_pointers_mean_a_deficit_run(self):
+        trace = run_lifecycle(make_params(6, 5, 4))
+        assert stream_ends(trace) == (0, 3)
+        assert window_counts(trace) == [2, 1, 1, 2]
+
+    def test_classification_is_phase_invariant(self):
+        trace = run_lifecycle(make_params(7, 5, 3, first=2))
+        assert stream_ends(trace) == (1, 1)
+        assert window_counts(trace) == [2, 3, 2]
+
+    def test_empty_trace_is_unclassified(self):
+        trace = run_lifecycle(make_params(0, 5, 3))
+        assert stream_ends(trace) == (None, None)
+        assert window_counts(trace) == [0, 0, 0]
+
+    def test_ascending_final_token_is_unclassified(self):
+        trace = run_lifecycle(make_params(4, 4, 2))
+        assert trace.placements[-1].moved_in_stage2
+        assert stream_ends(trace) == (1, 0)
+        assert window_counts(trace) == [2, 2]
+
+    def test_missing_ascending_stream_is_unclassified(self):
+        # The descending sweep stops one short of the window start.
+        trace = run_lifecycle(make_params(3, 4, 4))
+        assert stream_ends(trace) == (None, 1)
+        assert window_counts(trace) == [0, 1, 1, 1]
+
+    def test_completed_sweep_is_unclassified(self):
+        trace = run_lifecycle(make_params(2, 4, 2))
+        assert stream_ends(trace) == (None, 0)
+        assert window_counts(trace) == [1, 1]
+
+    @given(placement_params())
+    def test_classification_predicts_the_window_counts(self, params):
+        trace = run_lifecycle(params)
+        if not trace.placements or trace.placements[-1].moved_in_stage2:
+            return
+        ascending, descending = stream_ends(trace)
+        if ascending is None or descending == 0:
+            return
+        if ascending + 1 <= descending:
+            run, step = range(ascending + 1, descending), -1
+        else:
+            run, step = range(descending, ascending + 1), 1
+        counts = window_counts(trace)
+        rest = {count for offset, count in enumerate(counts) if offset not in run}
+        assert len(rest) == 1
+        assert all(counts[offset] == min(rest) + step for offset in run)
