@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings
@@ -56,6 +57,29 @@ VERIFY_FAIL_ARGS = [
 
 
 JSON_ATOMS = (None, True, -1, 2.0, 10**20, "x", [], {})
+PARAMS_FIELDS = "['fill_width', 'first_bucket', 'first_set_size', 'second_set_size', 'token_count']"
+# One mutation per rejection branch of parse_trace_report that the
+# tests below do not name otherwise, with the exact message it raises.
+REJECTIONS = {
+    "document is a list": (lambda d: [d], "report must be a JSON object"),
+    "params is a list": (lambda d: {**d, "params": []}, "params must be an object"),
+    "params missing a key": (
+        lambda d: {**d, "params": {k: v for k, v in d["params"].items() if k != "fill_width"}},
+        f"params must have exactly the fields {PARAMS_FIELDS}",
+    ),
+    "params with an extra key": (
+        lambda d: {**d, "params": {**d["params"], "extra": 1}},
+        f"params must have exactly the fields {PARAMS_FIELDS}",
+    ),
+    "placements is an object": (
+        lambda d: {**d, "placements": {}},
+        "placements must be a list",
+    ),
+    "placement is a number": (
+        lambda d: {**d, "placements": [*d["placements"][:2], 2, *d["placements"][3:]]},
+        "placement 2 must be an object",
+    ),
+}
 
 
 def run_cli(capsys, argv):
@@ -474,6 +498,24 @@ class TestTraceReportValidation:
         with pytest.raises(ValueError, match="occupancy1 entries must be integers"):
             parse_trace_report(document)
 
+    @pytest.mark.parametrize("value", [True, 1.0])
+    @pytest.mark.parametrize(
+        "name", ["token", "label", "stage1_bucket", "stage2_bucket", "stage3_bucket"]
+    )
+    def test_placement_fields_equal_to_integers_are_rejected(self, document, name, value):
+        # Placement 1 holds 1 in every integer field; True == 1 == 1.0, so
+        # only the type check can object.
+        assert document["placements"][1][name] == 1
+        document["placements"][1][name] = value
+        with pytest.raises(ValueError, match=f"placement 1 field {name} must be an integer"):
+            parse_trace_report(document)
+
+    @pytest.mark.parametrize(("mutate", "message"), REJECTIONS.values(), ids=REJECTIONS)
+    def test_each_rejection_names_its_branch(self, document, mutate, message):
+        with pytest.raises(ValueError) as raised:
+            parse_trace_report(mutate(document))
+        assert str(raised.value) == message
+
     def test_huge_set_size_is_rejected_before_any_tally(self, document):
         # A tally of 10**20 buckets cannot even be requested, so a parser
         # that tallies before checking the length raises OverflowError.
@@ -521,3 +563,7 @@ class TestTraceReportValidation:
         except ValueError:
             return
         assert isinstance(rebuilt, LifecycleTrace)
+        assert all(type(value) is int for value in astuple(rebuilt.params))
+        for placement in rebuilt.placements:
+            assert all(type(value) is int for value in placement[:-1])
+            assert type(placement.moved_in_stage2) is bool
