@@ -45,15 +45,8 @@ __all__ = [
     "trace_report",
 ]
 
-PLAN_CSV_FIELDS = ("token", "label", "stage1_bucket")
-TRACE_CSV_FIELDS = (
-    "token",
-    "label",
-    "stage1_bucket",
-    "stage2_bucket",
-    "stage3_bucket",
-    "moved",
-)
+PLAN_CSV_FIELDS = TokenPlacement._fields[:3]
+TRACE_CSV_FIELDS = (*TokenPlacement._fields[:-1], "moved")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -116,9 +109,9 @@ def trace_report(trace: LifecycleTrace, report: RequirementReport) -> dict:
     }
 
 
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise ValueError(message)
+def _is_json_int(value: object) -> bool:
+    # True == 1 and 2.0 == 2, so only the exact type tells a JSON integer.
+    return type(value) is int
 
 
 def parse_trace_report(document: dict) -> LifecycleTrace:
@@ -130,57 +123,53 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     exactly the data the report claims.  Raises ValueError on any
     malformation.
     """
-    _require(isinstance(document, dict), "report must be a JSON object")
-    _require("params" in document, "report is missing params")
+    if not isinstance(document, dict):
+        raise ValueError("report must be a JSON object")
+    if "params" not in document:
+        raise ValueError("report is missing params")
     raw_params = document["params"]
-    _require(isinstance(raw_params, dict), "params must be an object")
+    if not isinstance(raw_params, dict):
+        raise ValueError("params must be an object")
     expected_fields = {param.name for param in fields(PlacementParams)}
-    _require(
-        set(raw_params) == expected_fields,
-        f"params must have exactly the fields {sorted(expected_fields)}",
-    )
-    _require(
-        all(
-            isinstance(raw_params[name], int) and not isinstance(raw_params[name], bool)
-            for name in expected_fields
-        ),
-        "params fields must be integers",
-    )
+    if raw_params.keys() != expected_fields:
+        raise ValueError(f"params must have exactly the fields {sorted(expected_fields)}")
+    if not all(map(_is_json_int, raw_params.values())):
+        raise ValueError("params fields must be integers")
     params = PlacementParams(**raw_params)
 
     raw_placements = document.get("placements")
-    _require(isinstance(raw_placements, list), "placements must be a list")
-    _require(
-        len(raw_placements) == params.token_count,
-        f"expected {params.token_count} placements, got {len(raw_placements)}",
-    )
+    if not isinstance(raw_placements, list):
+        raise ValueError("placements must be a list")
+    if len(raw_placements) != params.token_count:
+        raise ValueError(f"expected {params.token_count} placements, got {len(raw_placements)}")
+    placement_fields = set(TokenPlacement._fields)
+    integer_fields = TokenPlacement._fields[:-1]
     placements = []
     for index, entry in enumerate(raw_placements):
-        _require(isinstance(entry, dict), f"placement {index} must be an object")
-        _require(
-            set(entry) == set(TokenPlacement._fields),
-            f"placement {index} must have exactly the fields {sorted(TokenPlacement._fields)}",
-        )
-        _require(
-            entry["token"] == index,
-            f"placement {index} has token {entry['token']}, tokens must be dense and ordered",
-        )
-        for name in TokenPlacement._fields[:-1]:
-            _require(
-                isinstance(entry[name], int) and not isinstance(entry[name], bool),
-                f"placement {index} field {name} must be an integer",
+        if not isinstance(entry, dict):
+            raise ValueError(f"placement {index} must be an object")
+        if entry.keys() != placement_fields:
+            raise ValueError(
+                f"placement {index} must have exactly the fields {sorted(placement_fields)}"
             )
-        _require(
-            isinstance(entry["moved_in_stage2"], bool),
-            f"placement {index} field moved_in_stage2 must be a boolean",
-        )
-        _require(
-            0 <= entry["stage1_bucket"] < params.first_set_size
-            and 0 <= entry["stage2_bucket"] < params.first_set_size
-            and 0 <= entry["stage3_bucket"] < params.second_set_size,
-            f"placement {index} has a bucket outside its set",
-        )
-        placements.append(TokenPlacement(**entry))
+        placement = TokenPlacement(**entry)
+        if placement.token != index:
+            raise ValueError(
+                f"placement {index} has token {placement.token}, "
+                "tokens must be dense and ordered"
+            )
+        for name, value in zip(integer_fields, placement):
+            if not _is_json_int(value):
+                raise ValueError(f"placement {index} field {name} must be an integer")
+        if not isinstance(placement.moved_in_stage2, bool):
+            raise ValueError(f"placement {index} field moved_in_stage2 must be a boolean")
+        if not (
+            0 <= placement.stage1_bucket < params.first_set_size
+            and 0 <= placement.stage2_bucket < params.first_set_size
+            and 0 <= placement.stage3_bucket < params.second_set_size
+        ):
+            raise ValueError(f"placement {index} has a bucket outside its set")
+        placements.append(placement)
     trace = LifecycleTrace(params, tuple(placements))
 
     # The length check must come before the trace tallies its column, so
@@ -191,21 +180,17 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
         ("occupancy3", "stage3_bucket", params.second_set_size),
     ):
         raw = document.get(name)
-        _require(isinstance(raw, list), f"{name} must be a list")
-        _require(len(raw) == size, f"{name} must have {size} entries, got {len(raw)}")
-        _require(
-            all(isinstance(count, int) and not isinstance(count, bool) for count in raw),
-            f"{name} entries must be integers",
-        )
-        _require(
-            tuple(raw) == getattr(trace, name),
-            f"{name} does not tally the {field} column",
-        )
+        if not isinstance(raw, list):
+            raise ValueError(f"{name} must be a list")
+        if len(raw) != size:
+            raise ValueError(f"{name} must have {size} entries, got {len(raw)}")
+        if not all(map(_is_json_int, raw)):
+            raise ValueError(f"{name} entries must be integers")
+        if tuple(raw) != getattr(trace, name):
+            raise ValueError(f"{name} does not tally the {field} column")
     for bucket, count in enumerate(trace.occupancy1):
-        _require(
-            count == 0 or params.in_fill_window(bucket),
-            f"occupancy1 is nonzero at bucket {bucket}, outside the fill window",
-        )
+        if count != 0 and not params.in_fill_window(bucket):
+            raise ValueError(f"occupancy1 is nonzero at bucket {bucket}, outside the fill window")
     return trace
 
 
