@@ -3,8 +3,9 @@
 Each entry pins the sha256 of everything a command writes to standard
 output, plus its exit code.  The commands are the ones the acceptance
 suite replays for determinism, the verify table of the pinned violating
-instance, a three-bucket JSON sweep and the default sweep in both
-formats.  A refactor that changes any byte of these reports fails here;
+instance, a plan table whose ``label`` column is wider than its header,
+a JSON trace of more than 100 tokens, a three-bucket JSON sweep and the
+default sweep in both formats.  A refactor that changes any byte of these reports fails here;
 a deliberate format change must update the digests in the same commit.
 """
 
@@ -20,6 +21,11 @@ PLAN = ["plan", "--tokens", "7", "--buckets", "5", "--fill", "3", "--first", "2"
 GAP_INSTANCE = [
     "--tokens", "5", "--buckets", "4", "--fill", "3", "--first", "0", "--target-buckets", "5",
 ]
+WIDE_LABELS = ["plan", "--tokens", "20", "--buckets", "200000", "--fill", "3", "--first", "199995"]
+LONG_TRACE = [
+    "trace", "--tokens", "150", "--buckets", "7", "--fill", "3", "--first", "5",
+    "--target-buckets", "11", "--format", "json",
+]
 CLEAN_INSTANCE = [
     "--tokens", "10", "--buckets", "4", "--fill", "2", "--first", "0", "--target-buckets", "5",
 ]
@@ -28,9 +34,11 @@ GOLDEN = [
     (PLAN, 0, "20558e6f5dd04ca38c6a862128381ccccab61f88e597ce08a94a9d15be021857"),
     (PLAN + ["--format", "csv"], 0, "40831e1cbdda91b031874f2bc1c96bf5c52d0dcf2ba6cfe713d70b1986f1c355"),
     (PLAN + ["--format", "json"], 0, "6a6109ae034d3cb9d613523a23b4b6798d56ebd9dd59b203eb2ea19bf495fc6c"),
+    (WIDE_LABELS, 0, "1dc61575e0c242328e701a6889386932ce31c17a31b5dcf8c8137886b4f3b8aa"),
     (["trace"] + GAP_INSTANCE, 0, "8b5cc992de89e885ac08259aba49b3d48a74c6f1f345f6ea332659f322a22859"),
     (["trace"] + GAP_INSTANCE + ["--format", "csv"], 0, "c7ea58a06dd803dc816f7ed99bcba574315580deb4745a71672daed6dde3bb8b"),
     (["trace"] + GAP_INSTANCE + ["--format", "json"], 0, "c2356710729ca57273a3f439d51e586fa81be9100dd97d5c61dc620e92ae9a29"),
+    (LONG_TRACE, 0, "9d9a5f8c1bab4b3946f74e800731d394dc4732720d2c4ac665b1311bb9587288"),
     (["verify"] + CLEAN_INSTANCE, 0, "ef417dd63d474a00cc550d24168964985b3ecbbef3a4a0eedf39ca6315cb78ce"),
     (["verify"] + GAP_INSTANCE, 2, "d616115131f454ecea29cb8b0caeb775c6d4d8f7784b817f0c7900800ede15e6"),
     (["verify"] + GAP_INSTANCE + ["--format", "json"], 2, "c2356710729ca57273a3f439d51e586fa81be9100dd97d5c61dc620e92ae9a29"),
