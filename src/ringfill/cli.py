@@ -24,7 +24,7 @@ from dataclasses import asdict, fields
 from typing import Any
 
 from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
-from .placement import PlacementParams, gap, label, plan_stage1
+from .placement import PlacementParams, _label, gap, plan_stage1
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
     REQUIREMENT_IDS,
@@ -47,6 +47,9 @@ __all__ = [
 
 PLAN_CSV_FIELDS = TokenPlacement._fields[:3]
 TRACE_CSV_FIELDS = (*TokenPlacement._fields[:-1], "moved")
+TRACE_REPORT_KEYS = {
+    "params", "placements", "occupancy1", "occupancy2", "occupancy3", "gap", "requirements",
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -71,21 +74,24 @@ def _nonneg_int(text: str) -> int:
     return value
 
 
-def plan_report(params: PlacementParams) -> dict:
-    """Stage-1 report: instance fields plus one record per token."""
-    records = [
-        {"token": token, "label": label(params, token), "stage1_bucket": bucket}
-        for token, bucket in plan_stage1(params)
-    ]
-    return {
-        "params": {
+def _plan_rows(params: PlacementParams) -> list[tuple[int, int, int]]:
+    """``(token, label, stage1_bucket)`` per token, in token order."""
+    return [(token, _label(params, token), bucket) for token, bucket in plan_stage1(params)]
+
+
+def plan_report(params: PlacementParams) -> str:
+    """Stage-1 report as JSON text: instance fields plus one record per token."""
+    return _render_report(
+        {
             "token_count": params.token_count,
             "first_set_size": params.first_set_size,
             "fill_width": params.fill_width,
             "first_bucket": params.first_bucket,
         },
-        "placements": records,
-    }
+        PLAN_CSV_FIELDS,
+        _plan_rows(params),
+        {},
+    )
 
 
 def _check_document(check: RequirementCheck) -> dict:
@@ -96,17 +102,28 @@ def _check_document(check: RequirementCheck) -> dict:
     }
 
 
-def trace_report(trace: LifecycleTrace, report: RequirementReport) -> dict:
-    """Full lifecycle report, JSON-native throughout."""
-    return {
-        "params": asdict(trace.params),
-        "placements": [placement._asdict() for placement in trace.placements],
-        "occupancy1": list(trace.occupancy1),
-        "occupancy2": list(trace.occupancy2),
-        "occupancy3": list(trace.occupancy3),
-        "gap": asdict(gap(trace.params)),
-        "requirements": [_check_document(check) for check in report.checks],
-    }
+def _trace_rows(trace: LifecycleTrace, flags: tuple = (0, 1)) -> list[tuple]:
+    """One tuple per placement, its move flag written as ``flags[moved]``."""
+    return [
+        (token, value, stage1, stage2, stage3, flags[moved])
+        for token, value, stage1, stage2, stage3, moved in trace.placements
+    ]
+
+
+def trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
+    """Full lifecycle report as JSON text."""
+    return _render_report(
+        asdict(trace.params),
+        TokenPlacement._fields,
+        _trace_rows(trace, ("false", "true")),
+        {
+            "occupancy1": trace.occupancy1,
+            "occupancy2": trace.occupancy2,
+            "occupancy3": trace.occupancy3,
+            "gap": asdict(gap(trace.params)),
+            "requirements": [_check_document(check) for check in report.checks],
+        },
+    )
 
 
 def _is_json_int(value: object) -> bool:
@@ -117,16 +134,17 @@ def _is_json_int(value: object) -> bool:
 def parse_trace_report(document: dict) -> LifecycleTrace:
     """Rebuild a trace from an emitted JSON report.
 
-    Validates shape and internal consistency (dense token order, correct
-    histogram lengths, histograms tallying the placements, stage-1
-    occupancy confined to the fill window) so a re-verification runs on
-    exactly the data the report claims.  Raises ValueError on any
-    malformation.
+    Validates shape and internal consistency (exactly the seven top-level
+    keys, dense token order, correct histogram lengths, histograms
+    tallying the placements, stage-1 occupancy confined to the fill
+    window, a ``gap`` equal to the one ``params`` has) so a
+    re-verification runs on exactly the data the report claims.  Raises
+    ValueError on any malformation.
     """
     if not isinstance(document, dict):
         raise ValueError("report must be a JSON object")
-    if "params" not in document:
-        raise ValueError("report is missing params")
+    if document.keys() != TRACE_REPORT_KEYS:
+        raise ValueError(f"report must have exactly the keys {sorted(TRACE_REPORT_KEYS)}")
     raw_params = document["params"]
     if not isinstance(raw_params, dict):
         raise ValueError("params must be an object")
@@ -137,7 +155,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
         raise ValueError("params fields must be integers")
     params = PlacementParams(**raw_params)
 
-    raw_placements = document.get("placements")
+    raw_placements = document["placements"]
     if not isinstance(raw_placements, list):
         raise ValueError("placements must be a list")
     if len(raw_placements) != params.token_count:
@@ -179,7 +197,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
         ("occupancy2", "stage2_bucket", params.first_set_size),
         ("occupancy3", "stage3_bucket", params.second_set_size),
     ):
-        raw = document.get(name)
+        raw = document[name]
         if not isinstance(raw, list):
             raise ValueError(f"{name} must be a list")
         if len(raw) != size:
@@ -191,6 +209,14 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     for bucket, count in enumerate(trace.occupancy1):
         if count != 0 and not params.in_fill_window(bucket):
             raise ValueError(f"occupancy1 is nonzero at bucket {bucket}, outside the fill window")
+    expected_gap = asdict(gap(params))
+    raw_gap = document["gap"]
+    if not (
+        isinstance(raw_gap, dict)
+        and raw_gap == expected_gap
+        and all(type(raw_gap[name]) is type(value) for name, value in expected_gap.items())
+    ):
+        raise ValueError(f"gap must be {json.dumps(expected_gap)}, the label gap of params")
     return trace
 
 
@@ -221,8 +247,28 @@ def sweep_report_document(report: SweepReport) -> dict:
     }
 
 
-def _render_json(document: dict) -> str:
-    return json.dumps(document, indent=2) + "\n"
+def _json_member(name: str, value: Any) -> str:
+    # One level deep, every line of json.dumps(indent=2) gains two spaces.
+    return f"  {json.dumps(name)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
+def _render_report(params: dict, fields: tuple[str, ...], rows: list[tuple], rest: dict) -> str:
+    """``json.dumps(document, indent=2) + "\n"`` without a dict per record.
+
+    The document is ``params``, then ``placements`` with one record per
+    row of ``rows`` under the names ``fields``, then the members of
+    ``rest``.  Each record is written from one row template; its values
+    must already be JSON literals or ints.
+    """
+    if rows:
+        members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
+        template = "    {\n" + members + "\n    }"
+        placements = "[\n" + ",\n".join([template % row for row in rows]) + "\n  ]"
+    else:
+        placements = "[]"
+    lines = [_json_member("params", params), f'  "placements": {placements}']
+    lines += [_json_member(name, value) for name, value in rest.items()]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def _render_csv(fields: tuple[str, ...], rows) -> str:
@@ -233,15 +279,14 @@ def _render_csv(fields: tuple[str, ...], rows) -> str:
     return buffer.getvalue()
 
 
-def _render_table(header: tuple[str, ...], rows: list[tuple]) -> str:
-    cells = [[str(value) for value in row] for row in rows]
+def _render_table(header: tuple[str, ...], rows: list[tuple[int, ...]]) -> str:
+    # The widest int of a column is its smallest or its largest.
     widths = [len(name) for name in header]
-    for row in cells:
-        for column, cell in enumerate(row):
-            widths[column] = max(widths[column], len(cell))
+    for column, values in enumerate(zip(*rows)):
+        widths[column] = max(widths[column], len(str(min(values))), len(str(max(values))))
+    row_format = "  ".join(f"%{width}s" for width in widths)
     lines = ["  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+    lines += [row_format % row for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -285,39 +330,20 @@ def _instance_params(args: argparse.Namespace, second_set_size: int) -> Placemen
 def cmd_plan(args: argparse.Namespace) -> int:
     # Stage 1 never looks at the second set; any legal size will do.
     params = _instance_params(args, args.buckets + 1)
-    document = plan_report(params)
     if args.format == "json":
-        text = _render_json(document)
+        text = plan_report(params)
     else:
-        rows = [
-            tuple(entry[name] for name in PLAN_CSV_FIELDS)
-            for entry in document["placements"]
-        ]
         render = _render_csv if args.format == "csv" else _render_table
-        text = render(PLAN_CSV_FIELDS, rows)
+        text = render(PLAN_CSV_FIELDS, _plan_rows(params))
     _emit(text, args.output)
     return 0
-
-
-def _trace_rows(trace: LifecycleTrace) -> list[tuple]:
-    return [
-        (
-            placement.token,
-            placement.label,
-            placement.stage1_bucket,
-            placement.stage2_bucket,
-            placement.stage3_bucket,
-            int(placement.moved_in_stage2),
-        )
-        for placement in trace.placements
-    ]
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
     params = _instance_params(args, args.target_buckets)
     trace = run_lifecycle(params)
     if args.format == "json":
-        text = _render_json(trace_report(trace, check_requirements(trace)))
+        text = trace_report(trace, check_requirements(trace))
     elif args.format == "csv":
         text = _render_csv(TRACE_CSV_FIELDS, _trace_rows(trace))
     else:
@@ -336,7 +362,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace = run_lifecycle(params)
     report = check_requirements(trace)
     if args.format == "json":
-        text = _render_json(trace_report(trace, report))
+        text = trace_report(trace, report)
     else:
         text = "\n".join(_requirement_lines(report)) + "\n"
     _emit(text, args.output)
@@ -351,7 +377,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     report = sweep(domain)
     if args.format == "json":
-        text = _render_json(sweep_report_document(report))
+        text = json.dumps(sweep_report_document(report), indent=2) + "\n"
     else:
         lines = [
             f"instances checked: {report.instances_checked}",

@@ -1,9 +1,11 @@
 """Shared helpers: a terse instance builder, a hypothesis strategy, a
-runner for the module command line, a recorder of histogram tallies and
-the per-token reference fold that every sweep verdict is held to."""
+runner for the module command line, a recorder of histogram tallies,
+the per-token reference fold that every sweep verdict is held to and
+the dict-per-record JSON reports that the report writers are held to."""
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -14,12 +16,18 @@ from hypothesis import strategies as st
 
 import ringfill.lifecycle
 import ringfill.verify
+from dataclasses import asdict
+
 from ringfill import (
+    LifecycleTrace,
     PlacementParams,
+    RequirementReport,
     SweepDomain,
     SweepReport,
     check_requirements,
     gap,
+    label,
+    plan_stage1,
     run_lifecycle,
 )
 from ringfill.verify import _label_residue_counts
@@ -125,3 +133,43 @@ def reference_sweep(domain: SweepDomain) -> SweepReport:
                 assert witness["clause"] == "count" and witness["spread"] == 2, check
                 assert descriptor.present, check
     return report
+
+
+def reference_plan_report(params: PlacementParams) -> str:
+    """The bytes ``plan_report(params)`` must give: a dict per record,
+    rendered by ``json.dumps(indent=2)``."""
+    document = {
+        "params": {
+            "token_count": params.token_count,
+            "first_set_size": params.first_set_size,
+            "fill_width": params.fill_width,
+            "first_bucket": params.first_bucket,
+        },
+        "placements": [
+            {"token": token, "label": label(params, token), "stage1_bucket": bucket}
+            for token, bucket in plan_stage1(params)
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"
+
+
+def reference_trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
+    """The bytes ``trace_report(trace, report)`` must give: a dict per
+    placement, rendered by ``json.dumps(indent=2)``."""
+    document = {
+        "params": asdict(trace.params),
+        "placements": [placement._asdict() for placement in trace.placements],
+        "occupancy1": list(trace.occupancy1),
+        "occupancy2": list(trace.occupancy2),
+        "occupancy3": list(trace.occupancy3),
+        "gap": asdict(gap(trace.params)),
+        "requirements": [
+            {
+                "id": check.id,
+                "status": "pass" if check.passed else "fail",
+                "witness": check.witness,
+            }
+            for check in report.checks
+        ],
+    }
+    return json.dumps(document, indent=2) + "\n"

@@ -6,13 +6,19 @@ import json
 from dataclasses import astuple
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringfill import LifecycleTrace, check_requirements, run_lifecycle
-from ringfill.cli import main, parse_trace_report, trace_report
+from ringfill.cli import _render_table, main, parse_trace_report, plan_report, trace_report
 
-from conftest import make_params, placement_params, run_module_cli
+from conftest import (
+    make_params,
+    placement_params,
+    reference_plan_report,
+    reference_trace_report,
+    run_module_cli,
+)
 
 PLAN_ARGS = ["plan", "--tokens", "4", "--buckets", "4", "--fill", "2", "--first", "0"]
 TRACE_ARGS = [
@@ -58,6 +64,11 @@ VERIFY_FAIL_ARGS = [
 
 JSON_ATOMS = (None, True, -1, 2.0, 10**20, "x", [], {})
 PARAMS_FIELDS = "['fill_width', 'first_bucket', 'first_set_size', 'second_set_size', 'token_count']"
+REPORT_KEYS = (
+    "['gap', 'occupancy1', 'occupancy2', 'occupancy3', 'params', 'placements', 'requirements']"
+)
+# The label gap of make_params(5, 4, 3, target=5), the validation document.
+GAP = '{"present": true, "gap_start": 4, "gap_length": 2, "round": 1, "offset": 2}'
 # One mutation per rejection branch of parse_trace_report that the
 # tests below do not name otherwise, with the exact message it raises.
 REJECTIONS = {
@@ -78,6 +89,26 @@ REJECTIONS = {
     "placement is a number": (
         lambda d: {**d, "placements": [*d["placements"][:2], 2, *d["placements"][3:]]},
         "placement 2 must be an object",
+    ),
+    "report with an extra key": (
+        lambda d: {**d, "extra": 1},
+        f"report must have exactly the keys {REPORT_KEYS}",
+    ),
+    "report missing gap": (
+        lambda d: {k: v for k, v in d.items() if k != "gap"},
+        f"report must have exactly the keys {REPORT_KEYS}",
+    ),
+    "gap is a string": (
+        lambda d: {**d, "gap": "nonsense"},
+        f"gap must be {GAP}, the label gap of params",
+    ),
+    "gap of another instance": (
+        lambda d: {**d, "gap": {**d["gap"], "gap_length": 1}},
+        f"gap must be {GAP}, the label gap of params",
+    ),
+    "gap flag equal to true": (
+        lambda d: {**d, "gap": {**d["gap"], "present": 1}},
+        f"gap must be {GAP}, the label gap of params",
     ),
 }
 
@@ -402,11 +433,55 @@ class TestOutputHandling:
         assert result.stdout.splitlines()[1] == b"0,1,1"
 
 
+def reference_table(header, rows):
+    """The table ``_render_table`` must give, cell by cell."""
+    cells = [[str(value) for value in row] for row in rows]
+    widths = [
+        max([len(name)] + [len(row[column]) for row in cells])
+        for column, name in enumerate(header)
+    ]
+    lines = ["  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()]
+    for row in cells:
+        lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
+    return "\n".join(lines) + "\n"
+
+
+class TestReportWriters:
+    @settings(max_examples=200, deadline=None)
+    @given(placement_params())
+    @example(make_params(0, 3, 2))
+    @example(make_params(9, 4, 3, first=3, target=7))
+    def test_reports_equal_a_dict_per_record_json_dump(self, params):
+        trace = run_lifecycle(params)
+        report = check_requirements(trace)
+        assert trace_report(trace, report) == reference_trace_report(trace, report)
+        assert plan_report(params) == reference_plan_report(params)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(0, 1, 2)],
+            [(123456, 7, 10**13), (5, 1234567, 0)],
+            [(-1, -99999, 3), (7, 2, -(10**13))],
+        ],
+    )
+    def test_table_equals_a_cell_by_cell_reference(self, rows):
+        header = ("token", "label", "stage1_bucket")
+        assert _render_table(header, rows) == reference_table(header, rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(*[st.integers(-(10**16), 10**16)] * 3), max_size=6))
+    def test_any_table_equals_the_cell_by_cell_reference(self, rows):
+        header = ("token", "label", "stage1_bucket")
+        assert _render_table(header, rows) == reference_table(header, rows)
+
+
 class TestTraceRoundTrip:
     def trip(self, params):
         trace = run_lifecycle(params)
         report = check_requirements(trace)
-        document = json.loads(json.dumps(trace_report(trace, report)))
+        document = json.loads(trace_report(trace, report))
         rebuilt = parse_trace_report(document)
         assert rebuilt == trace
         assert check_requirements(rebuilt) == report
@@ -425,7 +500,7 @@ class TestTraceRoundTrip:
 
     def test_reverification_tallies_each_histogram_once(self, tally_sizes):
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
-        document = json.loads(json.dumps(trace_report(trace, check_requirements(trace))))
+        document = json.loads(trace_report(trace, check_requirements(trace)))
         tally_sizes.clear()
         check_requirements(parse_trace_report(document))
         assert tally_sizes == [4, 4, 5]
@@ -436,11 +511,11 @@ class TestTraceReportValidation:
     def document(self):
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         report = check_requirements(trace)
-        return json.loads(json.dumps(trace_report(trace, report)))
+        return json.loads(trace_report(trace, report))
 
     def test_missing_params_is_rejected(self, document):
         del document["params"]
-        with pytest.raises(ValueError, match="params"):
+        with pytest.raises(ValueError, match="report must have exactly the keys"):
             parse_trace_report(document)
 
     def test_invalid_params_are_rejected(self, document):
@@ -542,7 +617,7 @@ class TestTraceReportValidation:
     @given(placement_params(max_buckets=4, max_tokens=8), st.data())
     def test_any_single_node_mutation_parses_or_raises_value_error(self, params, data):
         trace = run_lifecycle(params)
-        document = json.loads(json.dumps(trace_report(trace, check_requirements(trace))))
+        document = json.loads(trace_report(trace, check_requirements(trace)))
         path = data.draw(st.sampled_from(list(node_paths(document))))
         # Cut to a random prefix: a uniform pick of paths mostly hits leaves.
         path = path[: data.draw(st.integers(0, len(path)))]
