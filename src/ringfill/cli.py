@@ -260,15 +260,20 @@ def _render_report(params: dict, fields: tuple[str, ...], rows: list[tuple], res
     ``rest``.  Each record is written from one row template; its values
     must already be JSON literals or ints.
     """
-    if rows:
-        members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
-        template = "    {\n" + members + "\n    }"
-        placements = "[\n" + ",\n".join([template % row for row in rows]) + "\n  ]"
+    members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
+    template = "    {\n" + members + "\n    }"
+    # Records and top-level members are both separated by ",\n", so one
+    # join writes the whole text and the records are never copied twice.
+    lines = [template % row for row in rows]
+    if lines:
+        lines[0] = '  "placements": [\n' + lines[0]
+        lines[-1] += "\n  ]"
     else:
-        placements = "[]"
-    lines = [_json_member("params", params), f'  "placements": {placements}']
+        lines = ['  "placements": []']
+    lines.insert(0, "{\n" + _json_member("params", params))
     lines += [_json_member(name, value) for name, value in rest.items()]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    lines[-1] += "\n}\n"
+    return ",\n".join(lines)
 
 
 def _render_csv(fields: tuple[str, ...], rows) -> str:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
@@ -16,8 +17,6 @@ from hypothesis import strategies as st
 
 import ringfill.lifecycle
 import ringfill.verify
-from dataclasses import asdict
-
 from ringfill import (
     LifecycleTrace,
     PlacementParams,

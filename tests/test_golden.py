@@ -5,8 +5,9 @@ output, plus its exit code.  The commands are the ones the acceptance
 suite replays for determinism, the verify table of the pinned violating
 instance, a plan table whose ``label`` column is wider than its header,
 a JSON trace of more than 100 tokens, a three-bucket JSON sweep and the
-default sweep in both formats.  A refactor that changes any byte of these reports fails here;
-a deliberate format change must update the digests in the same commit.
+default sweep in both formats.  A refactor that changes any byte of
+these reports fails here; a deliberate format change must update the
+digests in the same commit.
 """
 
 from __future__ import annotations
