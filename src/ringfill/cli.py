@@ -10,16 +10,18 @@ JSON reports share one top-level shape
 requirements}`` with field names matching the library types; the plan
 subcommand emits the prefix of that shape it can know (params without a
 second set, records without post-rebalance buckets).  CSV rows carry the
-same fields, with the move flag as 0/1.
+same fields.  Every trace format is written one row at a time straight
+from the ``TokenPlacement`` tuples, with no copy of the rows: the move
+flag is ``false``/``true`` in JSON and, as a bool is an int, ``0``/``1``
+in CSV and table cells.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict, fields
 from typing import Any
 
@@ -102,20 +104,15 @@ def _check_document(check: RequirementCheck) -> dict:
     }
 
 
-def _trace_rows(trace: LifecycleTrace, flags: tuple = (0, 1)) -> list[tuple]:
-    """One tuple per placement, its move flag written as ``flags[moved]``."""
-    return [
-        (token, value, stage1, stage2, stage3, flags[moved])
-        for token, value, stage1, stage2, stage3, moved in trace.placements
-    ]
-
-
 def trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
     """Full lifecycle report as JSON text."""
     return _render_report(
         asdict(trace.params),
         TokenPlacement._fields,
-        _trace_rows(trace, ("false", "true")),
+        (
+            (token, value, stage1, stage2, stage3, ("false", "true")[moved])
+            for token, value, stage1, stage2, stage3, moved in trace.placements
+        ),
         {
             "occupancy1": trace.occupancy1,
             "occupancy2": trace.occupancy2,
@@ -252,13 +249,15 @@ def _json_member(name: str, value: Any) -> str:
     return f"  {json.dumps(name)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _render_report(params: dict, fields: tuple[str, ...], rows: list[tuple], rest: dict) -> str:
+def _render_report(params: dict, fields: tuple[str, ...], rows: Iterable, rest: dict) -> str:
     """``json.dumps(document, indent=2) + "\n"`` without a dict per record.
 
     The document is ``params``, then ``placements`` with one record per
     row of ``rows`` under the names ``fields``, then the members of
-    ``rest``.  Each record is written from one row template; its values
-    must already be JSON literals or ints.
+    ``rest``.  Each record is written from one row template as the rows
+    are read, so ``rows`` may be a generator over the per-token tuples
+    and no list of rows is built; its values must already be JSON
+    literals or ints.
     """
     members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
     template = "    {\n" + members + "\n    }"
@@ -276,23 +275,21 @@ def _render_report(params: dict, fields: tuple[str, ...], rows: list[tuple], res
     return ",\n".join(lines)
 
 
-def _render_csv(fields: tuple[str, ...], rows) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(fields)
-    writer.writerows(rows)
-    return buffer.getvalue()
+# CSV and table cells are %d, so a bool is written 0 or 1; the trailing ""
+# ends the text in a newline without copying it after the join.
+def _render_csv(fields: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> str:
+    row_format = ",".join(["%d"] * len(fields))
+    return "\n".join([",".join(fields), *(row_format % row for row in rows), ""])
 
 
-def _render_table(header: tuple[str, ...], rows: list[tuple[int, ...]]) -> str:
+def _render_table(header: tuple[str, ...], rows: Sequence[tuple[int, ...]]) -> str:
     # The widest int of a column is its smallest or its largest.
     widths = [len(name) for name in header]
     for column, values in enumerate(zip(*rows)):
-        widths[column] = max(widths[column], len(str(min(values))), len(str(max(values))))
-    row_format = "  ".join(f"%{width}s" for width in widths)
-    lines = ["  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()]
-    lines += [row_format % row for row in rows]
-    return "\n".join(lines) + "\n"
+        widths[column] = max(widths[column], len("%d" % min(values)), len("%d" % max(values)))
+    row_format = "  ".join(f"%{width}d" for width in widths)
+    header_line = "  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()
+    return "\n".join([header_line, *(row_format % row for row in rows), ""])
 
 
 def _gap_line(descriptor) -> str:
@@ -350,14 +347,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = trace_report(trace, check_requirements(trace))
     elif args.format == "csv":
-        text = _render_csv(TRACE_CSV_FIELDS, _trace_rows(trace))
+        text = _render_csv(TRACE_CSV_FIELDS, trace.placements)
     else:
-        lines = [_render_table(TRACE_CSV_FIELDS, _trace_rows(trace)).rstrip("\n")]
-        lines.append("")
+        # The table ends in a newline, so the join leaves a blank line after it.
+        lines = [_render_table(TRACE_CSV_FIELDS, trace.placements)]
         for name in ("occupancy1", "occupancy2", "occupancy3"):
             lines.append(f"{name}: " + " ".join(map(str, getattr(trace, name))))
-        lines.append(_gap_line(gap(params)))
-        text = "\n".join(lines) + "\n"
+        lines += [_gap_line(gap(params)), ""]
+        text = "\n".join(lines)
     _emit(text, args.output)
     return 0
 
