@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
+import tracemalloc
 from dataclasses import astuple
 
 import pytest
@@ -10,7 +13,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ringfill import LifecycleTrace, check_requirements, run_lifecycle
-from ringfill.cli import _render_table, main, parse_trace_report, plan_report, trace_report
+from ringfill.cli import (
+    _render_csv,
+    _render_table,
+    main,
+    parse_trace_report,
+    plan_report,
+    trace_report,
+)
 
 from conftest import (
     make_params,
@@ -434,8 +444,8 @@ class TestOutputHandling:
 
 
 def reference_table(header, rows):
-    """The table ``_render_table`` must give, cell by cell."""
-    cells = [[str(value) for value in row] for row in rows]
+    """The table ``_render_table`` must give, cell by cell; a bool is 0 or 1."""
+    cells = [["%d" % value for value in row] for row in rows]
     widths = [
         max([len(name)] + [len(row[column]) for row in cells])
         for column, name in enumerate(header)
@@ -444,6 +454,15 @@ def reference_table(header, rows):
     for row in cells:
         lines.append("  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)))
     return "\n".join(lines) + "\n"
+
+
+def reference_csv(header, rows):
+    """The CSV ``_render_csv`` must give: the csv module's, a bool as 0 or 1."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([int(value) for value in row] for row in rows)
+    return buffer.getvalue()
 
 
 class TestReportWriters:
@@ -469,6 +488,37 @@ class TestReportWriters:
     def test_table_equals_a_cell_by_cell_reference(self, rows):
         header = ("token", "label", "stage1_bucket")
         assert _render_table(header, rows) == reference_table(header, rows)
+
+    def test_table_writes_a_bool_column_one_digit_wide(self):
+        header, rows = ("token", "m"), [(0, False), (12, True)]
+        expected = "token  m\n    0  0\n   12  1\n"
+        assert _render_table(header, rows) == reference_table(header, rows) == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [],
+            [(0, 1, False), (2, 3, True)],
+            [(-1, -(10**24), True), (10**24, -7, False)],
+        ],
+    )
+    def test_csv_equals_the_csv_module(self, rows):
+        header = ("token", "label", "moved")
+        assert _render_csv(header, rows) == reference_csv(header, rows)
+
+    @pytest.mark.parametrize("shape", [(20000, 37, 20, 5, 60), (20001, 41, 17, 3, 70)])
+    def test_trace_report_peak_memory_is_bounded_by_its_text(self, shape):
+        # With no copy of the rows, the peak is the record lines, the
+        # text they are joined into and little else.
+        trace = run_lifecycle(make_params(*shape))
+        report = check_requirements(trace)
+        tracemalloc.start()
+        try:
+            text = trace_report(trace, report)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.6 * len(text)
 
 
 class TestTraceRoundTrip:
