@@ -254,10 +254,10 @@ def _render_report(params: dict, fields: tuple[str, ...], rows: Iterable, rest: 
 
     The document is ``params``, then ``placements`` with one record per
     row of ``rows`` under the names ``fields``, then the members of
-    ``rest``.  Each record is written from one row template as the rows
-    are read, so ``rows`` may be a generator over the per-token tuples
-    and no list of rows is built; its values must already be JSON
-    literals or ints.
+    ``rest``.  Each record is written from one row template as ``rows``
+    is read, so it may be a generator over the per-token tuples and no
+    list of rows is built; its values must already be JSON literals or
+    ints.
     """
     members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
     template = "    {\n" + members + "\n    }"
