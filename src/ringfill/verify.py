@@ -20,18 +20,28 @@ from an otherwise contiguous range can push the spread in the second
 bucket set to 2.  The sweep classifies exactly those failures as
 expected and flags anything else.
 
+Each requirement is stated once, as a fold over placements: it takes
+the placements in token order and gives its verdict after any prefix.
+R1, R4, R5's and R6's residue clauses and RC fail for good at their
+first offending placement.  R2, R3 and the count clauses keep a running
+histogram whose spread is current after every increment.
+``check_requirements`` feeds a whole trace and reads each fold once.
+
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
 count and the oracle mismatches.  It does each piece of work once for
-what it depends on.  R1–R5, RC, the gap descriptor and the oracle
-comparison read only the stage-1 quadruple ``(T, B, C, f)``, so they run
-once per quadruple on one trace, and a failure counts for every
+what it depends on.  Nothing in stage 1, the labels or the oracle reads
+the token count ``T``, so the run of ``T`` tokens is the first ``T``
+tokens of every longer run.  Per ``(B, C, f)`` triple the sweep makes
+one lifecycle and one oracle walk, at the triple's largest ``T``, and
+reads every smaller ``T``'s verdict from the folds after its first
+``T`` placements.  R1–R5, RC and the oracle comparison read only the
+stage-1 quadruple ``(T, B, C, f)``, so a failure there counts for every
 second-set size.  R6 is the only requirement that reads the second-set
-size ``B'``; its histogram is derived per ``B'`` from the label set
-alone, which is a contiguous range minus the gap interval.  Parameters
-and witnesses are built only for each requirement's first failure and
-the first oracle mismatch.  The test suite holds the verdict to a fold
-of ``check_requirements`` over the full per-token trace of every
+size ``B'``; the sweep keeps one running tally of ``label % B'`` per
+``B'``.  Parameters and witnesses are built only for each requirement's
+first failure and the first oracle mismatch.  The test suite holds the
+verdict to ``check_requirements`` on the full per-token trace of every
 instance.
 
 Spreads include zero-count buckets of the relevant set: all fill-window
@@ -43,10 +53,12 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from typing import Iterator, NamedTuple
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Iterator, NamedTuple, Sequence
 
-from .lifecycle import LifecycleTrace, TokenPlacement, _tally, run_lifecycle
-from .placement import GapDescriptor, PlacementParams, gap
+from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
+from .placement import PlacementParams, gap
 
 __all__ = [
     "REQUIREMENT_DESCRIPTIONS",
@@ -95,139 +107,270 @@ class RequirementReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-def _check_distinct_labels(trace: LifecycleTrace) -> dict | None:
-    seen: dict[int, int] = {}
-    for placement in trace.placements:
-        other = seen.get(placement.label)
-        if other is not None:
-            return {
-                "token_a": other,
-                "token_b": placement.token,
-                "label": placement.label,
+class _Tally:
+    """Histogram of ``[0, size)`` under +1 increments, its spread kept current.
+
+    ``high`` is the largest count, ``low`` the smallest, ``spread`` their
+    difference and ``at_low`` the number of buckets holding ``low``.
+    ``extend`` adds a stretch of increments in amortised O(1) each, and
+    ``spread`` is current after every ``extend``.
+    """
+
+    __slots__ = ("counts", "high", "low", "at_low", "spread")
+
+    def __init__(self, size: int) -> None:
+        self.counts = [0] * size
+        self.high = 0
+        self.low = 0
+        self.at_low = size
+        self.spread = 0
+
+    def extend(self, buckets: Sequence[int]) -> None:
+        """Add one to each of ``buckets``' counts, in order."""
+        counts = self.counts
+        if len(buckets) >= len(counts):
+            # A stretch at least as long as the histogram pays for one
+            # O(size) pass over it.
+            for bucket in buckets:
+                counts[bucket] += 1
+            self.high = max(counts)
+            self.low = min(counts)
+            self.at_low = counts.count(self.low)
+            self.spread = self.high - self.low
+            return
+        # ``low`` rises only when an increment lifts the last bucket at
+        # it; every bucket then holds at least the new ``low``, and one
+        # rescan counts the buckets at it.  That happens at most once per
+        # ``size`` increments.
+        high, low, at_low = self.high, self.low, self.at_low
+        lifted = low + 1  # a bucket's count after an increment from low
+        for bucket in buckets:
+            count = counts[bucket] + 1
+            counts[bucket] = count
+            if count == lifted:
+                at_low -= 1
+                if not at_low:
+                    low = count
+                    lifted = count + 1
+                    at_low = counts.count(count)
+            if count > high:
+                high = count
+        self.high, self.low, self.at_low = high, low, at_low
+        self.spread = high - low
+
+
+def _spread_clause(name: str, tally: _Tally, **lead) -> dict | None:
+    """The histogram ``name`` has spread at most 1; else its witness
+    fields, ``lead`` first.  R5's and R6's count clause leads with
+    ``clause="count"``."""
+    if tally.spread > 1:
+        return {**lead, name: list(tally.counts), "spread": tally.spread}
+    return None
+
+
+# Each requirement is a fold over placements: built from the instance's
+# params, fed the placements in token order by one or more ``extend``
+# calls, and read between any two by ``witness``, which gives None while
+# the requirement holds on the placements fed so far, else the witness
+# fields that follow "params".  No fold reads ``token_count``, so the
+# folds for a run of T tokens, read after its first t placements, judge
+# the run of t tokens.
+
+
+class _FirstFailure:
+    """A requirement that fails for good at its first offending placement."""
+
+    failure: dict | None = None
+
+    def witness(self) -> dict | None:
+        return self.failure
+
+
+class _DistinctLabels(_FirstFailure):
+    """R1: no label is carried twice."""
+
+    def __init__(self, params: PlacementParams) -> None:
+        self.seen: dict[int, int] = {}
+
+    def extend(self, placements: Sequence[TokenPlacement]) -> None:
+        if self.failure is not None:
+            return
+        seen = self.seen
+        for placement in placements:
+            label = placement.label
+            if label in seen:
+                self.failure = {
+                    "token_a": seen[label],
+                    "token_b": placement.token,
+                    "label": label,
+                }
+                return
+            seen[label] = placement.token
+
+
+class _WindowCounts:
+    """R2: stage-1 counts across the fill window, in window order."""
+
+    def __init__(self, params: PlacementParams) -> None:
+        self.window = params.first_bucket, params.first_set_size, params.fill_width
+        self.tally = _Tally(params.fill_width)
+
+    def extend(self, placements: Sequence[TokenPlacement]) -> None:
+        start, size, width = self.window
+        self.tally.extend(
+            [offset for p in placements if (offset := (p.stage1_bucket - start) % size) < width]
+        )
+
+    def witness(self) -> dict | None:
+        return _spread_clause("window_counts", self.tally)
+
+
+class _LabelResidues:
+    """R3: label residue counts over the first set."""
+
+    def __init__(self, params: PlacementParams) -> None:
+        self.size = params.first_set_size
+        self.tally = _Tally(params.first_set_size)
+
+    def extend(self, placements: Sequence[TokenPlacement]) -> None:
+        size = self.size
+        self.tally.extend([p.label % size for p in placements])
+
+    def witness(self) -> dict | None:
+        return _spread_clause("residue_counts", self.tally)
+
+
+class _MoveBudget(_FirstFailure):
+    """R4: the move flag tells the truth and no move stays in the window."""
+
+    def __init__(self, params: PlacementParams) -> None:
+        self.params = params
+
+    def extend(self, placements: Sequence[TokenPlacement]) -> None:
+        if self.failure is not None:
+            return
+        in_fill_window = self.params.in_fill_window
+        for placement in placements:
+            moved = placement.stage1_bucket != placement.stage2_bucket
+            if placement.moved_in_stage2 != moved:
+                reason = "flag_mismatch"
+            elif moved and in_fill_window(placement.stage2_bucket):
+                # Both buckets inside the window: forbidden shuffle.
+                reason = "moved_within_window"
+            else:
+                continue
+            self.failure = {
+                "token": placement.token,
+                "stage1_bucket": placement.stage1_bucket,
+                "stage2_bucket": placement.stage2_bucket,
+                "reason": reason,
             }
-        seen[placement.label] = placement.token
-    return None
+            return
 
 
-def _check_window_counts(trace: LifecycleTrace) -> dict | None:
-    counts = [trace.occupancy1[b] for b in trace.params.fill_window()]
-    observed = spread(counts)
-    if observed > 1:
-        return {"window_counts": counts, "spread": observed}
-    return None
-
-
-def _check_label_residues(trace: LifecycleTrace) -> dict | None:
-    size = trace.params.first_set_size
-    counts = _tally((p.label % size for p in trace.placements), size)
-    observed = spread(counts)
-    if observed > 1:
-        return {"residue_counts": list(counts), "spread": observed}
-    return None
-
-
-def _check_move_budget(trace: LifecycleTrace) -> dict | None:
-    params = trace.params
-    for placement in trace.placements:
-        moved = placement.stage1_bucket != placement.stage2_bucket
-        if placement.moved_in_stage2 != moved:
-            reason = "flag_mismatch"
-        elif moved and params.in_fill_window(placement.stage2_bucket):
-            # Both buckets inside the window: forbidden shuffle.
-            reason = "moved_within_window"
-        else:
-            continue
-        return {
-            "token": placement.token,
-            "stage1_bucket": placement.stage1_bucket,
-            "stage2_bucket": placement.stage2_bucket,
-            "reason": reason,
-        }
-    return None
-
-
-def _check_stage_map(
-    column: str, occupancy_name: str, size_name: str, trace: LifecycleTrace
-) -> dict | None:
+class _StageMap(_FirstFailure):
     """R5 (stage 2, first set) and R6 (stage 3, second set).
 
     Every token's bucket in ``column`` must be its label modulo the
     ``size_name`` parameter (the residue clause), and the histogram
     ``occupancy_name`` must have spread at most 1 (the count clause).
+    While the residue clause holds, the column is the label residue, so
+    the tally counts residues.
     """
-    size = getattr(trace.params, size_name)
-    index = TokenPlacement._fields.index(column)
-    for placement in trace.placements:
-        expected = placement.label % size
-        if placement[index] != expected:
-            return {
-                "clause": "residue",
-                "token": placement.token,
-                "label": placement.label,
-                column: placement[index],
-                "expected": expected,
-            }
-    return _count_clause(occupancy_name, getattr(trace, occupancy_name))
+
+    def __init__(
+        self, column: str, occupancy_name: str, size_name: str, params: PlacementParams
+    ) -> None:
+        self.column = column
+        self.bucket = itemgetter(TokenPlacement._fields.index(column))
+        self.occupancy_name = occupancy_name
+        self.size = getattr(params, size_name)
+        self.tally = _Tally(self.size)
+
+    def extend(self, placements: Sequence[TokenPlacement]) -> None:
+        if self.failure is not None:
+            return
+        size = self.size
+        residues = [p.label % size for p in placements]
+        column = list(map(self.bucket, placements))
+        if column == residues:
+            self.tally.extend(residues)
+            return
+        index = next(i for i, pair in enumerate(zip(column, residues)) if pair[0] != pair[1])
+        placement = placements[index]
+        self.failure = {
+            "clause": "residue",
+            "token": placement.token,
+            "label": placement.label,
+            self.column: column[index],
+            "expected": residues[index],
+        }
+
+    def witness(self) -> dict | None:
+        if self.failure is not None:
+            return self.failure
+        return _spread_clause(self.occupancy_name, self.tally, clause="count")
 
 
-def _count_clause(occupancy_name: str, occupancy) -> dict | None:
-    """R5's or R6's count clause: the histogram's spread is at most 1."""
-    observed = spread(occupancy)
-    if observed > 1:
-        return {"clause": "count", occupancy_name: list(occupancy), "spread": observed}
-    return None
+class _AscendingDirection(_FirstFailure):
+    """RC: moved tokens took consecutive window slots from the window start."""
+
+    def __init__(self, params: PlacementParams) -> None:
+        self.params = params
+        self.expected = 0
+        self.position = 0
+
+    def extend(self, placements: Sequence[TokenPlacement]) -> None:
+        if self.failure is not None:
+            return
+        window_offset = self.params.window_offset
+        width = self.params.fill_width
+        expected, position = self.expected, self.position
+        for placement in placements:
+            if not placement.moved_in_stage2:
+                continue
+            offset = window_offset(placement.stage1_bucket)
+            if offset != expected:
+                self.failure = {
+                    "position": position,
+                    "token": placement.token,
+                    "expected_offset": expected,
+                    "actual_offset": offset,
+                }
+                break
+            expected = (offset + 1) % width
+            position += 1
+        self.expected, self.position = expected, position
 
 
-def _check_ascending_direction(trace: LifecycleTrace) -> dict | None:
-    params = trace.params
-    expected = 0
-    position = 0
-    for placement in trace.placements:
-        if not placement.moved_in_stage2:
-            continue
-        offset = params.window_offset(placement.stage1_bucket)
-        if offset != expected:
-            return {
-                "position": position,
-                "token": placement.token,
-                "expected_offset": expected,
-                "actual_offset": offset,
-            }
-        expected = (offset + 1) % params.fill_width
-        position += 1
-    return None
-
-
-# The requirements in report order: (id, description, check).  A check
-# returns None when its requirement holds, else the witness fields that
-# follow "params".
+# The requirements in report order: (id, description, fold factory).
 _REQUIREMENTS = (
-    ("R1", "labels are pairwise distinct", _check_distinct_labels),
-    ("R2", "fill-window token counts differ by at most 1", _check_window_counts),
+    ("R1", "labels are pairwise distinct", _DistinctLabels),
+    ("R2", "fill-window token counts differ by at most 1", _WindowCounts),
     (
         "R3",
         "label residue counts over the first set differ by at most 1",
-        _check_label_residues,
+        _LabelResidues,
     ),
     (
         "R4",
         "each token moves at most once and never inside the window",
-        _check_move_budget,
+        _MoveBudget,
     ),
     (
         "R5",
         "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
-        partial(_check_stage_map, "stage2_bucket", "occupancy2", "first_set_size"),
+        partial(_StageMap, "stage2_bucket", "occupancy2", "first_set_size"),
     ),
     (
         "R6",
         "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
-        partial(_check_stage_map, "stage3_bucket", "occupancy3", "second_set_size"),
+        partial(_StageMap, "stage3_bucket", "occupancy3", "second_set_size"),
     ),
     (
         "RC",
         "ascending stream starts at the window start and steps by one slot",
-        _check_ascending_direction,
+        _AscendingDirection,
     ),
 )
 
@@ -253,11 +396,14 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     Total: every trace yields a verdict for every requirement, and a
     failing verdict carries enough detail (full parameters plus the
     offending indices) to reproduce the failure from scratch.  The empty
-    trace passes everything vacuously.
+    trace passes everything vacuously.  Each requirement's fold is fed
+    the whole trace and read once, at the end.
     """
     checks = []
-    for requirement_id, _, check in _REQUIREMENTS:
-        witness_fields = check(trace)
+    for requirement_id, _, make_fold in _REQUIREMENTS:
+        fold = make_fold(trace.params)
+        fold.extend(trace.placements)
+        witness_fields = fold.witness()
         if witness_fields is None:
             checks.append(RequirementCheck(requirement_id, True))
         else:
@@ -323,7 +469,9 @@ class SweepDomain:
         """Stage-1 grid: one instance per (size, width, start, tokens).
 
         The second-set size is pinned to its smallest legal value; stage-1
-        planning and labels do not depend on it.
+        planning and labels do not depend on it.  Token counts ascend
+        within each (size, width, start) triple, which lets the sweep read
+        them all from one run.
         """
         for size in range(1, self.max_buckets + 1):
             for width in range(1, size + 1):
@@ -372,80 +520,95 @@ class SweepReport:
         return self.unexpected_violations == 0 and self.oracle_mismatches == 0
 
 
-def _label_residue_counts(
-    params: PlacementParams, descriptor: GapDescriptor, size: int
-) -> list[int]:
-    """Tally of ``label % size`` over every token, from the label set alone.
-
-    The labels are the contiguous range of ``token_count + gap_length``
-    values from ``first_bucket`` up, minus the gap interval.  The range
-    puts ``length // size`` labels in every residue class and one more
-    in the ``length % size`` classes that follow ``first_bucket``; the
-    gap takes one label from each of its values' classes.
-    """
-    base, extra = divmod(params.token_count + descriptor.gap_length, size)
-    # Counts by class offset from first_bucket, then rotated into place.
-    counts = [base + 1] * extra + [base] * (size - extra)
-    gap_offset = descriptor.gap_start - params.first_bucket
-    for offset in range(gap_offset, gap_offset + descriptor.gap_length):
-        counts[offset % size] -= 1
-    turn = -params.first_bucket % size
-    return counts[turn:] + counts[:turn]
+_TRIPLE = attrgetter("first_set_size", "fill_width", "first_bucket")
 
 
 def sweep(domain: SweepDomain | None = None) -> SweepReport:
     """Exhaustively check every instance in the domain.
 
     Each instance is counted as ``check_requirements(run_lifecycle(
-    params))`` would judge it, with the work split by what it depends on.
-    Once per stage-1 quadruple: one ``run_lifecycle``, R1–R5 and RC, the
-    gap descriptor and the comparison with the pointer-walk oracle; a
-    failure or mismatch there counts for every second-set size.  Once per
-    second-set size: R6's histogram, in closed form from the label set;
-    its residue clause holds by definition, since stage 3 is
-    ``label % second_set_size``.  Instances are visited in lexicographic
-    parameter order, so the first failure recorded per requirement is
-    the minimal one and the whole report is deterministic.
+    params))`` would judge it.  The planning instances come grouped by
+    ``(B, C, f)`` triple, each group in ascending ``T``.  Per group the
+    sweep makes one ``run_lifecycle`` and one ``prose_oracle_stage1``,
+    both at the group's largest ``T``, feeds the placements in order to
+    the requirement folds and, after the first ``T`` placements, reads
+    every fold for the instance of ``T`` tokens.  A failure of R1–R5, RC
+    or the oracle comparison counts for every second-set size.  R6 keeps
+    one running tally of ``label % B'`` per second-set size ``B'`` and
+    reads its count clause; its residue clause holds by definition, since
+    stage 3 is ``label % second_set_size``.  Instances are visited in
+    lexicographic parameter order, so the first failure recorded per
+    requirement is the minimal one and the whole report is deterministic.
     """
     if domain is None:
         domain = SweepDomain()
     report = SweepReport(domain=domain)
     counts = report.violation_counts
     minimal = report.minimal_violations
-    for planning in domain.iter_planning_instances():
-        # planning carries the smallest second-set size, the quadruple's
-        # first instance in sweep order.
-        seconds = domain.second_set_sizes(planning.first_set_size)
-        report.instances_checked += len(seconds)
-        trace = run_lifecycle(planning)
-        stage1 = [(p.token, p.stage1_bucket) for p in trace.placements]
-        if stage1 != prose_oracle_stage1(planning):
-            report.oracle_mismatches += len(seconds)
-            if report.minimal_oracle_mismatch is None:
-                report.minimal_oracle_mismatch = planning
-        for requirement_id, _, check in _REQUIREMENTS:
-            if requirement_id == "R6":
+    for _, group in groupby(domain.iter_planning_instances(), _TRIPLE):
+        group = list(group)
+        longest = group[-1]
+        seconds = domain.second_set_sizes(longest.first_set_size)
+        placements = run_lifecycle(longest).placements
+        stage1 = [(p.token, p.stage1_bucket) for p in placements]
+        oracle = prose_oracle_stage1(longest)
+        # The oracle agrees on exactly the runs of at most this many tokens.
+        agreed = next(
+            (token for token, (ours, its) in enumerate(zip(stage1, oracle)) if ours != its),
+            len(oracle),
+        )
+        folds = [
+            (requirement_id, make_fold(longest))
+            for requirement_id, _, make_fold in _REQUIREMENTS
+            if requirement_id != "R6"
+        ]
+        labels = [p.label for p in placements]
+        tallies = [
+            (second, _Tally(second), [label % second for label in labels])
+            for second in seconds
+        ]
+        fed = 0
+        # Each planning instance carries the smallest second-set size, its
+        # quadruple's first instance in sweep order.
+        for planning in group:
+            tokens = planning.token_count
+            stretch = placements[fed:tokens]
+            for _, fold in folds:
+                fold.extend(stretch)
+            for _, tally, residues in tallies:
+                tally.extend(residues[fed:tokens])
+            fed = tokens
+            report.instances_checked += len(seconds)
+            if tokens > agreed:
+                report.oracle_mismatches += len(seconds)
+                if report.minimal_oracle_mismatch is None:
+                    report.minimal_oracle_mismatch = planning
+            for requirement_id, fold in folds:
+                witness_fields = fold.witness()
+                if witness_fields is not None:
+                    counts[requirement_id] += len(seconds)
+                    report.unexpected_violations += len(seconds)
+                    if requirement_id not in minimal:
+                        minimal[requirement_id] = (
+                            planning,
+                            _failed(requirement_id, planning, witness_fields),
+                        )
+            failing = [
+                (second, witness_fields)
+                for second, tally, _ in tallies
+                if (witness_fields := _spread_clause("occupancy3", tally, clause="count"))
+            ]
+            if not failing:
                 continue
-            witness_fields = check(trace)
-            if witness_fields is not None:
-                counts[requirement_id] += len(seconds)
-                report.unexpected_violations += len(seconds)
-                if requirement_id not in minimal:
-                    minimal[requirement_id] = (
-                        planning,
-                        _failed(requirement_id, planning, witness_fields),
-                    )
-        descriptor = gap(planning)
-        for second in seconds:
-            occupancy = _label_residue_counts(planning, descriptor, second)
-            witness_fields = _count_clause("occupancy3", occupancy)
-            if witness_fields is None:
-                continue
-            counts["R6"] += 1
+            counts["R6"] += len(failing)
             # Expected: the documented gap case at spread exactly 2.
-            if not (descriptor.present and witness_fields["spread"] == 2):
-                report.unexpected_violations += 1
+            present = gap(planning).present
+            report.unexpected_violations += sum(
+                not (present and witness_fields["spread"] == 2)
+                for _, witness_fields in failing
+            )
             if "R6" not in minimal:
+                second, witness_fields = failing[0]
                 params = replace(planning, second_set_size=second)
                 minimal["R6"] = (params, _failed("R6", params, witness_fields))
     return report

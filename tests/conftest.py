@@ -1,7 +1,8 @@
 """Shared helpers: a terse instance builder, a hypothesis strategy, a
 runner for the module command line, a recorder of histogram tallies,
-the per-token reference fold that every sweep verdict is held to and
-the dict-per-record JSON reports that the report writers are held to."""
+the closed-form histogram of label residues, the per-token reference
+fold that every sweep verdict is held to and the dict-per-record JSON
+reports that the report writers are held to."""
 
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 import ringfill.lifecycle
 import ringfill.verify
 from ringfill import (
+    GapDescriptor,
     LifecycleTrace,
     PlacementParams,
     RequirementReport,
@@ -29,7 +31,6 @@ from ringfill import (
     plan_stage1,
     run_lifecycle,
 )
-from ringfill.verify import _label_residue_counts
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -95,6 +96,27 @@ def tally_sizes(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(ringfill.lifecycle, "_tally", counting_tally)
     return sizes
+
+
+def _label_residue_counts(
+    params: PlacementParams, descriptor: GapDescriptor, size: int
+) -> list[int]:
+    """Tally of ``label % size`` over every token, from the label set alone.
+
+    The labels are the contiguous range of ``token_count + gap_length``
+    values from ``first_bucket`` up, minus the gap interval.  The range
+    puts ``length // size`` labels in every residue class and one more
+    in the ``length % size`` classes that follow ``first_bucket``; the
+    gap takes one label from each of its values' classes.
+    """
+    base, extra = divmod(params.token_count + descriptor.gap_length, size)
+    # Counts by class offset from first_bucket, then rotated into place.
+    counts = [base + 1] * extra + [base] * (size - extra)
+    gap_offset = descriptor.gap_start - params.first_bucket
+    for offset in range(gap_offset, gap_offset + descriptor.gap_length):
+        counts[offset % size] -= 1
+    turn = -params.first_bucket % size
+    return counts[turn:] + counts[:turn]
 
 
 def reference_sweep(domain: SweepDomain) -> SweepReport:

@@ -76,8 +76,9 @@ def test_criterion_1_oracle_equivalence(default_sweep):
 def test_criterion_1_sweep_reports_match_the_per_token_trace(
     default_sweep, default_reference
 ):
-    # The sweep checks each stage-1 quadruple once and derives R6 per
-    # second-set size in closed form; the per-token fold is its oracle.
+    # The sweep reads every token count from prefix folds of one lifecycle
+    # per (B, C, f) triple; the per-token check of every instance is its
+    # oracle.
     report, _ = default_sweep
     assert report.instances_checked == 113432
     _verdict(

@@ -7,7 +7,8 @@ import json
 from dataclasses import asdict
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ringfill.verify
 from ringfill import (
@@ -27,9 +28,9 @@ from ringfill import (
     sweep,
 )
 from ringfill.cli import sweep_report_document
-from ringfill.verify import _label_residue_counts
+from ringfill.verify import _Tally
 
-from conftest import make_params, placement_params, reference_sweep
+from conftest import _label_residue_counts, make_params, placement_params, reference_sweep
 
 
 def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
@@ -48,6 +49,46 @@ def assert_witness_fields(check, trace, *fields) -> None:
     """The witness leads with the instance's params, then exactly ``fields``."""
     assert list(check.witness) == ["params", *fields]
     assert check.witness["params"] == asdict(trace.params)
+
+
+def inject_fold(monkeypatch, requirement_id: str, fold) -> None:
+    """Swap the fold factory of one ``_REQUIREMENTS`` entry for ``fold``."""
+    table = list(ringfill.verify._REQUIREMENTS)
+    index = REQUIREMENT_IDS.index(requirement_id)
+    _, description, _ = table[index]
+    table[index] = (requirement_id, description, fold)
+    monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
+
+
+class AlwaysFails:
+    """A fold that fails on every prefix, the empty one included."""
+
+    def __init__(self, params):
+        pass
+
+    def extend(self, placements):
+        pass
+
+    def witness(self):
+        return {"forced": True}
+
+
+class FailsOnThreeTokensOfTwoTwoZero:
+    """A fold that fails exactly on the quadruple ``(T, B, C, f) = (3, 2, 2, 0)``.
+
+    It sees only the triple in its params and the placements fed so far,
+    so the sweep's prefix reads and a whole-trace check judge alike.
+    """
+
+    def __init__(self, params):
+        self.triple = (params.first_set_size, params.fill_width, params.first_bucket)
+        self.fed = 0
+
+    def extend(self, placements):
+        self.fed += len(placements)
+
+    def witness(self):
+        return {"forced": True} if (self.fed, *self.triple) == (3, 2, 2, 0) else None
 
 
 class TestReportContainer:
@@ -410,11 +451,7 @@ class TestSweep:
                 assert check_requirements(run_lifecycle(params)).all_pass
 
     def test_quadruple_failure_fans_out_to_every_instance(self, monkeypatch):
-        table = list(ringfill.verify._REQUIREMENTS)
-        index = REQUIREMENT_IDS.index("R2")
-        requirement_id, description, _ = table[index]
-        table[index] = (requirement_id, description, lambda trace: {"forced": True})
-        monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
+        inject_fold(monkeypatch, "R2", AlwaysFails)
         domain = SweepDomain(max_buckets=2)
         report = sweep(domain)
         assert report == reference_sweep(domain)
@@ -432,27 +469,63 @@ class TestSweep:
     def test_json_lists_minimal_violations_in_requirement_order(self, monkeypatch):
         # RC fails only on the quadruple where R6 first fails, so the sweep
         # finds RC first while the reference finds R6 first.
-        def forced(trace):
-            params = trace.params
-            quadruple = (
-                params.token_count,
-                params.first_set_size,
-                params.fill_width,
-                params.first_bucket,
-            )
-            return {"forced": True} if quadruple == (3, 2, 2, 0) else None
-
-        table = list(ringfill.verify._REQUIREMENTS)
-        index = REQUIREMENT_IDS.index("RC")
-        requirement_id, description, _ = table[index]
-        table[index] = (requirement_id, description, forced)
-        monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
+        inject_fold(monkeypatch, "RC", FailsOnThreeTokensOfTwoTwoZero)
         domain = SweepDomain(max_buckets=2)
         document = sweep_report_document(sweep(domain))
         assert list(document["minimal_violations"]) == ["R6", "RC"]
         assert json.dumps(document) == json.dumps(
             sweep_report_document(reference_sweep(domain))
         )
+
+    def test_sweep_runs_one_lifecycle_and_one_oracle_walk_per_triple(
+        self, monkeypatch
+    ):
+        calls = {"run_lifecycle": 0, "prose_oracle_stage1": 0}
+        for name in calls:
+            real = getattr(ringfill.verify, name)
+
+            def counting(params, real=real, name=name):
+                calls[name] += 1
+                return real(params)
+
+            monkeypatch.setattr(ringfill.verify, name, counting)
+        domain = SweepDomain(max_buckets=4)
+        report = sweep(domain)
+        # One (B, C, f) triple per window width and start: 1 + 4 + 9 + 16.
+        assert calls == {"run_lifecycle": 30, "prose_oracle_stage1": 30}
+        assert report.instances_checked == sum(1 for _ in domain.iter_instances())
+
+    def test_wide_spans_and_long_runs_match_the_reference(self):
+        domain = SweepDomain(max_buckets=5, max_rounds=6, target_span=4)
+        assert sweep(domain) == reference_sweep(domain)
+
+    def test_full_period_verdict(self):
+        # Twenty rounds cover every period of R2 (lcm(B, C) tokens) and of
+        # R6 (lcm(B, B') tokens) for B <= 10 at span 2.
+        report = sweep(SweepDomain(max_rounds=20))
+        assert report.instances_checked == 518760
+        assert report.violation_counts == {
+            "R1": 0,
+            "R2": 0,
+            "R3": 0,
+            "R4": 0,
+            "R5": 0,
+            "R6": 80772,
+            "RC": 0,
+        }
+        assert report.unexpected_violations == 0
+        assert report.oracle_mismatches == 0
+        assert report.minimal_oracle_mismatch is None
+        params = PlacementParams(3, 2, 2, 0, 3)
+        witness = {
+            "params": asdict(params),
+            "clause": "count",
+            "occupancy3": [2, 1, 0],
+            "spread": 2,
+        }
+        assert report.minimal_violations == {
+            "R6": (params, RequirementCheck("R6", False, witness))
+        }
 
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
@@ -464,6 +537,59 @@ class TestSweep:
         assert report.oracle_mismatches == 7
         assert report.minimal_oracle_mismatch == PlacementParams(1, 1, 1, 0, 2)
         assert not report.only_expected_failures
+
+
+@st.composite
+def tally_feeds(draw):
+    """A set size from 1 to 64 and +1 increments into it, sometimes
+    drawn from a few buckets only, so that some bucket is hit many times."""
+    size = draw(st.integers(1, 64))
+    buckets = st.integers(0, size - 1)
+    favourites = draw(st.lists(buckets, min_size=1, max_size=3))
+    return size, draw(
+        st.lists(st.one_of(buckets, st.sampled_from(favourites)), max_size=300)
+    )
+
+
+class TestTally:
+    @given(tally_feeds())
+    @example((1, [0] * 5))
+    @example((3, [2] * 40 + [0, 1]))
+    def test_spread_is_current_after_every_increment(self, feed):
+        size, increments = feed
+        tally = _Tally(size)
+        plain = [0] * size
+        assert tally.spread == 0
+        for bucket in increments:
+            tally.extend([bucket])
+            plain[bucket] += 1
+            assert tally.counts == plain
+            assert tally.spread == max(plain) - min(plain)
+
+    @given(tally_feeds(), st.data())
+    def test_stretches_equal_single_increments(self, feed, data):
+        size, increments = feed
+        cuts = data.draw(st.lists(st.integers(0, len(increments)), max_size=5))
+        assert_stretches_tally_plainly(size, increments, cuts)
+
+    def test_a_long_stretch_leaves_the_minimum_count_current(self):
+        # Six increments fill three buckets in one long stretch; the next,
+        # short stretch must see all three still at the minimum.
+        assert_stretches_tally_plainly(3, [0, 1, 2, 0, 1, 2, 0], [6])
+
+
+def assert_stretches_tally_plainly(size, increments, cuts) -> None:
+    """Fed in the stretches that ``cuts`` marks, a tally matches a plain
+    tally and its spread after every stretch."""
+    tally = _Tally(size)
+    plain = [0] * size
+    cuts = sorted(cuts)
+    for begin, end in zip([0, *cuts], [*cuts, len(increments)]):
+        tally.extend(increments[begin:end])
+        for bucket in increments[begin:end]:
+            plain[bucket] += 1
+        assert tally.counts == plain
+        assert tally.spread == max(plain) - min(plain)
 
 
 class TestLabelResidueCounts:
