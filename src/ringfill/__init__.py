@@ -34,7 +34,6 @@ from .verify import (
     SweepReport,
     check_requirements,
     prose_oracle_stage1,
-    spread,
     sweep,
 )
 
@@ -57,7 +56,6 @@ __all__ = [
     "plan_stage1",
     "prose_oracle_stage1",
     "run_lifecycle",
-    "spread",
     "sweep",
     "__version__",
 ]

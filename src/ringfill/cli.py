@@ -26,7 +26,7 @@ from dataclasses import asdict, fields
 from typing import Any
 
 from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
-from .placement import PlacementParams, _label, gap, plan_stage1
+from .placement import PlacementParams, _stage1_rows, gap
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
     REQUIREMENT_IDS,
@@ -67,18 +67,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _nonneg_int(text: str) -> int:
+    # int() alone would also read " 3", "1_0" and non-ASCII digits such as "٣".
     try:
-        value = int(text, 10)
+        if text.isascii() and text.isdigit():
+            return int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
-    return value
-
-
-def _plan_rows(params: PlacementParams) -> list[tuple[int, int, int]]:
-    """``(token, label, stage1_bucket)`` per token, in token order."""
-    return [(token, _label(params, token), bucket) for token, bucket in plan_stage1(params)]
+        pass  # more digits than int() converts
+    raise argparse.ArgumentTypeError(f"expected a decimal integer >= 0, got {text!r}")
 
 
 def plan_report(params: PlacementParams) -> str:
@@ -91,7 +86,7 @@ def plan_report(params: PlacementParams) -> str:
             "first_bucket": params.first_bucket,
         },
         PLAN_CSV_FIELDS,
-        _plan_rows(params),
+        _stage1_rows(params),
         {},
     )
 
@@ -334,9 +329,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     params = _instance_params(args, args.buckets + 1)
     if args.format == "json":
         text = plan_report(params)
+    elif args.format == "csv":
+        text = _render_csv(PLAN_CSV_FIELDS, _stage1_rows(params))
     else:
-        render = _render_csv if args.format == "csv" else _render_table
-        text = render(PLAN_CSV_FIELDS, _plan_rows(params))
+        # The table reads its rows twice: once for the widths.
+        text = _render_table(PLAN_CSV_FIELDS, list(_stage1_rows(params)))
     _emit(text, args.output)
     return 0
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .placement import PlacementParams, _label, plan_stage1
+from .placement import PlacementParams, _stage1_rows
 
 __all__ = [
     "LifecycleTrace",
@@ -79,13 +79,13 @@ def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
     """Execute all three stages and return the trace.
 
     Pure function of ``params``: two runs on equal parameters yield
-    identical traces.
+    identical traces.  Each token's label and stage-1 bucket come from
+    one pass, and stages 2 and 3 are that label's residues.
     """
     first_size = params.first_set_size
     second_size = params.second_set_size
     placements = []
-    for token, bucket in plan_stage1(params):
-        value = _label(params, token)
+    for token, value, bucket in _stage1_rows(params):
         after = value % first_size
         final = value % second_size
         placements.append(

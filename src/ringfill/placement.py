@@ -7,10 +7,11 @@ streams sweep that window in opposite directions: a descending stream for
 tokens whose final ring bucket already lies inside the window, and an
 ascending stream, whose position persists across rounds, for everyone
 else.  Running the streams in opposite directions is what keeps the
-window homogeneous in both token count and label value.  Both streams
-have closed forms, so every token's stage-1 bucket is computed directly
-from its index; ``ringfill.verify.prose_oracle_stage1`` walks the two
-pointers literally and the sweep checks the two agree.
+window homogeneous in both token count and label value.  A descending
+token's stage-1 bucket is its label residue (R4: its home bucket lies in
+the window); an ascending token's slot is a closed form of its index.
+``ringfill.verify.prose_oracle_stage1`` walks the two pointers literally
+and the sweep checks the two agree.
 
 Stage 2 spreads the tokens over the whole ring and stage 3 re-shards them
 into a strictly larger second bucket set.  Every choice after stage 1 is
@@ -28,6 +29,7 @@ Python ints are unbounded, so no overflow guard is needed at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 __all__ = [
     "GapDescriptor",
@@ -92,15 +94,6 @@ class PlacementParams:
         return self.window_offset(bucket) < self.fill_width
 
 
-def _label(params: PlacementParams, token: int) -> int:
-    """:func:`label` without the range check, for callers that already
-    iterate ``range(token_count)``."""
-    round_pos = token % params.first_set_size
-    if round_pos < params.fill_width:
-        return params.first_bucket + token + params.fill_width - 1 - 2 * round_pos
-    return params.first_bucket + token
-
-
 def label(params: PlacementParams, token: int) -> int:
     """Permanent integer label of a token.
 
@@ -118,7 +111,27 @@ def label(params: PlacementParams, token: int) -> int:
         raise ValueError(
             f"token {token} out of range for token_count={params.token_count}"
         )
-    return _label(params, token)
+    round_pos = token % params.first_set_size
+    if round_pos < params.fill_width:
+        return params.first_bucket + token + params.fill_width - 1 - 2 * round_pos
+    return params.first_bucket + token
+
+
+def _stage1_rows(params: PlacementParams) -> Iterator[tuple[int, int, int]]:
+    """``(token, label, stage1_bucket)`` per token, in token order, each
+    label computed once; :func:`plan_stage1` says how the buckets follow."""
+    size = params.first_set_size
+    width = params.fill_width
+    start = params.first_bucket
+    ascending_per_round = size - width
+    for token in range(params.token_count):
+        value = label(params, token)
+        round_pos = token % size
+        if round_pos < width:
+            yield token, value, value % size
+        else:
+            offset = ((token // size) * ascending_per_round + round_pos - width) % width
+            yield token, value, (start + offset) % size
 
 
 def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -127,26 +140,15 @@ def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
     Each entry is ``(token, ring_bucket)`` and every assigned bucket lies
     inside the fill window.  Zero tokens yield the empty plan.
 
-    With ``round_pos = token % first_set_size``, a descending token sits at
-    window offset ``fill_width - 1 - round_pos``, which is its label
-    residue.  An ascending token sits at the ascending stream's position:
-    the count of ascending tokens before it,
+    With ``round_pos = token % first_set_size``, a descending token
+    (``round_pos < fill_width``) sits at its label residue, the home
+    bucket R4 says it keeps.  An ascending token sits at the ascending
+    stream's position: the count of ascending tokens before it,
     ``(token // first_set_size) * (first_set_size - fill_width)
-    + round_pos - fill_width``, taken modulo ``fill_width``.
+    + round_pos - fill_width``, taken modulo ``fill_width`` from the
+    window start.
     """
-    size = params.first_set_size
-    width = params.fill_width
-    start = params.first_bucket
-    ascending_per_round = size - width
-    plan = []
-    for token in range(params.token_count):
-        round_index, round_pos = divmod(token, size)
-        if round_pos < width:
-            offset = width - 1 - round_pos
-        else:
-            offset = (round_index * ascending_per_round + round_pos - width) % width
-        plan.append((token, (start + offset) % size))
-    return plan
+    return [(token, bucket) for token, _, bucket in _stage1_rows(params)]
 
 
 @dataclass(frozen=True)
@@ -157,7 +159,7 @@ class GapDescriptor:
     reaches the window's start bucket, leaves the low labels of its final
     round unassigned.  ``round`` is the index of that final round and
     ``offset`` is how far the last emitted label sits above the round's
-    base label; the missing values are
+    base label, which is always ``gap_length``; the missing values are
     ``{gap_start, ..., gap_start + gap_length - 1}``.
 
     The interval is anchored at ``first_bucket + round * first_set_size``:
@@ -189,11 +191,12 @@ def gap(params: PlacementParams) -> GapDescriptor:
         # window start: no labels are skipped.
         return GapDescriptor(present=False)
     round_index = last // params.first_set_size
-    base = params.first_bucket + round_index * params.first_set_size
+    gap_length = params.fill_width - 1 - round_pos
+    # The last label is gap_start + gap_length, so offset is gap_length.
     return GapDescriptor(
         present=True,
-        gap_start=base,
-        gap_length=params.fill_width - 1 - round_pos,
+        gap_start=params.first_bucket + round_index * params.first_set_size,
+        gap_length=gap_length,
         round=round_index,
-        offset=label(params, last) - base,
+        offset=gap_length,
     )

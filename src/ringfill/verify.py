@@ -69,14 +69,8 @@ __all__ = [
     "SweepReport",
     "check_requirements",
     "prose_oracle_stage1",
-    "spread",
     "sweep",
 ]
-
-
-def spread(counts) -> int:
-    """Max minus min of a histogram, zero-count buckets included."""
-    return max(counts) - min(counts)
 
 
 class RequirementCheck(NamedTuple):

@@ -24,7 +24,6 @@ def test_public_names_are_pinned():
         "plan_stage1",
         "prose_oracle_stage1",
         "run_lifecycle",
-        "spread",
         "sweep",
     ]
     assert all(hasattr(ringfill, name) for name in ringfill.__all__)

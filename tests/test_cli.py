@@ -388,6 +388,18 @@ class TestArgumentHandling:
         assert excinfo.value.code == 1
         assert "decimal integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, text", [("--tokens", " 3"), ("--buckets", "1_0"), ("--fill", "\u0663")]
+    )
+    def test_only_ascii_decimal_digits_are_read(self, capsys, flag, text):
+        # int() reads each of these spellings as a number.
+        args = ["plan", "--tokens", "3", "--buckets", "10", "--fill", "3", "--first", "0"]
+        args[args.index(flag) + 1] = text
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 1
+        assert "expected a decimal integer" in capsys.readouterr().err
+
     def test_negative_flag_exits_one(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["plan", "--tokens", "-3", "--buckets", "4", "--fill", "2", "--first", "0"])
@@ -519,6 +531,19 @@ class TestReportWriters:
         finally:
             tracemalloc.stop()
         assert peak <= 2.6 * len(text)
+
+    @pytest.mark.parametrize("fmt, ratio", [("csv", 8), ("json", 3.2)])
+    def test_plan_peak_memory_is_bounded_by_the_written_report(self, tmp_path, fmt, ratio):
+        # The rows are written as they are planned: no plan list is built.
+        path = tmp_path / f"plan.{fmt}"
+        args = ["plan", "--tokens", "20003", "--buckets", "37", "--fill", "20", "--first", "5"]
+        tracemalloc.start()
+        try:
+            assert main([*args, "--format", fmt, "--output", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= ratio * path.stat().st_size
 
 
 class TestTraceRoundTrip:

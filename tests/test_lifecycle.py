@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
@@ -62,6 +63,19 @@ class TestRunLifecycle:
             assert trace.occupancy1 == (2, 1, 2, 0)
             assert trace.occupancy2 == (1, 1, 2, 1)
         assert tally_sizes == [5, 4, 4]
+
+    def test_peak_memory_is_bounded_by_the_finished_trace(self):
+        # Each label and stage-1 bucket is read as the placements are
+        # built, so no plan list is held beside them.
+        params = make_params(20003, 37, 20, first=5, target=60)
+        tracemalloc.start()
+        try:
+            trace = run_lifecycle(params)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.placements) == 20003
+        assert peak <= 1.15 * kept
 
     def test_trace_stores_only_params_and_placements(self):
         assert [f.name for f in fields(LifecycleTrace)] == ["params", "placements"]

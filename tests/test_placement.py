@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from ringfill import (
     PlacementParams,
@@ -214,7 +214,13 @@ class TestGap:
             assert missing == []
 
     @given(placement_params())
+    @example(make_params(5, 4, 3))
+    @example(make_params(13, 5, 5, first=4))
     def test_last_label_sits_exactly_gap_length_above_the_round_base(self, params):
         descriptor = gap(params)
         if descriptor.present:
-            assert descriptor.offset == descriptor.gap_length
+            above = label(params, params.token_count - 1) - descriptor.gap_start
+            assert above == descriptor.gap_length == descriptor.offset
+            assert descriptor.round == (
+                (descriptor.gap_start - params.first_bucket) // params.first_set_size
+            )

@@ -24,7 +24,6 @@ from ringfill import (
     plan_stage1,
     prose_oracle_stage1,
     run_lifecycle,
-    spread,
     sweep,
 )
 from ringfill.cli import sweep_report_document
@@ -297,14 +296,6 @@ class TestCheckRequirements:
             assert check.witness["clause"] == "count"
             assert check.witness["spread"] == 2
             assert gap(params).present
-
-
-class TestSpreadHelpers:
-    def test_spread_of_a_flat_histogram_is_zero(self):
-        assert spread([3, 3, 3]) == 0
-
-    def test_spread_counts_empty_buckets(self):
-        assert spread([2, 0, 1]) == 2
 
 
 class TestProseOracle:
