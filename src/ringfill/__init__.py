@@ -7,10 +7,12 @@ whole ring moving each token at most once, and stage 3 re-shards into a
 strictly larger bucket set.  Every stage is a closed form of the token
 index: ``plan_stage1`` for the fill, ``label`` and its residues for the
 rebalance and re-shard, ``gap`` for the labels a truncated round skips.
-The verifier checks the homogeneity and move-budget requirements the
-scheme promises, and ``sweep`` checks a whole parameter domain
-exhaustively, comparing ``plan_stage1`` with ``prose_oracle_stage1``, an
-independent walk of the two stream pointers, on every stage-1 instance.
+``run_lifecycle`` keeps a run as one column per stage, built a round at
+a time.  The verifier checks the homogeneity and move-budget
+requirements the scheme promises, and ``sweep`` checks a whole
+parameter domain exhaustively, comparing each trace's stage-1 column
+with ``prose_oracle_stage1``, an independent walk of the two stream
+pointers, on every stage-1 instance.
 """
 
 from .lifecycle import (

@@ -10,10 +10,12 @@ JSON reports share one top-level shape
 requirements}`` with field names matching the library types; the plan
 subcommand emits the prefix of that shape it can know (params without a
 second set, records without post-rebalance buckets).  CSV rows carry the
-same fields.  Every trace format is written one row at a time straight
-from the ``TokenPlacement`` tuples, with no copy of the rows: the move
-flag is ``false``/``true`` in JSON and, as a bool is an int, ``0``/``1``
-in CSV and table cells.
+same fields.  Every format is written from the trace's columns, or the
+plan's, with one row template per format and no per-token record: the
+rows are formatted and joined a block at a time, the move flag is
+``false``/``true`` in JSON and, as a bool is an int, ``0``/``1`` in CSV
+and table cells.  The trace parser builds the columns straight from the
+JSON records, with one pass per field and per check.
 """
 
 from __future__ import annotations
@@ -21,12 +23,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import asdict, fields
+from itertools import compress, count, islice, repeat
+from operator import eq, is_, itemgetter, not_
 from typing import Any
 
 from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
-from .placement import PlacementParams, _stage1_rows, gap
+from .placement import PlacementParams, _stage1_columns, gap
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
     REQUIREMENT_IDS,
@@ -49,6 +53,9 @@ __all__ = [
 
 PLAN_CSV_FIELDS = TokenPlacement._fields[:3]
 TRACE_CSV_FIELDS = (*TokenPlacement._fields[:-1], "moved")
+# Rows formatted per join: enough to amortise the join, few enough that
+# their strings are small beside the text they are joined into.
+_BLOCK_ROWS = 1024
 TRACE_REPORT_KEYS = {
     "params", "placements", "occupancy1", "occupancy2", "occupancy3", "gap", "requirements",
 }
@@ -86,9 +93,15 @@ def plan_report(params: PlacementParams) -> str:
             "first_bucket": params.first_bucket,
         },
         PLAN_CSV_FIELDS,
-        _stage1_rows(params),
+        _plan_columns(params),
         {},
     )
+
+
+def _plan_columns(params: PlacementParams) -> tuple[Iterable[int], ...]:
+    """The token, label and stage-1 bucket columns of a plan; the last
+    two are iterators, read once."""
+    return (range(params.token_count), *_stage1_columns(params))
 
 
 def _check_document(check: RequirementCheck) -> dict:
@@ -104,10 +117,7 @@ def trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
     return _render_report(
         asdict(trace.params),
         TokenPlacement._fields,
-        (
-            (token, value, stage1, stage2, stage3, ("false", "true")[moved])
-            for token, value, stage1, stage2, stage3, moved in trace.placements
-        ),
+        (*trace.columns[:-1], map(("false", "true").__getitem__, trace.moved_in_stage2)),
         {
             "occupancy1": trace.occupancy1,
             "occupancy2": trace.occupancy2,
@@ -123,6 +133,30 @@ def _is_json_int(value: object) -> bool:
     return type(value) is int
 
 
+class _PlacementEntries:
+    """The first offending entry of a placements list, under checks
+    applied in the order an entry is read in.
+
+    Each check scans only the entries before the first offender found so
+    far, so after every check ``end`` is the first entry that fails any
+    check so far (the list's length while none does) and ``error`` names
+    that entry's first failing check.
+    """
+
+    def __init__(self, entries: list) -> None:
+        self.end = len(entries)
+        self.error: str | None = None
+
+    def check(self, holds: Iterable[object], failure: str | Callable[[int], str]) -> None:
+        """Apply one check; ``holds`` says for each entry in turn whether
+        it passes, and ``failure`` is what a failing entry breaks, as text
+        or as a function of the entry's index."""
+        index = next(compress(count(), map(not_, islice(holds, self.end))), self.end)
+        if index < self.end:
+            reason = failure if isinstance(failure, str) else failure(index)
+            self.end, self.error = index, f"placement {index} {reason}"
+
+
 def parse_trace_report(document: dict) -> LifecycleTrace:
     """Rebuild a trace from an emitted JSON report.
 
@@ -131,7 +165,9 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     tallying the placements, stage-1 occupancy confined to the fill
     window, a ``gap`` equal to the one ``params`` has) so a
     re-verification runs on exactly the data the report claims.  Raises
-    ValueError on any malformation.
+    ValueError on any malformation; for the placement records, the error
+    names the first offending record and its first failing check, in the
+    order a record's fields are read.
     """
     if not isinstance(document, dict):
         raise ValueError("report must be a JSON object")
@@ -152,35 +188,42 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
         raise ValueError("placements must be a list")
     if len(raw_placements) != params.token_count:
         raise ValueError(f"expected {params.token_count} placements, got {len(raw_placements)}")
+    # One pass per check and one per field, in the order the checks read
+    # an entry; the scans for an offender run only when a check fails.
+    entries = _PlacementEntries(raw_placements)
     placement_fields = set(TokenPlacement._fields)
-    integer_fields = TokenPlacement._fields[:-1]
-    placements = []
-    for index, entry in enumerate(raw_placements):
-        if not isinstance(entry, dict):
-            raise ValueError(f"placement {index} must be an object")
-        if entry.keys() != placement_fields:
-            raise ValueError(
-                f"placement {index} must have exactly the fields {sorted(placement_fields)}"
+    entries.check(map(isinstance, raw_placements, repeat(dict)), "must be an object")
+    entries.check(
+        map(eq, map(dict.keys, raw_placements), repeat(placement_fields)),
+        f"must have exactly the fields {sorted(placement_fields)}",
+    )
+    tokens, *columns = (
+        tuple(map(itemgetter(name), islice(raw_placements, entries.end)))
+        for name in TokenPlacement._fields
+    )
+    entries.check(
+        map(eq, tokens, count()),
+        lambda index: f"has token {tokens[index]}, tokens must be dense and ordered",
+    )
+    *integer_columns, moved = tokens, *columns
+    for name, column in zip(TokenPlacement._fields, integer_columns):
+        if not {int}.issuperset(map(type, column[: entries.end])):
+            entries.check(
+                map(is_, map(type, column), repeat(int)), f"field {name} must be an integer"
             )
-        placement = TokenPlacement(**entry)
-        if placement.token != index:
-            raise ValueError(
-                f"placement {index} has token {placement.token}, "
-                "tokens must be dense and ordered"
-            )
-        for name, value in zip(integer_fields, placement):
-            if not _is_json_int(value):
-                raise ValueError(f"placement {index} field {name} must be an integer")
-        if not isinstance(placement.moved_in_stage2, bool):
-            raise ValueError(f"placement {index} field moved_in_stage2 must be a boolean")
-        if not (
-            0 <= placement.stage1_bucket < params.first_set_size
-            and 0 <= placement.stage2_bucket < params.first_set_size
-            and 0 <= placement.stage3_bucket < params.second_set_size
-        ):
-            raise ValueError(f"placement {index} has a bucket outside its set")
-        placements.append(placement)
-    trace = LifecycleTrace(params, tuple(placements))
+    if not {bool}.issuperset(map(type, moved[: entries.end])):
+        entries.check(
+            map(is_, map(type, moved), repeat(bool)), "field moved_in_stage2 must be a boolean"
+        )
+    for column, size in zip(
+        columns[1:4], (params.first_set_size, params.first_set_size, params.second_set_size)
+    ):
+        head = column[: entries.end]
+        if head and not 0 <= min(head) <= max(head) < size:
+            entries.check(map(range(size).__contains__, column), "has a bucket outside its set")
+    if entries.error is not None:
+        raise ValueError(entries.error)
+    trace = LifecycleTrace(params, *columns)
 
     # The length check must come before the trace tallies its column, so
     # a huge set size with a short histogram never allocates the tally.
@@ -198,8 +241,8 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
             raise ValueError(f"{name} entries must be integers")
         if tuple(raw) != getattr(trace, name):
             raise ValueError(f"{name} does not tally the {field} column")
-    for bucket, count in enumerate(trace.occupancy1):
-        if count != 0 and not params.in_fill_window(bucket):
+    for bucket, held in enumerate(trace.occupancy1):
+        if held != 0 and not params.in_fill_window(bucket):
             raise ValueError(f"occupancy1 is nonzero at bucket {bucket}, outside the fill window")
     expected_gap = asdict(gap(params))
     raw_gap = document["gap"]
@@ -244,21 +287,22 @@ def _json_member(name: str, value: Any) -> str:
     return f"  {json.dumps(name)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _render_report(params: dict, fields: tuple[str, ...], rows: Iterable, rest: dict) -> str:
+def _render_report(
+    params: dict, fields: tuple[str, ...], columns: Sequence[Iterable], rest: dict
+) -> str:
     """``json.dumps(document, indent=2) + "\n"`` without a dict per record.
 
     The document is ``params``, then ``placements`` with one record per
-    row of ``rows`` under the names ``fields``, then the members of
-    ``rest``.  Each record is written from one row template as ``rows``
-    is read, so it may be a generator over the per-token tuples and no
-    list of rows is built; its values must already be JSON literals or
-    ints.
+    row of ``columns`` under the names ``fields``, then the members of
+    ``rest``.  Each record is written from one row template, so no list
+    of rows is built; the columns' values must already be JSON literals
+    or ints.
     """
     members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
     template = "    {\n" + members + "\n    }"
     # Records and top-level members are both separated by ",\n", so one
-    # join writes the whole text and the records are never copied twice.
-    lines = [template % row for row in rows]
+    # join writes the whole text.
+    lines = _join_rows(template, columns, ",\n")
     if lines:
         lines[0] = '  "placements": [\n' + lines[0]
         lines[-1] += "\n  ]"
@@ -270,21 +314,30 @@ def _render_report(params: dict, fields: tuple[str, ...], rows: Iterable, rest: 
     return ",\n".join(lines)
 
 
+def _join_rows(row_format: str, columns: Sequence[Iterable], separator: str) -> list[str]:
+    """The rows of ``columns`` in ``row_format``, joined by ``separator``
+    in blocks of ``_BLOCK_ROWS``; a block joined by ``separator`` too
+    gives the text of all rows, and no string per row outlives its block."""
+    rows = map(row_format.__mod__, zip(*columns))
+    return list(iter(lambda: separator.join(islice(rows, _BLOCK_ROWS)), ""))
+
+
 # CSV and table cells are %d, so a bool is written 0 or 1; the trailing ""
 # ends the text in a newline without copying it after the join.
-def _render_csv(fields: tuple[str, ...], rows: Iterable[tuple[int, ...]]) -> str:
+def _render_csv(fields: tuple[str, ...], columns: Sequence[Iterable[int]]) -> str:
     row_format = ",".join(["%d"] * len(fields))
-    return "\n".join([",".join(fields), *(row_format % row for row in rows), ""])
+    return "\n".join([",".join(fields), *_join_rows(row_format, columns, "\n"), ""])
 
 
-def _render_table(header: tuple[str, ...], rows: Sequence[tuple[int, ...]]) -> str:
+def _render_table(header: tuple[str, ...], columns: Sequence[Sequence[int]]) -> str:
     # The widest int of a column is its smallest or its largest.
-    widths = [len(name) for name in header]
-    for column, values in enumerate(zip(*rows)):
-        widths[column] = max(widths[column], len("%d" % min(values)), len("%d" % max(values)))
+    widths = [
+        max(len(name), len("%d" % min(column)), len("%d" % max(column))) if column else len(name)
+        for name, column in zip(header, columns)
+    ]
     row_format = "  ".join(f"%{width}d" for width in widths)
     header_line = "  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()
-    return "\n".join([header_line, *(row_format % row for row in rows), ""])
+    return "\n".join([header_line, *_join_rows(row_format, columns, "\n"), ""])
 
 
 def _gap_line(descriptor) -> str:
@@ -330,10 +383,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = plan_report(params)
     elif args.format == "csv":
-        text = _render_csv(PLAN_CSV_FIELDS, _stage1_rows(params))
+        text = _render_csv(PLAN_CSV_FIELDS, _plan_columns(params))
     else:
-        # The table reads its rows twice: once for the widths.
-        text = _render_table(PLAN_CSV_FIELDS, list(_stage1_rows(params)))
+        # The table reads its label and bucket columns twice: once for the widths.
+        tokens, *stage1 = _plan_columns(params)
+        text = _render_table(PLAN_CSV_FIELDS, (tokens, *map(tuple, stage1)))
     _emit(text, args.output)
     return 0
 
@@ -344,10 +398,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "json":
         text = trace_report(trace, check_requirements(trace))
     elif args.format == "csv":
-        text = _render_csv(TRACE_CSV_FIELDS, trace.placements)
+        text = _render_csv(TRACE_CSV_FIELDS, trace.columns)
     else:
         # The table ends in a newline, so the join leaves a blank line after it.
-        lines = [_render_table(TRACE_CSV_FIELDS, trace.placements)]
+        lines = [_render_table(TRACE_CSV_FIELDS, trace.columns)]
         for name in ("occupancy1", "occupancy2", "occupancy3"):
             lines.append(f"{name}: " + " ".join(map(str, getattr(trace, name))))
         lines += [_gap_line(gap(params)), ""]
@@ -492,8 +546,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, OverflowError) as error:
-        print(f"error: {error}", file=sys.stderr)
+    except (ValueError, OSError, OverflowError, MemoryError) as error:
+        # A set size that fits an index may still not fit in memory, and
+        # a MemoryError usually carries no message.
+        print(f"error: {str(error) or type(error).__name__}", file=sys.stderr)
         return 1
 
 

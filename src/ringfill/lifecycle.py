@@ -8,18 +8,22 @@ a second move inexpressible by construction.  Stage 3 is a fresh
 assignment into the second bucket set and is not counted as a move
 within the first set.
 
-A trace stores only its parameters and placements; each per-stage
-occupancy histogram is tallied from its bucket column on first use.
-Traces are immutable once produced and safe to share between threads.
+A trace stores its parameters and one column per ``TokenPlacement``
+field after ``token``; the token is the index into every column.  The
+per-token records and each per-stage occupancy histogram are derived
+from the columns on first use.  Traces are immutable once produced and
+safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from itertools import repeat, starmap
+from operator import mod
+from typing import Iterable, NamedTuple, Sequence
 
-from .placement import PlacementParams, _stage1_rows
+from .placement import PlacementParams, _stage1_columns
 
 __all__ = [
     "LifecycleTrace",
@@ -41,30 +45,45 @@ class TokenPlacement(NamedTuple):
 
 @dataclass(frozen=True)
 class LifecycleTrace:
-    """Ordered placements for one instance plus occupancy per stage.
+    """One instance's placements as columns, plus occupancy per stage.
 
-    ``occupancyN`` is the read-only tally of the ``stageN_bucket`` column,
-    made at most once per trace.  ``occupancy1`` and ``occupancy2`` are
-    indexed by first-set bucket, ``occupancy3`` by second-set bucket.
+    Column ``name`` holds every token's ``TokenPlacement.name``, in
+    token order.  ``placements`` is the read-only tuple of per-token
+    records, which no command reads, and ``occupancyN`` the read-only
+    tally of the ``stageN_bucket`` column, each made at most once per
+    trace.  ``occupancy1`` and ``occupancy2`` are indexed by first-set
+    bucket, ``occupancy3`` by second-set bucket.
     """
 
     params: PlacementParams
-    placements: tuple[TokenPlacement, ...]
+    label: tuple[int, ...]
+    stage1_bucket: tuple[int, ...]
+    stage2_bucket: tuple[int, ...]
+    stage3_bucket: tuple[int, ...]
+    moved_in_stage2: tuple[bool, ...]
+
+    @property
+    def columns(self) -> tuple[Sequence[int], ...]:
+        """Every ``TokenPlacement`` field as a column, in field order; the
+        token column is the range of indices."""
+        fields = TokenPlacement._fields[1:]
+        return (range(len(self.label)), *(getattr(self, name) for name in fields))
+
+    @cached_property
+    def placements(self) -> tuple[TokenPlacement, ...]:
+        return tuple(starmap(TokenPlacement, zip(*self.columns)))
 
     @cached_property
     def occupancy1(self) -> tuple[int, ...]:
-        buckets = (p.stage1_bucket for p in self.placements)
-        return _tally(buckets, self.params.first_set_size)
+        return _tally(self.stage1_bucket, self.params.first_set_size)
 
     @cached_property
     def occupancy2(self) -> tuple[int, ...]:
-        buckets = (p.stage2_bucket for p in self.placements)
-        return _tally(buckets, self.params.first_set_size)
+        return _tally(self.stage2_bucket, self.params.first_set_size)
 
     @cached_property
     def occupancy3(self) -> tuple[int, ...]:
-        buckets = (p.stage3_bucket for p in self.placements)
-        return _tally(buckets, self.params.second_set_size)
+        return _tally(self.stage3_bucket, self.params.second_set_size)
 
 
 def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
@@ -79,16 +98,18 @@ def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
     """Execute all three stages and return the trace.
 
     Pure function of ``params``: two runs on equal parameters yield
-    identical traces.  Each token's label and stage-1 bucket come from
-    one pass, and stages 2 and 3 are that label's residues.
+    identical traces.  The label and stage-1 columns are built a round
+    at a time, and stages 2 and 3 are the labels' residues.
     """
-    first_size = params.first_set_size
-    second_size = params.second_set_size
-    placements = []
-    for token, value, bucket in _stage1_rows(params):
-        after = value % first_size
-        final = value % second_size
-        placements.append(
-            TokenPlacement(token, value, bucket, after, final, bucket != after)
-        )
-    return LifecycleTrace(params, tuple(placements))
+    labels, stage1 = map(tuple, _stage1_columns(params))
+    stage2 = tuple(map(mod, labels, repeat(params.first_set_size)))
+    # perfbench/test_perfbench.py rewrites "bucket != after)" to "False)"
+    # to check that the benchmark counts wrong outputs as failures.
+    return LifecycleTrace(
+        params,
+        labels,
+        stage1,
+        stage2,
+        tuple(map(mod, labels, repeat(params.second_set_size))),
+        tuple((bucket != after) for bucket, after in zip(stage1, stage2)),
+    )

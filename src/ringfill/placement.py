@@ -29,6 +29,7 @@ Python ints are unbounded, so no overflow guard is needed at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle, islice
 from typing import Iterator
 
 __all__ = [
@@ -117,21 +118,36 @@ def label(params: PlacementParams, token: int) -> int:
     return params.first_bucket + token
 
 
-def _stage1_rows(params: PlacementParams) -> Iterator[tuple[int, int, int]]:
-    """``(token, label, stage1_bucket)`` per token, in token order, each
-    label computed once; :func:`plan_stage1` says how the buckets follow."""
+def _stage1_columns(params: PlacementParams) -> tuple[Iterator[int], Iterator[int]]:
+    """The label and stage-1 bucket columns, in token order, each an
+    iterator that builds one round at a time.
+
+    From the round's base ``first_bucket + round * first_set_size`` its
+    labels are two arithmetic runs: the descending run
+    ``base + fill_width - 1`` down to ``base``, then the ascending run
+    ``base + fill_width`` up to ``base + first_set_size - 1``.  A
+    descending label's residue walks the window from its far end back to
+    its start in every round, and the ascending tokens of all rounds take
+    the window's slots in turn, as :func:`plan_stage1` says.
+    """
     size = params.first_set_size
     width = params.fill_width
-    start = params.first_bucket
-    ascending_per_round = size - width
-    for token in range(params.token_count):
-        value = label(params, token)
-        round_pos = token % size
-        if round_pos < width:
-            yield token, value, value % size
-        else:
-            offset = ((token // size) * ascending_per_round + round_pos - width) % width
-            yield token, value, (start + offset) % size
+    tokens = params.token_count
+    bases = range(params.first_bucket, params.first_bucket + tokens, size)
+    label_runs = (
+        run
+        for base in bases
+        for run in (range(base + width - 1, base - 1, -1), range(base + width, base + size))
+    )
+    window = params.fill_window()
+    descending = window[::-1]
+    ascending = cycle(window)
+    bucket_runs = (run for _ in bases for run in (descending, islice(ascending, size - width)))
+    # The last round may stop early.
+    return (
+        islice(chain.from_iterable(label_runs), tokens),
+        islice(chain.from_iterable(bucket_runs), tokens),
+    )
 
 
 def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -148,7 +164,8 @@ def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
     + round_pos - fill_width``, taken modulo ``fill_width`` from the
     window start.
     """
-    return [(token, bucket) for token, _, bucket in _stage1_rows(params)]
+    _, buckets = _stage1_columns(params)
+    return list(enumerate(buckets))
 
 
 @dataclass(frozen=True)

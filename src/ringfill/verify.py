@@ -20,12 +20,15 @@ from an otherwise contiguous range can push the spread in the second
 bucket set to 2.  The sweep classifies exactly those failures as
 expected and flags anything else.
 
-Each requirement is stated once, as a fold over placements: it takes
-the placements in token order and gives its verdict after any prefix.
-R1, R4, R5's and R6's residue clauses and RC fail for good at their
-first offending placement.  R2, R3 and the count clauses keep a running
-histogram whose spread is current after every increment.
-``check_requirements`` feeds a whole trace and reads each fold once.
+Each requirement is stated once, as a fold over a trace's columns: it
+takes the tokens in order, in stretches, reads only the columns it
+needs, and gives its verdict after any prefix.  R1, R4, R5's and R6's
+residue clauses and RC fail for good at their first offending token,
+and that token and its witness depend only on the tokens up to it; such
+a fold scans its columns once, with C-level passes, and fails once the
+offender is fed.  R2, R3 and the count clauses keep a running histogram
+whose spread is current after every increment.  ``check_requirements``
+feeds a whole trace as one stretch and reads each fold once.
 
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
@@ -35,7 +38,7 @@ the token count ``T``, so the run of ``T`` tokens is the first ``T``
 tokens of every longer run.  Per ``(B, C, f)`` triple the sweep makes
 one lifecycle and one oracle walk, at the triple's largest ``T``, and
 reads every smaller ``T``'s verdict from the folds after its first
-``T`` placements.  R1–R5, RC and the oracle comparison read only the
+``T`` tokens.  R1–R5, RC and the oracle comparison read only the
 stage-1 quadruple ``(T, B, C, f)``, so a failure there counts for every
 second-set size.  R6 is the only requirement that reads the second-set
 size ``B'``; the sweep keeps one running tally of ``label % B'`` per
@@ -53,11 +56,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import groupby
-from operator import attrgetter, itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from itertools import compress, count, groupby, islice, repeat
+from operator import attrgetter, lt, mod, ne, sub
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
+from .lifecycle import LifecycleTrace, run_lifecycle
 from .placement import PlacementParams, gap
 
 __all__ = [
@@ -162,58 +165,81 @@ def _spread_clause(name: str, tally: _Tally, **lead) -> dict | None:
     return None
 
 
-# Each requirement is a fold over placements: built from the instance's
-# params, fed the placements in token order by one or more ``extend``
-# calls, and read between any two by ``witness``, which gives None while
-# the requirement holds on the placements fed so far, else the witness
-# fields that follow "params".  No fold reads ``token_count``, so the
-# folds for a run of T tokens, read after its first t placements, judge
-# the run of t tokens.
+# Each requirement is a fold over a trace's columns: built from the
+# instance's params, fed the tokens in order by one or more
+# ``extend(trace, begin, end)`` calls on the same trace, each the stretch
+# of tokens ``[begin, end)`` that follows the last, and read between any
+# two by ``witness``, which gives None while the requirement holds on
+# the tokens fed so far, else the witness fields that follow "params".
+# A fold reads only the columns it needs, and no fold reads
+# ``token_count``, so the folds for a run of T tokens, read after its
+# first t tokens, judge the run of t tokens.  A first-failure fold reads
+# ahead of the tokens fed, but what it reports depends only on the
+# tokens up to its offender.
+
+
+def _first(flags: Iterable[object]) -> int | None:
+    """Index of the first true flag; None when no flag is true."""
+    return next(compress(count(), flags), None)
+
+
+def _window_offsets(buckets: Iterable[int], params: PlacementParams) -> Iterator[int]:
+    """Each bucket's distance from the window start, around the ring."""
+    return map(
+        mod, map(sub, buckets, repeat(params.first_bucket)), repeat(params.first_set_size)
+    )
 
 
 class _FirstFailure:
-    """A requirement that fails for good at its first offending placement."""
+    """A requirement that fails for good at its first offending token.
 
-    failure: dict | None = None
+    The first offender and its witness depend only on the tokens up to
+    it, so ``scan`` reads the whole trace once, at the first ``extend``,
+    and gives the offender's token and witness fields, or None when no
+    token offends.  The requirement then fails once its offender is fed.
+    """
+
+    fed: int | None = None
+    offender: tuple[int, dict] | None = None
+
+    def __init__(self, params: PlacementParams) -> None:
+        self.params = params
+
+    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
+        if self.fed is None:
+            self.offender = self.scan(trace)
+        self.fed = end
 
     def witness(self) -> dict | None:
-        return self.failure
+        if self.offender is not None and self.offender[0] < self.fed:
+            return self.offender[1]
+        return None
 
 
 class _DistinctLabels(_FirstFailure):
     """R1: no label is carried twice."""
 
-    def __init__(self, params: PlacementParams) -> None:
-        self.seen: dict[int, int] = {}
-
-    def extend(self, placements: Sequence[TokenPlacement]) -> None:
-        if self.failure is not None:
-            return
-        seen = self.seen
-        for placement in placements:
-            label = placement.label
-            if label in seen:
-                self.failure = {
-                    "token_a": seen[label],
-                    "token_b": placement.token,
-                    "label": label,
-                }
-                return
-            seen[label] = placement.token
+    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
+        labels = trace.label
+        if len(set(labels)) == len(labels):
+            return None
+        # Each token's label was first carried by owners[token].
+        owners = list(map({}.setdefault, labels, count()))
+        token = _first(map(ne, owners, count()))
+        return token, {"token_a": owners[token], "token_b": token, "label": labels[token]}
 
 
 class _WindowCounts:
     """R2: stage-1 counts across the fill window, in window order."""
 
     def __init__(self, params: PlacementParams) -> None:
-        self.window = params.first_bucket, params.first_set_size, params.fill_width
+        self.params = params
         self.tally = _Tally(params.fill_width)
 
-    def extend(self, placements: Sequence[TokenPlacement]) -> None:
-        start, size, width = self.window
-        self.tally.extend(
-            [offset for p in placements if (offset := (p.stage1_bucket - start) % size) < width]
-        )
+    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
+        width = self.params.fill_width
+        offsets = _window_offsets(trace.stage1_bucket[begin:end], self.params)
+        self.tally.extend([offset for offset in offsets if offset < width])
 
     def witness(self) -> dict | None:
         return _spread_clause("window_counts", self.tally)
@@ -226,9 +252,8 @@ class _LabelResidues:
         self.size = params.first_set_size
         self.tally = _Tally(params.first_set_size)
 
-    def extend(self, placements: Sequence[TokenPlacement]) -> None:
-        size = self.size
-        self.tally.extend([p.label % size for p in placements])
+    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
+        self.tally.extend(list(map(mod, trace.label[begin:end], repeat(self.size))))
 
     def witness(self) -> dict | None:
         return _spread_clause("residue_counts", self.tally)
@@ -237,29 +262,27 @@ class _LabelResidues:
 class _MoveBudget(_FirstFailure):
     """R4: the move flag tells the truth and no move stays in the window."""
 
-    def __init__(self, params: PlacementParams) -> None:
-        self.params = params
-
-    def extend(self, placements: Sequence[TokenPlacement]) -> None:
-        if self.failure is not None:
-            return
-        in_fill_window = self.params.in_fill_window
-        for placement in placements:
-            moved = placement.stage1_bucket != placement.stage2_bucket
-            if placement.moved_in_stage2 != moved:
-                reason = "flag_mismatch"
-            elif moved and in_fill_window(placement.stage2_bucket):
-                # Both buckets inside the window: forbidden shuffle.
-                reason = "moved_within_window"
-            else:
-                continue
-            self.failure = {
-                "token": placement.token,
-                "stage1_bucket": placement.stage1_bucket,
-                "stage2_bucket": placement.stage2_bucket,
-                "reason": reason,
-            }
-            return
+    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
+        stage1, stage2 = trace.stage1_bucket, trace.stage2_bucket
+        flags = trace.moved_in_stage2
+        moved = tuple(map(ne, stage1, stage2))
+        lying = None if flags == moved else _first(map(ne, flags, moved))
+        # Both buckets inside the window: forbidden shuffle.
+        width = self.params.fill_width
+        inside = map(lt, _window_offsets(compress(stage2, moved), self.params), repeat(width))
+        shuffled = next(compress(compress(count(), moved), inside), None)
+        if lying is not None and (shuffled is None or lying <= shuffled):
+            token, reason = lying, "flag_mismatch"
+        elif shuffled is not None:
+            token, reason = shuffled, "moved_within_window"
+        else:
+            return None
+        return token, {
+            "token": token,
+            "stage1_bucket": stage1[token],
+            "stage2_bucket": stage2[token],
+            "reason": reason,
+        }
 
 
 class _StageMap(_FirstFailure):
@@ -268,73 +291,61 @@ class _StageMap(_FirstFailure):
     Every token's bucket in ``column`` must be its label modulo the
     ``size_name`` parameter (the residue clause), and the histogram
     ``occupancy_name`` must have spread at most 1 (the count clause).
-    While the residue clause holds, the column is the label residue, so
-    the tally counts residues.
+    The residue clause fails for good at its first offender; until then
+    the column is the label residue, so the tally counts residues.
     """
 
     def __init__(
         self, column: str, occupancy_name: str, size_name: str, params: PlacementParams
     ) -> None:
         self.column = column
-        self.bucket = itemgetter(TokenPlacement._fields.index(column))
         self.occupancy_name = occupancy_name
         self.size = getattr(params, size_name)
         self.tally = _Tally(self.size)
 
-    def extend(self, placements: Sequence[TokenPlacement]) -> None:
-        if self.failure is not None:
-            return
-        size = self.size
-        residues = [p.label % size for p in placements]
-        column = list(map(self.bucket, placements))
+    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
+        residues = tuple(map(mod, trace.label, repeat(self.size)))
+        column = getattr(trace, self.column)
         if column == residues:
-            self.tally.extend(residues)
-            return
-        index = next(i for i, pair in enumerate(zip(column, residues)) if pair[0] != pair[1])
-        placement = placements[index]
-        self.failure = {
+            return None
+        token = _first(map(ne, column, residues))
+        return token, {
             "clause": "residue",
-            "token": placement.token,
-            "label": placement.label,
-            self.column: column[index],
-            "expected": residues[index],
+            "token": token,
+            "label": trace.label[token],
+            self.column: column[token],
+            "expected": residues[token],
         }
 
+    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
+        super().extend(trace, begin, end)
+        if self.offender is None or end <= self.offender[0]:
+            self.tally.extend(getattr(trace, self.column)[begin:end])
+
     def witness(self) -> dict | None:
-        if self.failure is not None:
-            return self.failure
-        return _spread_clause(self.occupancy_name, self.tally, clause="count")
+        return super().witness() or _spread_clause(
+            self.occupancy_name, self.tally, clause="count"
+        )
 
 
 class _AscendingDirection(_FirstFailure):
     """RC: moved tokens took consecutive window slots from the window start."""
 
-    def __init__(self, params: PlacementParams) -> None:
-        self.params = params
-        self.expected = 0
-        self.position = 0
-
-    def extend(self, placements: Sequence[TokenPlacement]) -> None:
-        if self.failure is not None:
-            return
-        window_offset = self.params.window_offset
-        width = self.params.fill_width
-        expected, position = self.expected, self.position
-        for placement in placements:
-            if not placement.moved_in_stage2:
-                continue
-            offset = window_offset(placement.stage1_bucket)
-            if offset != expected:
-                self.failure = {
-                    "position": position,
-                    "token": placement.token,
-                    "expected_offset": expected,
-                    "actual_offset": offset,
-                }
-                break
-            expected = (offset + 1) % width
-            position += 1
-        self.expected, self.position = expected, position
+    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
+        flags = trace.moved_in_stage2
+        offsets = list(_window_offsets(compress(trace.stage1_bucket, flags), self.params))
+        # The window slot each moved token should have taken, in turn.
+        slots = list(map(mod, range(len(offsets)), repeat(self.params.fill_width)))
+        if offsets == slots:
+            return None
+        position = _first(map(ne, offsets, slots))
+        token = next(islice(compress(count(), flags), position, None))
+        return token, {
+            "position": position,
+            "token": token,
+            "expected_offset": slots[position],
+            "actual_offset": offsets[position],
+        }
 
 
 # The requirements in report order: (id, description, fold factory).
@@ -394,9 +405,10 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     the whole trace and read once, at the end.
     """
     checks = []
+    tokens = len(trace.label)
     for requirement_id, _, make_fold in _REQUIREMENTS:
         fold = make_fold(trace.params)
-        fold.extend(trace.placements)
+        fold.extend(trace, 0, tokens)
         witness_fields = fold.witness()
         if witness_fields is None:
             checks.append(RequirementCheck(requirement_id, True))
@@ -411,8 +423,8 @@ def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
     One pointer starts at the far end of the window and walks backwards,
     the other starts at the window start and walks forwards, both
     wrapping modulo the window width.  Each token goes to its stream's
-    pointer.  Agreement with :func:`plan_stage1` is checked exhaustively
-    by the sweep.
+    pointer.  The sweep checks it against the stage-1 column of every
+    trace it runs, so every stage-1 instance of its domain.
     """
     size = params.first_set_size
     width = params.fill_width
@@ -524,8 +536,8 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     params))`` would judge it.  The planning instances come grouped by
     ``(B, C, f)`` triple, each group in ascending ``T``.  Per group the
     sweep makes one ``run_lifecycle`` and one ``prose_oracle_stage1``,
-    both at the group's largest ``T``, feeds the placements in order to
-    the requirement folds and, after the first ``T`` placements, reads
+    both at the group's largest ``T``, feeds the trace's tokens in order
+    to the requirement folds and, after the first ``T`` tokens, reads
     every fold for the instance of ``T`` tokens.  A failure of R1–R5, RC
     or the oracle comparison counts for every second-set size.  R6 keeps
     one running tally of ``label % B'`` per second-set size ``B'`` and
@@ -543,22 +555,19 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         group = list(group)
         longest = group[-1]
         seconds = domain.second_set_sizes(longest.first_set_size)
-        placements = run_lifecycle(longest).placements
-        stage1 = [(p.token, p.stage1_bucket) for p in placements]
+        trace = run_lifecycle(longest)
         oracle = prose_oracle_stage1(longest)
         # The oracle agrees on exactly the runs of at most this many tokens.
         agreed = next(
-            (token for token, (ours, its) in enumerate(zip(stage1, oracle)) if ours != its),
-            len(oracle),
+            compress(count(), map(ne, zip(count(), trace.stage1_bucket), oracle)), len(oracle)
         )
         folds = [
             (requirement_id, make_fold(longest))
             for requirement_id, _, make_fold in _REQUIREMENTS
             if requirement_id != "R6"
         ]
-        labels = [p.label for p in placements]
         tallies = [
-            (second, _Tally(second), [label % second for label in labels])
+            (second, _Tally(second), list(map(mod, trace.label, repeat(second))))
             for second in seconds
         ]
         fed = 0
@@ -566,9 +575,8 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         # quadruple's first instance in sweep order.
         for planning in group:
             tokens = planning.token_count
-            stretch = placements[fed:tokens]
             for _, fold in folds:
-                fold.extend(stretch)
+                fold.extend(trace, fed, tokens)
             for _, tally, residues in tallies:
                 tally.extend(residues[fed:tokens])
             fed = tokens

@@ -1,8 +1,9 @@
-"""Shared helpers: a terse instance builder, a hypothesis strategy, a
-runner for the module command line, a recorder of histogram tallies,
-the closed-form histogram of label residues, the per-token reference
-fold that every sweep verdict is held to and the dict-per-record JSON
-reports that the report writers are held to."""
+"""Shared helpers: a terse instance builder, hypothesis strategies, a
+runner for the module command line, a recorder of histogram tallies, a
+guard against building per-token records, the closed-form histogram of
+label residues, and the references the fast paths are held to: the
+per-token lifecycle, the per-entry trace parser, the per-instance sweep
+and the dict-per-record JSON reports."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from ringfill import (
     RequirementReport,
     SweepDomain,
     SweepReport,
+    TokenPlacement,
     check_requirements,
     gap,
     label,
@@ -84,6 +86,28 @@ def placement_params(
     )
 
 
+@st.composite
+def large_ring_params(draw, max_buckets: int = 10**6, max_tokens: int = 200_000) -> PlacementParams:
+    """Instances on rings of up to ``max_buckets`` buckets, with up to
+    three rounds plus three tokens, or ``max_tokens`` if fewer."""
+    buckets = draw(st.integers(1, max_buckets))
+    fill = draw(st.integers(1, buckets))
+    first = draw(st.integers(0, buckets - 1))
+    tokens = draw(st.integers(0, min(3 * buckets + 3, max_tokens)))
+    target = draw(st.integers(buckets + 1, 2 * buckets))
+    return PlacementParams(tokens, buckets, fill, first, target)
+
+
+@pytest.fixture
+def no_placement_records(monkeypatch) -> None:
+    """Make reading ``LifecycleTrace.placements`` fail the test."""
+
+    def refuse(trace):
+        raise AssertionError("a per-token TokenPlacement tuple was built")
+
+    monkeypatch.setattr(LifecycleTrace, "placements", property(refuse))
+
+
 @pytest.fixture
 def tally_sizes(monkeypatch) -> list[int]:
     """Set sizes of the trace histograms tallied from now on, in order."""
@@ -119,13 +143,131 @@ def _label_residue_counts(
     return counts[turn:] + counts[:turn]
 
 
+def reference_placement(params: PlacementParams, token: int) -> TokenPlacement:
+    """One token's record, built from ``label`` and the closed forms of
+    ``plan_stage1``'s docstring alone."""
+    size = params.first_set_size
+    width = params.fill_width
+    value = label(params, token)
+    round_pos = token % size
+    if round_pos < width:
+        bucket = value % size
+    else:
+        offset = ((token // size) * (size - width) + round_pos - width) % width
+        bucket = (params.first_bucket + offset) % size
+    after = value % size
+    final = value % params.second_set_size
+    return TokenPlacement(token, value, bucket, after, final, bucket != after)
+
+
+def reference_lifecycle(params: PlacementParams) -> tuple[TokenPlacement, ...]:
+    """The records ``run_lifecycle(params).placements`` must hold, built
+    one token at a time."""
+    return tuple(reference_placement(params, token) for token in range(params.token_count))
+
+
+def trace_of(params: PlacementParams, placements) -> LifecycleTrace:
+    """The trace whose columns hold ``placements``' fields after ``token``."""
+    columns = zip(*placements) if placements else [()] * len(TokenPlacement._fields)
+    _, *stage_columns = columns
+    return LifecycleTrace(params, *stage_columns)
+
+
+def reference_parse_trace_report(document: dict) -> LifecycleTrace:
+    """What ``parse_trace_report(document)`` must give: the same trace, or
+    a ValueError with the same message.  Each placement entry is checked
+    in turn, in the order its fields are read, and built into a
+    ``TokenPlacement``."""
+    if not isinstance(document, dict):
+        raise ValueError("report must be a JSON object")
+    report_keys = {
+        "params", "placements", "occupancy1", "occupancy2", "occupancy3", "gap", "requirements",
+    }
+    if document.keys() != report_keys:
+        raise ValueError(f"report must have exactly the keys {sorted(report_keys)}")
+    raw_params = document["params"]
+    if not isinstance(raw_params, dict):
+        raise ValueError("params must be an object")
+    expected_fields = {param.name for param in fields(PlacementParams)}
+    if raw_params.keys() != expected_fields:
+        raise ValueError(f"params must have exactly the fields {sorted(expected_fields)}")
+    if not all(type(value) is int for value in raw_params.values()):
+        raise ValueError("params fields must be integers")
+    params = PlacementParams(**raw_params)
+
+    raw_placements = document["placements"]
+    if not isinstance(raw_placements, list):
+        raise ValueError("placements must be a list")
+    if len(raw_placements) != params.token_count:
+        raise ValueError(f"expected {params.token_count} placements, got {len(raw_placements)}")
+    placement_fields = set(TokenPlacement._fields)
+    integer_fields = TokenPlacement._fields[:-1]
+    placements = []
+    for index, entry in enumerate(raw_placements):
+        if not isinstance(entry, dict):
+            raise ValueError(f"placement {index} must be an object")
+        if entry.keys() != placement_fields:
+            raise ValueError(
+                f"placement {index} must have exactly the fields {sorted(placement_fields)}"
+            )
+        placement = TokenPlacement(**entry)
+        if placement.token != index:
+            raise ValueError(
+                f"placement {index} has token {placement.token}, "
+                "tokens must be dense and ordered"
+            )
+        for name, value in zip(integer_fields, placement):
+            if type(value) is not int:
+                raise ValueError(f"placement {index} field {name} must be an integer")
+        if not isinstance(placement.moved_in_stage2, bool):
+            raise ValueError(f"placement {index} field moved_in_stage2 must be a boolean")
+        if not (
+            0 <= placement.stage1_bucket < params.first_set_size
+            and 0 <= placement.stage2_bucket < params.first_set_size
+            and 0 <= placement.stage3_bucket < params.second_set_size
+        ):
+            raise ValueError(f"placement {index} has a bucket outside its set")
+        placements.append(placement)
+    trace = trace_of(params, placements)
+
+    for name, field, size in (
+        ("occupancy1", "stage1_bucket", params.first_set_size),
+        ("occupancy2", "stage2_bucket", params.first_set_size),
+        ("occupancy3", "stage3_bucket", params.second_set_size),
+    ):
+        raw = document[name]
+        if not isinstance(raw, list):
+            raise ValueError(f"{name} must be a list")
+        if len(raw) != size:
+            raise ValueError(f"{name} must have {size} entries, got {len(raw)}")
+        if not all(type(value) is int for value in raw):
+            raise ValueError(f"{name} entries must be integers")
+        counts = [0] * size
+        for placement in placements:
+            counts[getattr(placement, field)] += 1
+        if raw != counts:
+            raise ValueError(f"{name} does not tally the {field} column")
+    for bucket, count in enumerate(trace.occupancy1):
+        if count != 0 and not params.in_fill_window(bucket):
+            raise ValueError(f"occupancy1 is nonzero at bucket {bucket}, outside the fill window")
+    expected_gap = asdict(gap(params))
+    raw_gap = document["gap"]
+    if not (
+        isinstance(raw_gap, dict)
+        and raw_gap == expected_gap
+        and all(type(raw_gap[name]) is type(value) for name, value in expected_gap.items())
+    ):
+        raise ValueError(f"gap must be {json.dumps(expected_gap)}, the label gap of params")
+    return trace
+
+
 def reference_sweep(domain: SweepDomain) -> SweepReport:
     """The verdict ``sweep(domain)`` must give, from a full check of every instance.
 
     Each instance of ``domain.iter_instances()`` gets its own
     ``run_lifecycle``, its own comparison with the pointer-walk oracle
-    (looked up in ``ringfill.verify`` at call time, so a test can replace
-    it) and ``check_requirements`` on its trace.  A failure is expected
+    (both looked up in ``ringfill.verify`` at call time, so a test can
+    replace them) and ``check_requirements`` on its trace.  A failure is expected
     only when it is R6's count clause at spread 2 on an instance whose
     labels have a gap.  On every instance it also asserts that the closed
     form ``_label_residue_counts`` equals the trace's ``occupancy3`` and
@@ -135,8 +277,8 @@ def reference_sweep(domain: SweepDomain) -> SweepReport:
     report = SweepReport(domain=domain)
     for params in domain.iter_instances():
         report.instances_checked += 1
-        trace = run_lifecycle(params)
-        stage1 = [(p.token, p.stage1_bucket) for p in trace.placements]
+        trace = ringfill.verify.run_lifecycle(params)
+        stage1 = list(enumerate(trace.stage1_bucket))
         if stage1 != ringfill.verify.prose_oracle_stage1(params):
             report.oracle_mismatches += 1
             if report.minimal_oracle_mismatch is None:

@@ -6,11 +6,19 @@ import tracemalloc
 from dataclasses import FrozenInstanceError, fields
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ringfill import LifecycleTrace, TokenPlacement, run_lifecycle
+from ringfill import LifecycleTrace, TokenPlacement, label, prose_oracle_stage1, run_lifecycle
 
-from conftest import make_params, placement_params
+from conftest import (
+    large_ring_params,
+    make_params,
+    placement_params,
+    reference_lifecycle,
+    reference_placement,
+    trace_of,
+)
 
 
 class TestRunLifecycle:
@@ -65,8 +73,8 @@ class TestRunLifecycle:
         assert tally_sizes == [5, 4, 4]
 
     def test_peak_memory_is_bounded_by_the_finished_trace(self):
-        # Each label and stage-1 bucket is read as the placements are
-        # built, so no plan list is held beside them.
+        # The columns are built a round at a time, with no per-token
+        # record and no list held beside them.
         params = make_params(20003, 37, 20, first=5, target=60)
         tracemalloc.start()
         try:
@@ -74,11 +82,14 @@ class TestRunLifecycle:
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(trace.placements) == 20003
+        assert len(trace.label) == 20003
         assert peak <= 1.15 * kept
 
-    def test_trace_stores_only_params_and_placements(self):
-        assert [f.name for f in fields(LifecycleTrace)] == ["params", "placements"]
+    def test_trace_stores_only_params_and_columns(self):
+        assert [f.name for f in fields(LifecycleTrace)] == [
+            "params",
+            *TokenPlacement._fields[1:],
+        ]
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         with pytest.raises(FrozenInstanceError):
             trace.occupancy1 = (5, 0, 0, 0)
@@ -115,3 +126,58 @@ class TestRunLifecycle:
     @given(placement_params())
     def test_reruns_are_identical(self, params):
         assert run_lifecycle(params) == run_lifecycle(params)
+
+
+class TestColumns:
+    """The columns, built a round at a time, against per-token references."""
+
+    @given(placement_params())
+    @example(make_params(0, 3, 2))
+    @example(make_params(9, 4, 3, first=3, target=7))
+    @example(make_params(7, 5, 5, first=4))
+    def test_placements_equal_the_per_token_reference(self, params):
+        trace = run_lifecycle(params)
+        placements = reference_lifecycle(params)
+        assert trace.placements == placements
+        assert trace == trace_of(params, placements)
+
+    @given(placement_params(max_buckets=64, max_tokens=5000))
+    def test_label_column_is_the_label_map(self, params):
+        trace = run_lifecycle(params)
+        assert list(trace.label) == [label(params, t) for t in range(params.token_count)]
+
+    @given(placement_params(max_buckets=64, max_tokens=5000))
+    def test_stage1_column_is_the_pointer_walk(self, params):
+        trace = run_lifecycle(params)
+        assert list(enumerate(trace.stage1_bucket)) == prose_oracle_stage1(params)
+
+    def test_placements_are_built_on_first_read_and_only_once(self):
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        assert "placements" not in vars(trace)
+        assert trace.placements is trace.placements
+
+    @settings(max_examples=15, deadline=None)
+    @given(large_ring_params(), st.lists(st.integers(0, 3 * 10**6), max_size=20))
+    @example(make_params(150_003, 50_000, 20_001, first=49_999, target=99_999), [])
+    @example(make_params(200_000, 10**6, 999_999, first=1, target=2 * 10**6), [])
+    def test_large_rings_agree_with_the_references(self, params, draws):
+        # Each round is built from its runs, so every run's first and last
+        # token of the first two rounds and the last are checked, with a
+        # few drawn tokens; the stage-1 column is walked in full.
+        trace = run_lifecycle(params)
+        tokens = params.token_count
+        size, width = params.first_set_size, params.fill_width
+        last_round = (tokens - 1) // size * size if tokens else 0
+        checked = {
+            base + position
+            for base in (0, size, last_round)
+            for position in (0, width - 1, width, size - 1)
+            if base + position < tokens
+        }
+        if tokens:
+            checked.update(draw % tokens for draw in draws)
+        for token in sorted(checked):
+            found = tuple(column[token] for column in trace.columns)
+            assert found == reference_placement(params, token)
+        assert all(len(column) == tokens for column in trace.columns)
+        assert list(enumerate(trace.stage1_bucket)) == prose_oracle_stage1(params)

@@ -4,7 +4,7 @@ end state that R2 bounds."""
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given
@@ -18,7 +18,6 @@ from ringfill import (
     PlacementParams,
     RequirementCheck,
     SweepDomain,
-    TokenPlacement,
     check_requirements,
     gap,
     plan_stage1,
@@ -39,9 +38,7 @@ def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
     in order.  Used to feed the checker traces the real planner would
     never produce.
     """
-    return LifecycleTrace(
-        params, tuple(TokenPlacement(token, *row) for token, row in enumerate(rows))
-    )
+    return LifecycleTrace(params, *(zip(*rows) if rows else [()] * 5))
 
 
 def assert_witness_fields(check, trace, *fields) -> None:
@@ -65,7 +62,7 @@ class AlwaysFails:
     def __init__(self, params):
         pass
 
-    def extend(self, placements):
+    def extend(self, trace, begin, end):
         pass
 
     def witness(self):
@@ -75,7 +72,7 @@ class AlwaysFails:
 class FailsOnThreeTokensOfTwoTwoZero:
     """A fold that fails exactly on the quadruple ``(T, B, C, f) = (3, 2, 2, 0)``.
 
-    It sees only the triple in its params and the placements fed so far,
+    It sees only the triple in its params and the tokens fed so far,
     so the sweep's prefix reads and a whole-trace check judge alike.
     """
 
@@ -83,8 +80,8 @@ class FailsOnThreeTokensOfTwoTwoZero:
         self.triple = (params.first_set_size, params.fill_width, params.first_bucket)
         self.fed = 0
 
-    def extend(self, placements):
-        self.fed += len(placements)
+    def extend(self, trace, begin, end):
+        self.fed = end
 
     def witness(self):
         return {"forced": True} if (self.fed, *self.triple) == (3, 2, 2, 0) else None
@@ -486,6 +483,11 @@ class TestSweep:
         assert calls == {"run_lifecycle": 30, "prose_oracle_stage1": 30}
         assert report.instances_checked == sum(1 for _ in domain.iter_instances())
 
+    def test_default_sweep_reads_only_columns(self, no_placement_records):
+        report = sweep()
+        assert report.instances_checked == 113432
+        assert report.only_expected_failures
+
     def test_wide_spans_and_long_runs_match_the_reference(self):
         domain = SweepDomain(max_buckets=5, max_rounds=6, target_span=4)
         assert sweep(domain) == reference_sweep(domain)
@@ -517,6 +519,27 @@ class TestSweep:
         assert report.minimal_violations == {
             "R6": (params, RequirementCheck("R6", False, witness))
         }
+
+    def test_first_failures_count_from_their_offending_token(self, monkeypatch):
+        # Token 5's move flag lies in every lifecycle: R4 fails exactly on
+        # the runs of more than five tokens, 50 instances of the domain.
+        real = ringfill.verify.run_lifecycle
+
+        def lying(params):
+            trace = real(params)
+            flags = list(trace.moved_in_stage2)
+            if len(flags) > 5:
+                flags[5] = not flags[5]
+            return replace(trace, moved_in_stage2=tuple(flags))
+
+        monkeypatch.setattr(ringfill.verify, "run_lifecycle", lying)
+        domain = SweepDomain(max_buckets=2)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
+        assert report.violation_counts["R4"] == 50
+        params, check = report.minimal_violations["R4"]
+        assert params.token_count == 6
+        assert check.witness["token"] == 5
 
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
