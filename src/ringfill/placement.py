@@ -29,7 +29,8 @@ Python ints are unbounded, so no overflow guard is needed at any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle, islice
+from itertools import chain, cycle, islice, repeat
+from operator import mod
 from typing import Iterator
 
 __all__ = [
@@ -139,10 +140,15 @@ def _stage1_columns(params: PlacementParams) -> tuple[Iterator[int], Iterator[in
         for base in bases
         for run in (range(base + width - 1, base - 1, -1), range(base + width, base + size))
     )
-    window = params.fill_window()
-    descending = window[::-1]
-    ascending = cycle(window)
-    bucket_runs = (run for _ in bases for run in (descending, islice(ascending, size - width)))
+    # Only the window slots the tokens take are built, so the cost
+    # follows the token count, not the window width: the descending run
+    # from the far end, cut to the token count, and the ascending
+    # stream's slots, which ``cycle`` keeps as the stream reaches them.
+    slots = range(params.first_bucket, params.first_bucket + width)
+    descending = tuple(islice(map(mod, reversed(slots), repeat(size)), tokens))
+    ascending = cycle(map(mod, slots, repeat(size)))
+    rest = min(size - width, tokens)
+    bucket_runs = (run for _ in bases for run in (descending, islice(ascending, rest)))
     # The last round may stop early.
     return (
         islice(chain.from_iterable(label_runs), tokens),

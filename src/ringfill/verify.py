@@ -20,15 +20,18 @@ from an otherwise contiguous range can push the spread in the second
 bucket set to 2.  The sweep classifies exactly those failures as
 expected and flags anything else.
 
-Each requirement is stated once, as a fold over a trace's columns: it
-takes the tokens in order, in stretches, reads only the columns it
-needs, and gives its verdict after any prefix.  R1, R4, R5's and R6's
-residue clauses and RC fail for good at their first offending token,
-and that token and its witness depend only on the tokens up to it; such
-a fold scans its columns once, with C-level passes, and fails once the
-offender is fed.  R2, R3 and the count clauses keep a running histogram
-whose spread is current after every increment.  ``check_requirements``
-feeds a whole trace as one stretch and reads each fold once.
+Each requirement is stated once, as a row of one table, in one or both
+of two forms.  An offender fails it for good at the first offending
+token: R1, R4, RC and the residue clauses of R5 and R6.  A histogram
+fails it while its spread is over 1: R2 over the stage-1 window
+offsets, R3 and the count clauses of R5 and R6 over label residues.
+R3 and R5 count the same ``label % B``, so one tally serves both; R5's
+and R6's counts are their stage's bucket counts for as long as the
+residue clause holds, and the offender's witness wins after that.  One
+reader gives a requirement's witness on the first ``t`` tokens of a
+run, and no offender or histogram reads the token count, so that is
+the requirement's verdict on the run of ``t`` tokens.
+``check_requirements`` reads every requirement on the whole trace.
 
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
@@ -36,16 +39,17 @@ count and the oracle mismatches.  It does each piece of work once for
 what it depends on.  Nothing in stage 1, the labels or the oracle reads
 the token count ``T``, so the run of ``T`` tokens is the first ``T``
 tokens of every longer run.  Per ``(B, C, f)`` triple the sweep makes
-one lifecycle and one oracle walk, at the triple's largest ``T``, and
-reads every smaller ``T``'s verdict from the folds after its first
-``T`` tokens.  R1–R5, RC and the oracle comparison read only the
+one lifecycle and one oracle walk, at the triple's largest ``T``, finds
+each offender once, and reads every smaller ``T``'s verdict after its
+first ``T`` tokens.  R1–R5, RC and the oracle comparison read only the
 stage-1 quadruple ``(T, B, C, f)``, so a failure there counts for every
-second-set size.  R6 is the only requirement that reads the second-set
-size ``B'``; the sweep keeps one running tally of ``label % B'`` per
+second-set size.  R6's histogram is the only one that reads the
+second-set size ``B'``; the sweep keeps one tally of ``label % B'`` per
 ``B'``.  Parameters and witnesses are built only for each requirement's
 first failure and the first oracle mismatch.  The test suite holds the
 verdict to ``check_requirements`` on the full per-token trace of every
-instance.
+instance, and ``check_requirements`` to a per-token restatement of the
+requirements on broken traces.
 
 Spreads include zero-count buckets of the relevant set: all fill-window
 buckets for R2, the whole first set for R3 and R5, the whole second set
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import compress, count, groupby, islice, repeat
+from itertools import accumulate, compress, count, groupby, islice, repeat
 from operator import attrgetter, lt, mod, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -156,26 +160,14 @@ class _Tally:
         self.spread = high - low
 
 
-def _spread_clause(name: str, tally: _Tally, **lead) -> dict | None:
-    """The histogram ``name`` has spread at most 1; else its witness
-    fields, ``lead`` first.  R5's and R6's count clause leads with
-    ``clause="count"``."""
-    if tally.spread > 1:
-        return {**lead, name: list(tally.counts), "spread": tally.spread}
-    return None
-
-
-# Each requirement is a fold over a trace's columns: built from the
-# instance's params, fed the tokens in order by one or more
-# ``extend(trace, begin, end)`` calls on the same trace, each the stretch
-# of tokens ``[begin, end)`` that follows the last, and read between any
-# two by ``witness``, which gives None while the requirement holds on
-# the tokens fed so far, else the witness fields that follow "params".
-# A fold reads only the columns it needs, and no fold reads
-# ``token_count``, so the folds for a run of T tokens, read after its
-# first t tokens, judge the run of t tokens.  A first-failure fold reads
-# ahead of the tokens fed, but what it reports depends only on the
-# tokens up to its offender.
+# A requirement's offender is a function of the trace that gives the
+# first offending token and that token's witness fields, or None; both
+# depend only on the tokens up to the offender.  Its histogram is a pair
+# (witness name, buckets): ``buckets(params, trace)`` gives one bucket
+# per token and the number of buckets, from ``params`` rather than the
+# trace's own so the sweep can ask for every second-set size, and a
+# token whose bucket is not below that number is not counted.  Neither
+# reads ``token_count``.
 
 
 def _first(flags: Iterable[object]) -> int | None:
@@ -190,200 +182,180 @@ def _window_offsets(buckets: Iterable[int], params: PlacementParams) -> Iterator
     )
 
 
-class _FirstFailure:
-    """A requirement that fails for good at its first offending token.
-
-    The first offender and its witness depend only on the tokens up to
-    it, so ``scan`` reads the whole trace once, at the first ``extend``,
-    and gives the offender's token and witness fields, or None when no
-    token offends.  The requirement then fails once its offender is fed.
-    """
-
-    fed: int | None = None
-    offender: tuple[int, dict] | None = None
-
-    def __init__(self, params: PlacementParams) -> None:
-        self.params = params
-
-    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
-        if self.fed is None:
-            self.offender = self.scan(trace)
-        self.fed = end
-
-    def witness(self) -> dict | None:
-        if self.offender is not None and self.offender[0] < self.fed:
-            return self.offender[1]
+def _repeated_label(trace: LifecycleTrace) -> tuple[int, dict] | None:
+    """R1: the first token whose label an earlier token carries."""
+    labels = trace.label
+    if len(set(labels)) == len(labels):
         return None
+    # Each token's label was first carried by owners[token].
+    owners = list(map({}.setdefault, labels, count()))
+    token = _first(map(ne, owners, count()))
+    return token, {"token_a": owners[token], "token_b": token, "label": labels[token]}
 
 
-class _DistinctLabels(_FirstFailure):
-    """R1: no label is carried twice."""
-
-    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
-        labels = trace.label
-        if len(set(labels)) == len(labels):
-            return None
-        # Each token's label was first carried by owners[token].
-        owners = list(map({}.setdefault, labels, count()))
-        token = _first(map(ne, owners, count()))
-        return token, {"token_a": owners[token], "token_b": token, "label": labels[token]}
-
-
-class _WindowCounts:
-    """R2: stage-1 counts across the fill window, in window order."""
-
-    def __init__(self, params: PlacementParams) -> None:
-        self.params = params
-        self.tally = _Tally(params.fill_width)
-
-    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
-        width = self.params.fill_width
-        offsets = _window_offsets(trace.stage1_bucket[begin:end], self.params)
-        self.tally.extend([offset for offset in offsets if offset < width])
-
-    def witness(self) -> dict | None:
-        return _spread_clause("window_counts", self.tally)
+def _bad_move(trace: LifecycleTrace) -> tuple[int, dict] | None:
+    """R4: the first token whose move flag lies or whose move stays in the window."""
+    params = trace.params
+    stage1, stage2 = trace.stage1_bucket, trace.stage2_bucket
+    flags = trace.moved_in_stage2
+    moved = tuple(map(ne, stage1, stage2))
+    lying = None if flags == moved else _first(map(ne, flags, moved))
+    # Both buckets inside the window: forbidden shuffle.
+    inside = map(lt, _window_offsets(compress(stage2, moved), params), repeat(params.fill_width))
+    shuffled = next(compress(compress(count(), moved), inside), None)
+    if lying is not None and (shuffled is None or lying <= shuffled):
+        token, reason = lying, "flag_mismatch"
+    elif shuffled is not None:
+        token, reason = shuffled, "moved_within_window"
+    else:
+        return None
+    return token, {
+        "token": token,
+        "stage1_bucket": stage1[token],
+        "stage2_bucket": stage2[token],
+        "reason": reason,
+    }
 
 
-class _LabelResidues:
-    """R3: label residue counts over the first set."""
-
-    def __init__(self, params: PlacementParams) -> None:
-        self.size = params.first_set_size
-        self.tally = _Tally(params.first_set_size)
-
-    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
-        self.tally.extend(list(map(mod, trace.label[begin:end], repeat(self.size))))
-
-    def witness(self) -> dict | None:
-        return _spread_clause("residue_counts", self.tally)
-
-
-class _MoveBudget(_FirstFailure):
-    """R4: the move flag tells the truth and no move stays in the window."""
-
-    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
-        stage1, stage2 = trace.stage1_bucket, trace.stage2_bucket
-        flags = trace.moved_in_stage2
-        moved = tuple(map(ne, stage1, stage2))
-        lying = None if flags == moved else _first(map(ne, flags, moved))
-        # Both buckets inside the window: forbidden shuffle.
-        width = self.params.fill_width
-        inside = map(lt, _window_offsets(compress(stage2, moved), self.params), repeat(width))
-        shuffled = next(compress(compress(count(), moved), inside), None)
-        if lying is not None and (shuffled is None or lying <= shuffled):
-            token, reason = lying, "flag_mismatch"
-        elif shuffled is not None:
-            token, reason = shuffled, "moved_within_window"
-        else:
-            return None
-        return token, {
-            "token": token,
-            "stage1_bucket": stage1[token],
-            "stage2_bucket": stage2[token],
-            "reason": reason,
-        }
+def _off_residue(column: str, residues_of, trace: LifecycleTrace) -> tuple[int, dict] | None:
+    """R5 and R6: the first token whose bucket in ``column`` is not the
+    label residue that ``residues_of``, the requirement's histogram,
+    gives it."""
+    residues, _ = residues_of(trace.params, trace)
+    buckets = getattr(trace, column)
+    if buckets == residues:
+        return None
+    token = _first(map(ne, buckets, residues))
+    return token, {
+        "clause": "residue",
+        "token": token,
+        "label": trace.label[token],
+        column: buckets[token],
+        "expected": residues[token],
+    }
 
 
-class _StageMap(_FirstFailure):
-    """R5 (stage 2, first set) and R6 (stage 3, second set).
-
-    Every token's bucket in ``column`` must be its label modulo the
-    ``size_name`` parameter (the residue clause), and the histogram
-    ``occupancy_name`` must have spread at most 1 (the count clause).
-    The residue clause fails for good at its first offender; until then
-    the column is the label residue, so the tally counts residues.
-    """
-
-    def __init__(
-        self, column: str, occupancy_name: str, size_name: str, params: PlacementParams
-    ) -> None:
-        self.column = column
-        self.occupancy_name = occupancy_name
-        self.size = getattr(params, size_name)
-        self.tally = _Tally(self.size)
-
-    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
-        residues = tuple(map(mod, trace.label, repeat(self.size)))
-        column = getattr(trace, self.column)
-        if column == residues:
-            return None
-        token = _first(map(ne, column, residues))
-        return token, {
-            "clause": "residue",
-            "token": token,
-            "label": trace.label[token],
-            self.column: column[token],
-            "expected": residues[token],
-        }
-
-    def extend(self, trace: LifecycleTrace, begin: int, end: int) -> None:
-        super().extend(trace, begin, end)
-        if self.offender is None or end <= self.offender[0]:
-            self.tally.extend(getattr(trace, self.column)[begin:end])
-
-    def witness(self) -> dict | None:
-        return super().witness() or _spread_clause(
-            self.occupancy_name, self.tally, clause="count"
-        )
+def _off_step(trace: LifecycleTrace) -> tuple[int, dict] | None:
+    """RC: the first moved token that did not take the ascending stream's
+    next window slot."""
+    params = trace.params
+    flags = trace.moved_in_stage2
+    offsets = list(_window_offsets(compress(trace.stage1_bucket, flags), params))
+    # The window slot each moved token should have taken, in turn.
+    slots = list(map(mod, range(len(offsets)), repeat(params.fill_width)))
+    if offsets == slots:
+        return None
+    position = _first(map(ne, offsets, slots))
+    token = next(islice(compress(count(), flags), position, None))
+    return token, {
+        "position": position,
+        "token": token,
+        "expected_offset": slots[position],
+        "actual_offset": offsets[position],
+    }
 
 
-class _AscendingDirection(_FirstFailure):
-    """RC: moved tokens took consecutive window slots from the window start."""
-
-    def scan(self, trace: LifecycleTrace) -> tuple[int, dict] | None:
-        flags = trace.moved_in_stage2
-        offsets = list(_window_offsets(compress(trace.stage1_bucket, flags), self.params))
-        # The window slot each moved token should have taken, in turn.
-        slots = list(map(mod, range(len(offsets)), repeat(self.params.fill_width)))
-        if offsets == slots:
-            return None
-        position = _first(map(ne, offsets, slots))
-        token = next(islice(compress(count(), flags), position, None))
-        return token, {
-            "position": position,
-            "token": token,
-            "expected_offset": slots[position],
-            "actual_offset": offsets[position],
-        }
+def _window_slots(
+    params: PlacementParams, trace: LifecycleTrace
+) -> tuple[tuple[int, ...], int]:
+    """R2: each token's stage-1 window offset, over the window's slots."""
+    return tuple(_window_offsets(trace.stage1_bucket, params)), params.fill_width
 
 
-# The requirements in report order: (id, description, fold factory).
+def _first_set_residues(
+    params: PlacementParams, trace: LifecycleTrace
+) -> tuple[tuple[int, ...], int]:
+    """R3 and R5: each token's label modulo the first-set size."""
+    size = params.first_set_size
+    return tuple(map(mod, trace.label, repeat(size))), size
+
+
+def _second_set_residues(
+    params: PlacementParams, trace: LifecycleTrace
+) -> tuple[tuple[int, ...], int]:
+    """R6: each token's label modulo the second-set size."""
+    size = params.second_set_size
+    return tuple(map(mod, trace.label, repeat(size))), size
+
+
+# The requirements in report order: (id, description, offender, histogram).
 _REQUIREMENTS = (
-    ("R1", "labels are pairwise distinct", _DistinctLabels),
-    ("R2", "fill-window token counts differ by at most 1", _WindowCounts),
+    ("R1", "labels are pairwise distinct", _repeated_label, None),
+    (
+        "R2",
+        "fill-window token counts differ by at most 1",
+        None,
+        ("window_counts", _window_slots),
+    ),
     (
         "R3",
         "label residue counts over the first set differ by at most 1",
-        _LabelResidues,
+        None,
+        ("residue_counts", _first_set_residues),
     ),
     (
         "R4",
         "each token moves at most once and never inside the window",
-        _MoveBudget,
+        _bad_move,
+        None,
     ),
     (
         "R5",
         "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
-        partial(_StageMap, "stage2_bucket", "occupancy2", "first_set_size"),
+        partial(_off_residue, "stage2_bucket", _first_set_residues),
+        ("occupancy2", _first_set_residues),
     ),
     (
         "R6",
         "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
-        partial(_StageMap, "stage3_bucket", "occupancy3", "second_set_size"),
+        partial(_off_residue, "stage3_bucket", _second_set_residues),
+        ("occupancy3", _second_set_residues),
     ),
     (
         "RC",
         "ascending stream starts at the window start and steps by one slot",
-        _AscendingDirection,
+        _off_step,
+        None,
     ),
 )
 
-REQUIREMENT_IDS = tuple(requirement_id for requirement_id, _, _ in _REQUIREMENTS)
+REQUIREMENT_IDS = tuple(row[0] for row in _REQUIREMENTS)
 
-REQUIREMENT_DESCRIPTIONS = {
-    requirement_id: description for requirement_id, description, _ in _REQUIREMENTS
-}
+REQUIREMENT_DESCRIPTIONS = {row[0]: row[1] for row in _REQUIREMENTS}
+
+
+def _histogram(
+    buckets_of, params: PlacementParams, trace: LifecycleTrace
+) -> tuple[_Tally, Sequence[int], Sequence[int]]:
+    """An empty tally of the histogram ``buckets_of`` gives on ``params``
+    and ``trace``, the buckets it counts, and for each ``t`` how many of
+    them the first ``t`` tokens hold."""
+    buckets, size = buckets_of(params, trace)
+    if max(buckets, default=0) < size:
+        return _Tally(size), buckets, range(len(buckets) + 1)
+    counted = [bucket for bucket in buckets if bucket < size]
+    return _Tally(size), counted, list(accumulate(map(lt, buckets, repeat(size)), initial=0))
+
+
+def _witness(
+    row: tuple, offender: tuple[int, dict] | None, tally: _Tally | None, tokens: int
+) -> dict | None:
+    """The witness fields of requirement ``row`` on the first ``tokens``
+    tokens, or None while it holds there.
+
+    ``offender`` is the row's offender on a run of at least ``tokens``
+    tokens and ``tally`` the row's histogram of its first ``tokens``
+    tokens.  An offender among them wins; else a spread over 1 fails the
+    count clause, whose fields lead with ``clause: "count"`` when the
+    requirement also has an offender.
+    """
+    if offender is not None and offender[0] < tokens:
+        return offender[1]
+    if tally is not None and tally.spread > 1:
+        _, _, find_offender, (name, _) = row
+        lead = {"clause": "count"} if find_offender else {}
+        return {**lead, name: list(tally.counts), "spread": tally.spread}
+    return None
 
 
 def _failed(
@@ -401,19 +373,29 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     Total: every trace yields a verdict for every requirement, and a
     failing verdict carries enough detail (full parameters plus the
     offending indices) to reproduce the failure from scratch.  The empty
-    trace passes everything vacuously.  Each requirement's fold is fed
-    the whole trace and read once, at the end.
+    trace passes everything vacuously.  Each requirement is read on the
+    whole trace; requirements that share a histogram share its tally.
     """
-    checks = []
+    params = trace.params
     tokens = len(trace.label)
-    for requirement_id, _, make_fold in _REQUIREMENTS:
-        fold = make_fold(trace.params)
-        fold.extend(trace, 0, tokens)
-        witness_fields = fold.witness()
+    tallies: dict = {}
+    checks = []
+    for row in _REQUIREMENTS:
+        requirement_id, _, find_offender, histogram = row
+        tally = None
+        if histogram is not None:
+            buckets_of = histogram[1]
+            if buckets_of not in tallies:
+                tally, counted, _ = _histogram(buckets_of, params, trace)
+                tally.extend(counted)
+                tallies[buckets_of] = tally
+            tally = tallies[buckets_of]
+        offender = None if find_offender is None else find_offender(trace)
+        witness_fields = _witness(row, offender, tally, tokens)
         if witness_fields is None:
             checks.append(RequirementCheck(requirement_id, True))
         else:
-            checks.append(_failed(requirement_id, trace.params, witness_fields))
+            checks.append(_failed(requirement_id, params, witness_fields))
     return RequirementReport(tuple(checks))
 
 
@@ -536,15 +518,17 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     params))`` would judge it.  The planning instances come grouped by
     ``(B, C, f)`` triple, each group in ascending ``T``.  Per group the
     sweep makes one ``run_lifecycle`` and one ``prose_oracle_stage1``,
-    both at the group's largest ``T``, feeds the trace's tokens in order
-    to the requirement folds and, after the first ``T`` tokens, reads
-    every fold for the instance of ``T`` tokens.  A failure of R1–R5, RC
-    or the oracle comparison counts for every second-set size.  R6 keeps
-    one running tally of ``label % B'`` per second-set size ``B'`` and
-    reads its count clause; its residue clause holds by definition, since
-    stage 3 is ``label % second_set_size``.  Instances are visited in
-    lexicographic parameter order, so the first failure recorded per
-    requirement is the minimal one and the whole report is deterministic.
+    both at the group's largest ``T``, finds each requirement's offender
+    once, keeps one tally per histogram and reads every requirement
+    after the first ``T`` tokens for the instance of ``T`` tokens.  A
+    failure of R1–R5, RC or the oracle comparison counts for every
+    second-set size.  R6's histogram is the only one that reads the
+    second-set size ``B'``: the sweep keeps it once per ``B'``.  The
+    trace is run at the smallest ``B'``, so R6's offender, a stage-3
+    bucket off its label residue, counts for that ``B'`` alone.
+    Instances are visited in lexicographic parameter order, so the first
+    failure recorded per requirement is the minimal one and the whole
+    report is deterministic.
     """
     if domain is None:
         domain = SweepDomain()
@@ -561,56 +545,60 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         agreed = next(
             compress(count(), map(ne, zip(count(), trace.stage1_bucket), oracle)), len(oracle)
         )
-        folds = [
-            (requirement_id, make_fold(longest))
-            for requirement_id, _, make_fold in _REQUIREMENTS
-            if requirement_id != "R6"
-        ]
-        tallies = [
-            (second, _Tally(second), list(map(mod, trace.label, repeat(second))))
-            for second in seconds
-        ]
+        # One tally per histogram function, and R6's once per B'.  Each
+        # reading is (row, B', the instances it stands for, offender,
+        # tally); a reading of a requirement that does not read B' is
+        # taken at the smallest B' and stands for every B'.
+        feeds: dict = {}
+        readings = []
+        for row in _REQUIREMENTS:
+            _, _, find_offender, histogram = row
+            offender = None if find_offender is None else find_offender(trace)
+            buckets_of = None if histogram is None else histogram[1]
+            per_second = buckets_of is _second_set_residues
+            for second in seconds if per_second else seconds[:1]:
+                tally = None
+                if buckets_of is not None:
+                    if (buckets_of, second) not in feeds:
+                        instance = replace(longest, second_set_size=second)
+                        feeds[buckets_of, second] = _histogram(buckets_of, instance, trace)
+                    tally = feeds[buckets_of, second][0]
+                readings.append((row, second, 1 if per_second else len(seconds), offender, tally))
+                # The trace's stage 3 is that of the smallest B' alone.
+                offender = None
         fed = 0
-        # Each planning instance carries the smallest second-set size, its
-        # quadruple's first instance in sweep order.
         for planning in group:
             tokens = planning.token_count
-            for _, fold in folds:
-                fold.extend(trace, fed, tokens)
-            for _, tally, residues in tallies:
-                tally.extend(residues[fed:tokens])
+            for tally, counted, ends in feeds.values():
+                tally.extend(counted[ends[fed] : ends[tokens]])
             fed = tokens
             report.instances_checked += len(seconds)
             if tokens > agreed:
                 report.oracle_mismatches += len(seconds)
                 if report.minimal_oracle_mismatch is None:
                     report.minimal_oracle_mismatch = planning
-            for requirement_id, fold in folds:
-                witness_fields = fold.witness()
-                if witness_fields is not None:
-                    counts[requirement_id] += len(seconds)
-                    report.unexpected_violations += len(seconds)
-                    if requirement_id not in minimal:
-                        minimal[requirement_id] = (
-                            planning,
-                            _failed(requirement_id, planning, witness_fields),
-                        )
-            failing = [
-                (second, witness_fields)
-                for second, tally, _ in tallies
-                if (witness_fields := _spread_clause("occupancy3", tally, clause="count"))
-            ]
-            if not failing:
-                continue
-            counts["R6"] += len(failing)
-            # Expected: the documented gap case at spread exactly 2.
-            present = gap(planning).present
-            report.unexpected_violations += sum(
-                not (present and witness_fields["spread"] == 2)
-                for _, witness_fields in failing
-            )
-            if "R6" not in minimal:
-                second, witness_fields = failing[0]
-                params = replace(planning, second_set_size=second)
-                minimal["R6"] = (params, _failed("R6", params, witness_fields))
+            gap_present = None  # gap(planning).present, found on first need
+            for row, second, weight, offender, tally in readings:
+                witness_fields = _witness(row, offender, tally, tokens)
+                if witness_fields is None:
+                    continue
+                requirement_id = row[0]
+                counts[requirement_id] += weight
+                # Expected: the documented gap case, R6's count clause at
+                # spread exactly 2 on an instance whose labels have a gap.
+                unexpected = weight
+                if (
+                    requirement_id == "R6"
+                    and witness_fields["clause"] == "count"
+                    and witness_fields["spread"] == 2
+                ):
+                    if gap_present is None:
+                        gap_present = gap(planning).present
+                    if gap_present:
+                        unexpected = 0
+                report.unexpected_violations += unexpected
+                if requirement_id not in minimal:
+                    params = replace(planning, second_set_size=second)
+                    check = _failed(requirement_id, params, witness_fields)
+                    minimal[requirement_id] = (params, check)
     return report

@@ -2,8 +2,9 @@
 runner for the module command line, a recorder of histogram tallies, a
 guard against building per-token records, the closed-form histogram of
 label residues, and the references the fast paths are held to: the
-per-token lifecycle, the per-entry trace parser, the per-instance sweep
-and the dict-per-record JSON reports."""
+per-token lifecycle, the per-token requirement check, the per-entry
+trace parser, the per-instance sweep and the dict-per-record JSON
+reports."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from ringfill import (
     GapDescriptor,
     LifecycleTrace,
     PlacementParams,
+    RequirementCheck,
     RequirementReport,
     SweepDomain,
     SweepReport,
@@ -259,6 +261,110 @@ def reference_parse_trace_report(document: dict) -> LifecycleTrace:
     ):
         raise ValueError(f"gap must be {json.dumps(expected_gap)}, the label gap of params")
     return trace
+
+
+def reference_check_requirements(trace: LifecycleTrace) -> RequirementReport:
+    """What ``check_requirements(trace)`` must give, restated one token at a time.
+
+    A first-failure clause walks the tokens in order and stops at its
+    first offender; a count clause tallies its column, a stage map's
+    up to its first offender, and fails at a spread over 1.
+    """
+    params = trace.params
+    records = list(zip(*trace.columns))
+
+    def spread_clause(name, counts, **lead):
+        spread = max(counts) - min(counts)
+        return {**lead, name: counts, "spread": spread} if spread > 1 else None
+
+    def distinct_labels():
+        owners = {}
+        for token, value, *_ in records:
+            if value in owners:
+                return {"token_a": owners[value], "token_b": token, "label": value}
+            owners[value] = token
+        return None
+
+    def window_counts():
+        counts = [0] * params.fill_width
+        for _, _, bucket, *_ in records:
+            if params.in_fill_window(bucket):
+                counts[params.window_offset(bucket)] += 1
+        return spread_clause("window_counts", counts)
+
+    def label_residues():
+        counts = [0] * params.first_set_size
+        for _, value, *_ in records:
+            counts[value % params.first_set_size] += 1
+        return spread_clause("residue_counts", counts)
+
+    def move_budget():
+        for token, _, before, after, _, moved in records:
+            if moved != (before != after):
+                reason = "flag_mismatch"
+            elif moved and params.in_fill_window(after):
+                reason = "moved_within_window"
+            else:
+                continue
+            return {
+                "token": token,
+                "stage1_bucket": before,
+                "stage2_bucket": after,
+                "reason": reason,
+            }
+        return None
+
+    def stage_map(field, size):
+        index = TokenPlacement._fields.index(field)
+        counts = [0] * size
+        for record in records:
+            token, value, bucket = record[0], record[1], record[index]
+            if bucket != value % size:
+                return {
+                    "clause": "residue",
+                    "token": token,
+                    "label": value,
+                    field: bucket,
+                    "expected": value % size,
+                }
+            counts[bucket] += 1
+        occupancy = "occupancy" + field[len("stage")]
+        return spread_clause(occupancy, counts, clause="count")
+
+    def ascending_direction():
+        position = 0
+        for token, _, bucket, _, _, moved in records:
+            if not moved:
+                continue
+            expected = position % params.fill_width
+            actual = params.window_offset(bucket)
+            if actual != expected:
+                return {
+                    "position": position,
+                    "token": token,
+                    "expected_offset": expected,
+                    "actual_offset": actual,
+                }
+            position += 1
+        return None
+
+    witnesses = {
+        "R1": distinct_labels(),
+        "R2": window_counts(),
+        "R3": label_residues(),
+        "R4": move_budget(),
+        "R5": stage_map("stage2_bucket", params.first_set_size),
+        "R6": stage_map("stage3_bucket", params.second_set_size),
+        "RC": ascending_direction(),
+    }
+    return RequirementReport(
+        tuple(
+            RequirementCheck(requirement_id, True)
+            if witness is None
+            else RequirementCheck(requirement_id, False, {"params": asdict(params), **witness})
+            for requirement_id, witness in witnesses.items()
+        )
+    )
 
 
 def reference_sweep(domain: SweepDomain) -> SweepReport:

@@ -469,6 +469,28 @@ class TestArgumentHandling:
         assert err.count("\n") == 1
 
 
+    @pytest.mark.parametrize(
+        "command, rows",
+        [
+            (["plan"], ["token,label,stage1_bucket", "0,0,0", "1,1,0", "2,2,0"]),
+            (
+                ["trace", "--target-buckets", str(10**20 + 1)],
+                [
+                    "token,label,stage1_bucket,stage2_bucket,stage3_bucket,moved",
+                    "0,0,0,0,0,0",
+                    "1,1,0,1,1,1",
+                    "2,2,0,2,2,1",
+                ],
+            ),
+        ],
+    )
+    def test_a_ring_too_large_to_index_still_places_its_tokens(self, capsys, command, rows):
+        # Stage 1 builds only the window slots its three tokens take.
+        instance = ["--tokens", "3", "--buckets", str(10**20), "--fill", "1", "--first", "0"]
+        code, out, err = run_cli(capsys, command + instance + ["--format", "csv"])
+        assert (code, err) == (0, "")
+        assert out.splitlines() == rows
+
 class TestShapeOfWork:
     """No command, parse or check builds the per-token TokenPlacement tuple."""
 

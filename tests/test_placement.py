@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import example, given
 
@@ -129,6 +131,17 @@ class TestPlanStage1:
 
     def test_empty_instance_yields_empty_plan(self):
         assert plan_stage1(make_params(0, 3, 1)) == []
+
+    def test_a_wide_window_builds_only_the_slots_its_tokens_take(self):
+        params = make_params(3, 2_000_000, 2_000_000)
+        tracemalloc.start()
+        try:
+            plan = plan_stage1(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert plan == [(0, 1_999_999), (1, 1_999_998), (2, 1_999_997)]
+        assert peak < 64 * 1024
 
     @given(placement_params())
     def test_all_assignments_stay_inside_the_window(self, params):

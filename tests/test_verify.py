@@ -18,6 +18,7 @@ from ringfill import (
     PlacementParams,
     RequirementCheck,
     SweepDomain,
+    TokenPlacement,
     check_requirements,
     gap,
     plan_stage1,
@@ -28,7 +29,13 @@ from ringfill import (
 from ringfill.cli import sweep_report_document
 from ringfill.verify import _Tally
 
-from conftest import _label_residue_counts, make_params, placement_params, reference_sweep
+from conftest import (
+    _label_residue_counts,
+    make_params,
+    placement_params,
+    reference_check_requirements,
+    reference_sweep,
+)
 
 
 def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
@@ -47,44 +54,58 @@ def assert_witness_fields(check, trace, *fields) -> None:
     assert check.witness["params"] == asdict(trace.params)
 
 
-def inject_fold(monkeypatch, requirement_id: str, fold) -> None:
-    """Swap the fold factory of one ``_REQUIREMENTS`` entry for ``fold``."""
+def inject_row(monkeypatch, requirement_id: str, offender, histogram=None) -> None:
+    """Swap the offender and histogram of one ``_REQUIREMENTS`` row."""
     table = list(ringfill.verify._REQUIREMENTS)
     index = REQUIREMENT_IDS.index(requirement_id)
-    _, description, _ = table[index]
-    table[index] = (requirement_id, description, fold)
+    _, description, _, _ = table[index]
+    table[index] = (requirement_id, description, offender, histogram)
     monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
 
 
-class AlwaysFails:
-    """A fold that fails on every prefix, the empty one included."""
-
-    def __init__(self, params):
-        pass
-
-    def extend(self, trace, begin, end):
-        pass
-
-    def witness(self):
-        return {"forced": True}
+def always_fails(trace):
+    """An offender before the first token, so every run fails, the empty
+    one included."""
+    return -1, {"forced": True}
 
 
-class FailsOnThreeTokensOfTwoTwoZero:
-    """A fold that fails exactly on the quadruple ``(T, B, C, f) = (3, 2, 2, 0)``.
+def fails_from_five_tokens_of_two_two_zero(trace):
+    """An offender at token 4 of the triple ``(B, C, f) = (2, 2, 0)``.
 
-    It sees only the triple in its params and the tokens fed so far,
-    so the sweep's prefix reads and a whole-trace check judge alike.
+    It reads only the triple in the trace's params, so the sweep's
+    prefix reads and a whole-trace check judge alike.
     """
+    params = trace.params
+    if (params.first_set_size, params.fill_width, params.first_bucket) == (2, 2, 0):
+        return 4, {"forced": True}
+    return None
 
-    def __init__(self, params):
-        self.triple = (params.first_set_size, params.fill_width, params.first_bucket)
-        self.fed = 0
 
-    def extend(self, trace, begin, end):
-        self.fed = end
+class FiveTokens(SweepDomain):
+    """A domain of the five-token instances only."""
 
-    def witness(self):
-        return {"forced": True} if (self.fed, *self.triple) == (3, 2, 2, 0) else None
+    def iter_planning_instances(self):
+        for planning in super().iter_planning_instances():
+            if planning.token_count == 5:
+                yield planning
+
+
+@st.composite
+def broken_traces(draw):
+    """A ``run_lifecycle`` trace with one entry of one column changed:
+    a move flag flipped, or a label or bucket set to another small int,
+    which may lie outside its set."""
+    params = draw(placement_params().filter(lambda params: params.token_count))
+    trace = run_lifecycle(params)
+    name = draw(st.sampled_from(TokenPlacement._fields[1:]))
+    column = list(getattr(trace, name))
+    token = draw(st.integers(0, len(column) - 1))
+    if name == "moved_in_stage2":
+        column[token] = not column[token]
+    else:
+        values = st.integers(-1, 2 * params.second_set_size)
+        column[token] = draw(values.filter(column[token].__ne__))
+    return replace(trace, **{name: tuple(column)})
 
 
 class TestReportContainer:
@@ -156,6 +177,23 @@ class TestCheckRequirements:
         assert check.witness["spread"] == 2
         assert_witness_fields(check, trace, "window_counts", "spread")
         assert [c.id for c in report.failures()] == ["R2"]
+
+    def test_window_counts_leave_out_a_bucket_outside_the_window(self):
+        # Token 3's stage-1 bucket, 2, is the slot one past the window {0, 1}.
+        trace = build_trace(
+            make_params(4, 4, 2, target=5),
+            [
+                (0, 0, 0, 0, False),
+                (1, 0, 1, 1, True),
+                (2, 0, 2, 2, True),
+                (3, 2, 3, 3, True),
+            ],
+        )
+        report = check_requirements(trace)
+        assert tuple(check.id for check in report.checks) == REQUIREMENT_IDS
+        check = report["R2"]
+        assert check.witness["window_counts"] == [3, 0]
+        assert check.witness["spread"] == 3
 
     def test_unbalanced_label_residues_are_detected(self):
         trace = build_trace(
@@ -284,6 +322,25 @@ class TestCheckRequirements:
         check = check_requirements(run_lifecycle(params))["R6"]
         rebuilt = PlacementParams(**check.witness["params"])
         assert check_requirements(run_lifecycle(rebuilt))["R6"] == check
+
+    def test_requirements_that_share_a_histogram_share_its_tally(self, monkeypatch):
+        # R3 and R5 both count label % B: three histograms, not four.
+        built = []
+
+        class CountedTally(_Tally):
+            def __init__(self, size):
+                built.append(size)
+                super().__init__(size)
+
+        monkeypatch.setattr(ringfill.verify, "_Tally", CountedTally)
+        report = check_requirements(run_lifecycle(make_params(5, 4, 3, target=5)))
+        assert [check.id for check in report.failures()] == ["R6"]
+        assert built == [3, 4, 5]
+
+    @given(broken_traces())
+    def test_broken_traces_get_the_reference_verdict(self, trace):
+        # repr compares the witnesses' key order too.
+        assert repr(check_requirements(trace)) == repr(reference_check_requirements(trace))
 
     @given(placement_params())
     def test_real_traces_only_ever_fail_reshard_counts_on_gaps(self, params):
@@ -419,12 +476,6 @@ class TestSweep:
     def test_minimal_r6_witness_is_taken_at_its_own_second_set_size(self):
         # In every SweepDomain the first R6 failure, (3, 2, 2, 0, 3), is at the
         # smallest second-set size; with five tokens it is at B' = 5, not B + 1.
-        class FiveTokens(SweepDomain):
-            def iter_planning_instances(self):
-                for planning in super().iter_planning_instances():
-                    if planning.token_count == 5:
-                        yield planning
-
         domain = FiveTokens(max_buckets=2, target_span=3)
         report = sweep(domain)
         assert report == reference_sweep(domain)
@@ -439,7 +490,7 @@ class TestSweep:
                 assert check_requirements(run_lifecycle(params)).all_pass
 
     def test_quadruple_failure_fans_out_to_every_instance(self, monkeypatch):
-        inject_fold(monkeypatch, "R2", AlwaysFails)
+        inject_row(monkeypatch, "R2", always_fails)
         domain = SweepDomain(max_buckets=2)
         report = sweep(domain)
         assert report == reference_sweep(domain)
@@ -455,15 +506,18 @@ class TestSweep:
         assert report.violation_counts["R6"] == 4
 
     def test_json_lists_minimal_violations_in_requirement_order(self, monkeypatch):
-        # RC fails only on the quadruple where R6 first fails, so the sweep
-        # finds RC first while the reference finds R6 first.
-        inject_fold(monkeypatch, "RC", FailsOnThreeTokensOfTwoTwoZero)
-        domain = SweepDomain(max_buckets=2)
-        document = sweep_report_document(sweep(domain))
+        # RC fails on the quadruple (5, 2, 2, 0), where R6 fails only at
+        # B' = 5: the sweep, which reads by requirement, finds R6 first,
+        # while the reference, which goes by instance, finds RC first.
+        inject_row(monkeypatch, "RC", fails_from_five_tokens_of_two_two_zero)
+        domain = FiveTokens(max_buckets=2, target_span=3)
+        report = sweep(domain)
+        reference = reference_sweep(domain)
+        assert list(report.minimal_violations) == ["R6", "RC"]
+        assert list(reference.minimal_violations) == ["RC", "R6"]
+        document = sweep_report_document(report)
         assert list(document["minimal_violations"]) == ["R6", "RC"]
-        assert json.dumps(document) == json.dumps(
-            sweep_report_document(reference_sweep(domain))
-        )
+        assert json.dumps(document) == json.dumps(sweep_report_document(reference))
 
     def test_sweep_runs_one_lifecycle_and_one_oracle_walk_per_triple(
         self, monkeypatch
@@ -540,6 +594,24 @@ class TestSweep:
         params, check = report.minimal_violations["R4"]
         assert params.token_count == 6
         assert check.witness["token"] == 5
+
+    def test_a_stage3_bucket_off_its_label_residue_is_unexpected(self, monkeypatch):
+        # Stage 3 taken modulo one more than the second-set size: token 2,
+        # label 2, lands in bucket 2 of (1, 1, 0)'s second set of 2.
+        real = ringfill.verify.run_lifecycle
+
+        def off_by_one_set(params):
+            trace = real(params)
+            size = params.second_set_size + 1
+            return replace(trace, stage3_bucket=tuple(value % size for value in trace.label))
+
+        monkeypatch.setattr(ringfill.verify, "run_lifecycle", off_by_one_set)
+        report = sweep(SweepDomain(max_buckets=3))
+        assert not report.only_expected_failures
+        params, check = report.minimal_violations["R6"]
+        assert params == PlacementParams(3, 1, 1, 0, 2)
+        assert check.witness["clause"] == "residue"
+        assert check.witness["token"] == 2
 
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
