@@ -12,10 +12,15 @@ subcommand emits the prefix of that shape it can know (params without a
 second set, records without post-rebalance buckets).  CSV rows carry the
 same fields.  Every format is written from the trace's columns, or the
 plan's, with one row template per format and no per-token record: the
-rows are formatted and joined a block at a time, the move flag is
-``false``/``true`` in JSON and, as a bool is an int, ``0``/``1`` in CSV
-and table cells.  The trace parser builds the columns straight from the
-JSON records, with one pass per field and per check.
+move flag is ``false``/``true`` in JSON and, as a bool is an int,
+``0``/``1`` in CSV and table cells.  Each writer yields its report a
+block of rows at a time, and the command writes each block to its
+output as it comes, so a report holds its trace, or nothing for a plan
+in JSON or CSV, plus one block.  Everything that can fail on bad input
+runs before the output file is opened.  ``plan_report`` and
+``trace_report`` join the same blocks into one text.  The trace parser
+builds the columns straight from the JSON records, with one pass per
+field and per check.
 """
 
 from __future__ import annotations
@@ -23,9 +28,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, fields
-from itertools import compress, count, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 from operator import eq, is_, itemgetter, not_
 from typing import Any
 
@@ -85,6 +90,11 @@ def _nonneg_int(text: str) -> int:
 
 def plan_report(params: PlacementParams) -> str:
     """Stage-1 report as JSON text: instance fields plus one record per token."""
+    return "".join(_plan_blocks(params))
+
+
+def _plan_blocks(params: PlacementParams) -> Iterator[str]:
+    """The blocks of the plan JSON report, in order."""
     return _render_report(
         {
             "token_count": params.token_count,
@@ -114,6 +124,12 @@ def _check_document(check: RequirementCheck) -> dict:
 
 def trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
     """Full lifecycle report as JSON text."""
+    return "".join(_trace_blocks(trace, report))
+
+
+def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[str]:
+    """The blocks of the lifecycle JSON report, in order; the histograms
+    and the gap are computed before the first block is."""
     return _render_report(
         asdict(trace.params),
         TokenPlacement._fields,
@@ -289,55 +305,63 @@ def _json_member(name: str, value: Any) -> str:
 
 def _render_report(
     params: dict, fields: tuple[str, ...], columns: Sequence[Iterable], rest: dict
-) -> str:
-    """``json.dumps(document, indent=2) + "\n"`` without a dict per record.
+) -> Iterator[str]:
+    """``json.dumps(document, indent=2) + "\n"``, a block at a time and
+    without a dict per record.
 
     The document is ``params``, then ``placements`` with one record per
     row of ``columns`` under the names ``fields``, then the members of
-    ``rest``.  Each record is written from one row template, so no list
-    of rows is built; the columns' values must already be JSON literals
-    or ints.
+    ``rest``.  Each record is written from one row template; the
+    columns' values must already be JSON literals or ints.  Nothing is
+    formatted before the first block is asked for.
     """
     members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
     template = "    {\n" + members + "\n    }"
-    # Records and top-level members are both separated by ",\n", so one
-    # join writes the whole text.
-    lines = _join_rows(template, columns, ",\n")
-    if lines:
-        lines[0] = '  "placements": [\n' + lines[0]
-        lines[-1] += "\n  ]"
+    yield "{\n" + _json_member("params", params) + ",\n"
+    blocks = _join_rows(template, columns, ",\n")
+    first = next(blocks, None)
+    if first is None:
+        yield '  "placements": []'
     else:
-        lines = ['  "placements": []']
-    lines.insert(0, "{\n" + _json_member("params", params))
-    lines += [_json_member(name, value) for name, value in rest.items()]
-    lines[-1] += "\n}\n"
-    return ",\n".join(lines)
+        yield '  "placements": [\n'
+        yield first
+        del first  # hold one block at a time
+        yield from blocks
+        yield "\n  ]"
+    for name, value in rest.items():
+        yield ",\n" + _json_member(name, value)
+    yield "\n}\n"
 
 
-def _join_rows(row_format: str, columns: Sequence[Iterable], separator: str) -> list[str]:
-    """The rows of ``columns`` in ``row_format``, joined by ``separator``
-    in blocks of ``_BLOCK_ROWS``; a block joined by ``separator`` too
-    gives the text of all rows, and no string per row outlives its block."""
-    rows = map(row_format.__mod__, zip(*columns))
-    return list(iter(lambda: separator.join(islice(rows, _BLOCK_ROWS)), ""))
+def _join_rows(row_format: str, columns: Sequence[Iterable], separator: str) -> Iterator[str]:
+    """The rows of ``columns`` in ``row_format`` with ``separator``
+    between them, a block of ``_BLOCK_ROWS`` rows at a time: every row
+    after the first starts with a separator, so the blocks concatenate
+    to the text of all rows, and no string per row outlives its block."""
+    rows = zip(*columns)
+    lines = chain(
+        map(row_format.__mod__, islice(rows, 1)), map((separator + row_format).__mod__, rows)
+    )
+    return iter(lambda: "".join(islice(lines, _BLOCK_ROWS)), "")
 
 
-# CSV and table cells are %d, so a bool is written 0 or 1; the trailing ""
-# ends the text in a newline without copying it after the join.
-def _render_csv(fields: tuple[str, ...], columns: Sequence[Iterable[int]]) -> str:
-    row_format = ",".join(["%d"] * len(fields))
-    return "\n".join([",".join(fields), *_join_rows(row_format, columns, "\n"), ""])
+# CSV and table cells are %d, so a bool is written 0 or 1; every line,
+# the header's too, ends in a newline.
+def _render_csv(fields: tuple[str, ...], columns: Sequence[Iterable[int]]) -> Iterator[str]:
+    row_format = ",".join(["%d"] * len(fields)) + "\n"
+    return chain([",".join(fields) + "\n"], _join_rows(row_format, columns, ""))
 
 
-def _render_table(header: tuple[str, ...], columns: Sequence[Sequence[int]]) -> str:
+def _render_table(header: tuple[str, ...], columns: Sequence[Sequence[int]]) -> Iterator[str]:
+    # The widths are read here, before the first block is asked for.
     # The widest int of a column is its smallest or its largest.
     widths = [
         max(len(name), len("%d" % min(column)), len("%d" % max(column))) if column else len(name)
         for name, column in zip(header, columns)
     ]
-    row_format = "  ".join(f"%{width}d" for width in widths)
+    row_format = "  ".join(f"%{width}d" for width in widths) + "\n"
     header_line = "  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()
-    return "\n".join([header_line, *_join_rows(row_format, columns, "\n"), ""])
+    return chain([header_line + "\n"], _join_rows(row_format, columns, ""))
 
 
 def _gap_line(descriptor) -> str:
@@ -359,12 +383,18 @@ def _requirement_lines(report: RequirementReport) -> list[str]:
     return lines
 
 
-def _emit(text: str, path: str | None) -> None:
+def _emit(blocks: Iterable[str], path: str | None) -> None:
+    """Write ``blocks`` to ``path``, or to stdout when it is None, one
+    block at a time.
+
+    The file is opened only here, so every fallible step of a command
+    must run before its writer's first block: bad input leaves no file.
+    """
     if path is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(blocks)
         return
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        handle.write(text)
+        handle.writelines(blocks)
 
 
 def _instance_params(args: argparse.Namespace, second_set_size: int) -> PlacementParams:
@@ -381,14 +411,14 @@ def cmd_plan(args: argparse.Namespace) -> int:
     # Stage 1 never looks at the second set; any legal size will do.
     params = _instance_params(args, args.buckets + 1)
     if args.format == "json":
-        text = plan_report(params)
+        blocks = _plan_blocks(params)
     elif args.format == "csv":
-        text = _render_csv(PLAN_CSV_FIELDS, _plan_columns(params))
+        blocks = _render_csv(PLAN_CSV_FIELDS, _plan_columns(params))
     else:
         # The table reads its label and bucket columns twice: once for the widths.
         tokens, *stage1 = _plan_columns(params)
-        text = _render_table(PLAN_CSV_FIELDS, (tokens, *map(tuple, stage1)))
-    _emit(text, args.output)
+        blocks = _render_table(PLAN_CSV_FIELDS, (tokens, *map(tuple, stage1)))
+    _emit(blocks, args.output)
     return 0
 
 
@@ -396,17 +426,20 @@ def cmd_trace(args: argparse.Namespace) -> int:
     params = _instance_params(args, args.target_buckets)
     trace = run_lifecycle(params)
     if args.format == "json":
-        text = trace_report(trace, check_requirements(trace))
+        blocks = _trace_blocks(trace, check_requirements(trace))
     elif args.format == "csv":
-        text = _render_csv(TRACE_CSV_FIELDS, trace.columns)
+        blocks = _render_csv(TRACE_CSV_FIELDS, trace.columns)
     else:
-        # The table ends in a newline, so the join leaves a blank line after it.
-        lines = [_render_table(TRACE_CSV_FIELDS, trace.columns)]
-        for name in ("occupancy1", "occupancy2", "occupancy3"):
-            lines.append(f"{name}: " + " ".join(map(str, getattr(trace, name))))
-        lines += [_gap_line(gap(params)), ""]
-        text = "\n".join(lines)
-    _emit(text, args.output)
+        # A blank line parts the table from its summary.
+        summary = [
+            f"{name}: " + " ".join(map(str, getattr(trace, name)))
+            for name in ("occupancy1", "occupancy2", "occupancy3")
+        ]
+        summary.append(_gap_line(gap(params)))
+        blocks = chain(
+            _render_table(TRACE_CSV_FIELDS, trace.columns), ["\n" + "\n".join(summary) + "\n"]
+        )
+    _emit(blocks, args.output)
     return 0
 
 
@@ -415,10 +448,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     trace = run_lifecycle(params)
     report = check_requirements(trace)
     if args.format == "json":
-        text = trace_report(trace, report)
+        blocks = _trace_blocks(trace, report)
     else:
-        text = "\n".join(_requirement_lines(report)) + "\n"
-    _emit(text, args.output)
+        blocks = ["\n".join(_requirement_lines(report)) + "\n"]
+    _emit(blocks, args.output)
     return 0 if report.all_pass else 2
 
 
@@ -448,7 +481,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         else:
             lines.append("result: UNEXPECTED violations found")
         text = "\n".join(lines) + "\n"
-    _emit(text, args.output)
+    _emit([text], args.output)
     return 0 if report.only_expected_failures else 2
 
 

@@ -25,9 +25,11 @@ of two forms.  An offender fails it for good at the first offending
 token: R1, R4, RC and the residue clauses of R5 and R6.  A histogram
 fails it while its spread is over 1: R2 over the stage-1 window
 offsets, R3 and the count clauses of R5 and R6 over label residues.
-R3 and R5 count the same ``label % B``, so one tally serves both; R5's
-and R6's counts are their stage's bucket counts for as long as the
-residue clause holds, and the offender's witness wins after that.  One
+R3 and R5 count the same ``label % B``, so one tally serves both, and
+an offender reads the buckets its histogram built, so R5's and R6's
+residue clauses compare their stage with those residues.  R5's and
+R6's counts are their stage's bucket counts for as long as the residue
+clause holds, and the offender's witness wins after that.  One
 reader gives a requirement's witness on the first ``t`` tokens of a
 run, and no offender or histogram reads the token count, so that is
 the requirement's verdict on the run of ``t`` tokens.
@@ -160,14 +162,15 @@ class _Tally:
         self.spread = high - low
 
 
-# A requirement's offender is a function of the trace that gives the
-# first offending token and that token's witness fields, or None; both
-# depend only on the tokens up to the offender.  Its histogram is a pair
-# (witness name, buckets): ``buckets(params, trace)`` gives one bucket
-# per token and the number of buckets, from ``params`` rather than the
-# trace's own so the sweep can ask for every second-set size, and a
-# token whose bucket is not below that number is not counted.  Neither
-# reads ``token_count``.
+# A requirement's offender is a function of the trace and of its
+# histogram's buckets (None for a requirement without one) that gives
+# the first offending token and that token's witness fields, or None;
+# both depend only on the tokens up to the offender.  Its histogram is a
+# pair (witness name, buckets): ``buckets(params, trace)`` gives one
+# bucket per token and the number of buckets, from ``params`` rather
+# than the trace's own so the sweep can ask for every second-set size,
+# and a token whose bucket is not below that number is not counted.
+# Neither reads ``token_count``.
 
 
 def _first(flags: Iterable[object]) -> int | None:
@@ -182,10 +185,12 @@ def _window_offsets(buckets: Iterable[int], params: PlacementParams) -> Iterator
     )
 
 
-def _repeated_label(trace: LifecycleTrace) -> tuple[int, dict] | None:
+def _repeated_label(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     """R1: the first token whose label an earlier token carries."""
     labels = trace.label
-    if len(set(labels)) == len(labels):
+    # A sorted copy of the labels takes a fraction of a set's memory.
+    ordered = sorted(labels)
+    if all(map(lt, ordered, islice(ordered, 1, None))):
         return None
     # Each token's label was first carried by owners[token].
     owners = list(map({}.setdefault, labels, count()))
@@ -193,7 +198,7 @@ def _repeated_label(trace: LifecycleTrace) -> tuple[int, dict] | None:
     return token, {"token_a": owners[token], "token_b": token, "label": labels[token]}
 
 
-def _bad_move(trace: LifecycleTrace) -> tuple[int, dict] | None:
+def _bad_move(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     """R4: the first token whose move flag lies or whose move stays in the window."""
     params = trace.params
     stage1, stage2 = trace.stage1_bucket, trace.stage2_bucket
@@ -217,11 +222,11 @@ def _bad_move(trace: LifecycleTrace) -> tuple[int, dict] | None:
     }
 
 
-def _off_residue(column: str, residues_of, trace: LifecycleTrace) -> tuple[int, dict] | None:
-    """R5 and R6: the first token whose bucket in ``column`` is not the
-    label residue that ``residues_of``, the requirement's histogram,
-    gives it."""
-    residues, _ = residues_of(trace.params, trace)
+def _off_residue(
+    column: str, trace: LifecycleTrace, residues: Sequence[int]
+) -> tuple[int, dict] | None:
+    """R5 and R6: the first token whose bucket in ``column`` is not its
+    label residue in ``residues``, the requirement's histogram."""
     buckets = getattr(trace, column)
     if buckets == residues:
         return None
@@ -235,7 +240,7 @@ def _off_residue(column: str, residues_of, trace: LifecycleTrace) -> tuple[int, 
     }
 
 
-def _off_step(trace: LifecycleTrace) -> tuple[int, dict] | None:
+def _off_step(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     """RC: the first moved token that did not take the ascending stream's
     next window slot."""
     params = trace.params
@@ -302,13 +307,13 @@ _REQUIREMENTS = (
     (
         "R5",
         "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
-        partial(_off_residue, "stage2_bucket", _first_set_residues),
+        partial(_off_residue, "stage2_bucket"),
         ("occupancy2", _first_set_residues),
     ),
     (
         "R6",
         "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
-        partial(_off_residue, "stage3_bucket", _second_set_residues),
+        partial(_off_residue, "stage3_bucket"),
         ("occupancy3", _second_set_residues),
     ),
     (
@@ -326,15 +331,20 @@ REQUIREMENT_DESCRIPTIONS = {row[0]: row[1] for row in _REQUIREMENTS}
 
 def _histogram(
     buckets_of, params: PlacementParams, trace: LifecycleTrace
-) -> tuple[_Tally, Sequence[int], Sequence[int]]:
-    """An empty tally of the histogram ``buckets_of`` gives on ``params``
-    and ``trace``, the buckets it counts, and for each ``t`` how many of
-    them the first ``t`` tokens hold."""
+) -> tuple[Sequence[int], _Tally, Sequence[int], Sequence[int]]:
+    """The buckets the histogram ``buckets_of`` gives on ``params`` and
+    ``trace``, an empty tally of them, the buckets it counts, and for
+    each ``t`` how many of them the first ``t`` tokens hold."""
     buckets, size = buckets_of(params, trace)
     if max(buckets, default=0) < size:
-        return _Tally(size), buckets, range(len(buckets) + 1)
+        return buckets, _Tally(size), buckets, range(len(buckets) + 1)
     counted = [bucket for bucket in buckets if bucket < size]
-    return _Tally(size), counted, list(accumulate(map(lt, buckets, repeat(size)), initial=0))
+    return (
+        buckets,
+        _Tally(size),
+        counted,
+        list(accumulate(map(lt, buckets, repeat(size)), initial=0)),
+    )
 
 
 def _witness(
@@ -374,29 +384,35 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     failing verdict carries enough detail (full parameters plus the
     offending indices) to reproduce the failure from scratch.  The empty
     trace passes everything vacuously.  Each requirement is read on the
-    whole trace; requirements that share a histogram share its tally.
+    whole trace.  Requirements that share a histogram are read together,
+    from one tally and one copy of its buckets, and each histogram's
+    buckets are dropped before the next histogram's are built.
     """
     params = trace.params
     tokens = len(trace.label)
-    tallies: dict = {}
-    checks = []
+    by_histogram: dict = {}
     for row in _REQUIREMENTS:
-        requirement_id, _, find_offender, histogram = row
-        tally = None
-        if histogram is not None:
-            buckets_of = histogram[1]
-            if buckets_of not in tallies:
-                tally, counted, _ = _histogram(buckets_of, params, trace)
-                tally.extend(counted)
-                tallies[buckets_of] = tally
-            tally = tallies[buckets_of]
-        offender = None if find_offender is None else find_offender(trace)
-        witness_fields = _witness(row, offender, tally, tokens)
-        if witness_fields is None:
-            checks.append(RequirementCheck(requirement_id, True))
-        else:
-            checks.append(_failed(requirement_id, params, witness_fields))
-    return RequirementReport(tuple(checks))
+        histogram = row[3]
+        by_histogram.setdefault(histogram and histogram[1], []).append(row)
+    witnesses = dict.fromkeys(REQUIREMENT_IDS)
+    for buckets_of, rows in by_histogram.items():
+        buckets = tally = None
+        if buckets_of is not None:
+            buckets, tally, counted, _ = _histogram(buckets_of, params, trace)
+            tally.extend(counted)
+            del counted
+        for row in rows:
+            find_offender = row[2]
+            offender = None if find_offender is None else find_offender(trace, buckets)
+            witnesses[row[0]] = _witness(row, offender, tally, tokens)
+    return RequirementReport(
+        tuple(
+            RequirementCheck(requirement_id, True)
+            if witness_fields is None
+            else _failed(requirement_id, params, witness_fields)
+            for requirement_id, witness_fields in witnesses.items()
+        )
+    )
 
 
 def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -553,23 +569,24 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         readings = []
         for row in _REQUIREMENTS:
             _, _, find_offender, histogram = row
-            offender = None if find_offender is None else find_offender(trace)
             buckets_of = None if histogram is None else histogram[1]
             per_second = buckets_of is _second_set_residues
             for second in seconds if per_second else seconds[:1]:
-                tally = None
+                buckets = tally = None
                 if buckets_of is not None:
                     if (buckets_of, second) not in feeds:
                         instance = replace(longest, second_set_size=second)
                         feeds[buckets_of, second] = _histogram(buckets_of, instance, trace)
-                    tally = feeds[buckets_of, second][0]
-                readings.append((row, second, 1 if per_second else len(seconds), offender, tally))
+                    buckets, tally, _, _ = feeds[buckets_of, second]
                 # The trace's stage 3 is that of the smallest B' alone.
                 offender = None
+                if find_offender is not None and second == seconds[0]:
+                    offender = find_offender(trace, buckets)
+                readings.append((row, second, 1 if per_second else len(seconds), offender, tally))
         fed = 0
         for planning in group:
             tokens = planning.token_count
-            for tally, counted, ends in feeds.values():
+            for _, tally, counted, ends in feeds.values():
                 tally.extend(counted[ends[fed] : ends[tokens]])
             fed = tokens
             report.instances_checked += len(seconds)

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import ringfill.cli
 from ringfill import LifecycleTrace, check_requirements, run_lifecycle
 from ringfill.cli import (
+    _BLOCK_ROWS,
     _render_csv,
     _render_table,
     main,
@@ -59,6 +60,7 @@ VERIFY_PASS_ARGS = [
     "--target-buckets",
     "5",
 ]
+ZERO_FILL = ["--tokens", "5", "--buckets", "4", "--fill", "0", "--first", "0"]
 VERIFY_FAIL_ARGS = [
     "verify",
     "--tokens",
@@ -72,6 +74,45 @@ VERIFY_FAIL_ARGS = [
     "--target-buckets",
     "5",
 ]
+
+
+# The memory bounds run on a first set of 37 buckets with a window of 20
+# from bucket 5; 20,003 tokens make 20 blocks of rows.
+MEMORY_FLAGS = ["--buckets", "37", "--fill", "20", "--first", "5"]
+MEMORY_TOKENS = 20003
+
+
+def instance_args(params, with_target=True):
+    """The instance flags that give ``params``."""
+    args = [
+        "--tokens", str(params.token_count),
+        "--buckets", str(params.first_set_size),
+        "--fill", str(params.fill_width),
+        "--first", str(params.first_bucket),
+    ]
+    if with_target:
+        args += ["--target-buckets", str(params.second_set_size)]
+    return args
+
+
+def traced_peak(call):
+    """The ``tracemalloc`` peak while ``call()`` runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class CountingWriter(io.TextIOWrapper):
+    """A text file that counts the calls to its ``write``."""
+
+    writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
 
 
 JSON_ATOMS = (None, True, -1, 2.0, 10**20, "x", [], {})
@@ -530,6 +571,71 @@ class TestOutputHandling:
         assert code == 1
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("command", ["plan", "trace"])
+    def test_a_long_report_is_written_a_block_at_a_time(
+        self, capsys, tmp_path, monkeypatch, command
+    ):
+        params = make_params(_BLOCK_ROWS + 476, 7, 3, first=5, target=11)
+        handles = []
+
+        def counting_open(path, mode, **options):
+            assert mode == "w"
+            handles.append(CountingWriter(open(path, "wb"), **options))
+            return handles[-1]
+
+        monkeypatch.setattr(ringfill.cli, "open", counting_open, raising=False)
+        path = tmp_path / "report.json"
+        argv = [command, *instance_args(params, with_target=command == "trace")]
+        code, out, err = run_cli(capsys, argv + ["--format", "json", "--output", str(path)])
+        assert (code, out, err) == (0, "", "")
+        assert len(handles) == 1 and handles[0].writes > 1
+        text = path.read_bytes().decode("utf-8")
+        if command == "plan":
+            assert text == plan_report(params) == reference_plan_report(params)
+        else:
+            trace = run_lifecycle(params)
+            report = check_requirements(trace)
+            assert text == trace_report(trace, report) == reference_trace_report(trace, report)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["plan", *ZERO_FILL, "--format", fmt] for fmt in ("table", "json", "csv")]
+        + [
+            [command, *ZERO_FILL, "--target-buckets", "5", "--format", fmt]
+            for command, formats in (("trace", ("table", "json", "csv")), ("verify", ("table", "json")))
+            for fmt in formats
+        ],
+    )
+    def test_bad_parameters_leave_no_output_file(self, capsys, tmp_path, argv):
+        path = tmp_path / "report"
+        code, out, err = run_cli(capsys, argv + ["--output", str(path)])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: fill_width must be between 1 and first_set_size")
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "name, argv",
+        [("_stage1_columns", PLAN_ARGS + ["--format", fmt]) for fmt in ("table", "json", "csv")]
+        + [("run_lifecycle", TRACE_ARGS + ["--format", fmt]) for fmt in ("table", "json", "csv")]
+        + [("run_lifecycle", VERIFY_FAIL_ARGS + ["--format", fmt]) for fmt in ("table", "json")]
+        + [("check_requirements", TRACE_ARGS + ["--format", "json"])]
+        + [("check_requirements", VERIFY_FAIL_ARGS + ["--format", "json"])]
+        + [("gap", TRACE_ARGS + ["--format", fmt]) for fmt in ("table", "json")]
+        # The table's column widths.
+        + [("max", TRACE_ARGS + ["--format", "table"]), ("max", PLAN_ARGS)],
+    )
+    def test_running_out_of_memory_leaves_no_output_file(
+        self, capsys, tmp_path, monkeypatch, name, argv
+    ):
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(ringfill.cli, name, exhausted, raising=False)
+        path = tmp_path / "report"
+        code, out, err = run_cli(capsys, argv + ["--output", str(path)])
+        assert (code, out, err) == (1, "", "error: MemoryError\n")
+        assert not path.exists()
+
     def test_repeated_runs_are_byte_identical(self, capsys):
         outputs = []
         for _ in range(2):
@@ -592,12 +698,13 @@ class TestReportWriters:
     )
     def test_table_equals_a_cell_by_cell_reference(self, rows):
         header = ("token", "label", "stage1_bucket")
-        assert _render_table(header, columns(rows, 3)) == reference_table(header, rows)
+        assert "".join(_render_table(header, columns(rows, 3))) == reference_table(header, rows)
 
     def test_table_writes_a_bool_column_one_digit_wide(self):
         header, rows = ("token", "m"), [(0, False), (12, True)]
         expected = "token  m\n    0  0\n   12  1\n"
-        assert _render_table(header, columns(rows, 2)) == reference_table(header, rows) == expected
+        table = "".join(_render_table(header, columns(rows, 2)))
+        assert table == reference_table(header, rows) == expected
 
     @pytest.mark.parametrize(
         "rows",
@@ -609,7 +716,7 @@ class TestReportWriters:
     )
     def test_csv_equals_the_csv_module(self, rows):
         header = ("token", "label", "moved")
-        assert _render_csv(header, columns(rows, 3)) == reference_csv(header, rows)
+        assert "".join(_render_csv(header, columns(rows, 3))) == reference_csv(header, rows)
 
     @pytest.mark.parametrize("shape", [(20000, 37, 20, 5, 60), (20001, 41, 17, 3, 70)])
     def test_trace_report_peak_memory_is_bounded_by_its_text(self, shape):
@@ -625,19 +732,50 @@ class TestReportWriters:
             tracemalloc.stop()
         assert peak <= 2.2 * len(text)
 
-    @pytest.mark.parametrize("fmt, ratio", [("csv", 3.2), ("json", 2.3), ("table", 4.4)])
+    @pytest.mark.parametrize("fmt, ratio", [("csv", 0.6), ("json", 0.2), ("table", 2.2)])
     def test_plan_peak_memory_is_bounded_by_the_written_report(self, tmp_path, fmt, ratio):
         # The rows are written as they are planned, a block at a time: only
         # the table holds its label and bucket columns.
         path = tmp_path / f"plan.{fmt}"
-        args = ["plan", "--tokens", "20003", "--buckets", "37", "--fill", "20", "--first", "5"]
+        args = ["plan", "--tokens", str(MEMORY_TOKENS), *MEMORY_FLAGS, "--format", fmt]
+        peak = traced_peak(lambda: main([*args, "--output", str(path)]))
+        assert peak <= ratio * path.stat().st_size
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_plan_peak_memory_does_not_grow_with_the_token_count(self, tmp_path, fmt):
+        path = tmp_path / f"plan.{fmt}"
+        peaks = [
+            traced_peak(
+                lambda tokens=tokens: main(
+                    ["plan", "--tokens", str(tokens), *MEMORY_FLAGS, "--format", fmt,
+                     "--output", str(path)]
+                )
+            )
+            for tokens in (MEMORY_TOKENS, 10 * MEMORY_TOKENS - 27)
+        ]
+        assert peaks[1] <= 1.1 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["trace", "--format", fmt] for fmt in ("json", "csv", "table")]
+        + [["verify", "--format", "json"]],
+    )
+    def test_a_report_holds_its_trace_and_a_few_blocks(self, tmp_path, argv):
+        params = make_params(MEMORY_TOKENS, 37, 20, first=5, target=60)
         tracemalloc.start()
         try:
-            assert main([*args, "--format", fmt, "--output", str(path)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
+            trace = run_lifecycle(params)
+            kept = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert peak <= ratio * path.stat().st_size
+        del trace
+        path = tmp_path / "report"
+        peak = traced_peak(lambda: main([*argv, *instance_args(params), "--output", str(path)]))
+        # A block of rows is one _BLOCK_ROWS-th of the report, give or
+        # take its histograms; the constant covers the parser and the
+        # requirement checks' scratch.
+        block = path.stat().st_size * _BLOCK_ROWS / MEMORY_TOKENS
+        assert peak <= kept + 4 * block + 128 * 1024
 
 
 class TestTraceRoundTrip:

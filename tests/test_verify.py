@@ -4,6 +4,9 @@ end state that R2 bounds."""
 from __future__ import annotations
 
 import json
+import sys
+import tracemalloc
+from collections import Counter
 from dataclasses import asdict, replace
 
 import pytest
@@ -63,13 +66,13 @@ def inject_row(monkeypatch, requirement_id: str, offender, histogram=None) -> No
     monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
 
 
-def always_fails(trace):
+def always_fails(trace, buckets):
     """An offender before the first token, so every run fails, the empty
     one included."""
     return -1, {"forced": True}
 
 
-def fails_from_five_tokens_of_two_two_zero(trace):
+def fails_from_five_tokens_of_two_two_zero(trace, buckets):
     """An offender at token 4 of the triple ``(B, C, f) = (2, 2, 0)``.
 
     It reads only the triple in the trace's params, so the sweep's
@@ -336,6 +339,39 @@ class TestCheckRequirements:
         report = check_requirements(run_lifecycle(make_params(5, 4, 3, target=5)))
         assert [check.id for check in report.failures()] == ["R6"]
         assert built == [3, 4, 5]
+
+    def test_each_histogram_builds_its_buckets_once(self):
+        # R5's and R6's residue clauses read the label residues their
+        # histograms built.
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        calls = Counter()
+
+        def count_calls(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+
+        sys.setprofile(count_calls)
+        try:
+            check_requirements(trace)
+        finally:
+            sys.setprofile(None)
+        histograms = ("_window_slots", "_first_set_residues", "_second_set_residues")
+        assert [calls[name] for name in histograms] == [1, 1, 1]
+
+    def test_peak_memory_above_the_trace_is_a_quarter_of_it(self):
+        # R1 sorts the labels instead of building a set of them, and each
+        # histogram's buckets go before the next one's are built.
+        tracemalloc.start()
+        try:
+            trace = run_lifecycle(make_params(20003, 37, 20, first=5, target=60))
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = check_requirements(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.all_pass
+        assert peak - kept <= 0.25 * kept
 
     @given(broken_traces())
     def test_broken_traces_get_the_reference_verdict(self, trace):
