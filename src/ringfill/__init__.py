@@ -15,11 +15,7 @@ with ``prose_oracle_stage1``, an independent walk of the two stream
 pointers, on every stage-1 instance.
 """
 
-from .lifecycle import (
-    LifecycleTrace,
-    TokenPlacement,
-    run_lifecycle,
-)
+from .lifecycle import LifecycleTrace, run_lifecycle
 from .placement import (
     GapDescriptor,
     PlacementParams,
@@ -51,7 +47,6 @@ __all__ = [
     "RequirementReport",
     "SweepDomain",
     "SweepReport",
-    "TokenPlacement",
     "check_requirements",
     "gap",
     "label",

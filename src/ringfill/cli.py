@@ -34,7 +34,7 @@ from itertools import chain, compress, count, islice, repeat
 from operator import eq, is_, itemgetter, not_
 from typing import Any
 
-from .lifecycle import LifecycleTrace, TokenPlacement, run_lifecycle
+from .lifecycle import FIELDS, LifecycleTrace, run_lifecycle
 from .placement import PlacementParams, _stage1_columns, gap
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
@@ -56,8 +56,8 @@ __all__ = [
     "trace_report",
 ]
 
-PLAN_CSV_FIELDS = TokenPlacement._fields[:3]
-TRACE_CSV_FIELDS = (*TokenPlacement._fields[:-1], "moved")
+PLAN_CSV_FIELDS = FIELDS[:3]
+TRACE_CSV_FIELDS = (*FIELDS[:-1], "moved")
 # Rows formatted per join: enough to amortise the join, few enough that
 # their strings are small beside the text they are joined into.
 _BLOCK_ROWS = 1024
@@ -132,7 +132,7 @@ def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[
     and the gap are computed before the first block is."""
     return _render_report(
         asdict(trace.params),
-        TokenPlacement._fields,
+        FIELDS,
         (*trace.columns[:-1], map(("false", "true").__getitem__, trace.moved_in_stage2)),
         {
             "occupancy1": trace.occupancy1,
@@ -207,7 +207,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     # One pass per check and one per field, in the order the checks read
     # an entry; the scans for an offender run only when a check fails.
     entries = _PlacementEntries(raw_placements)
-    placement_fields = set(TokenPlacement._fields)
+    placement_fields = set(FIELDS)
     entries.check(map(isinstance, raw_placements, repeat(dict)), "must be an object")
     entries.check(
         map(eq, map(dict.keys, raw_placements), repeat(placement_fields)),
@@ -215,14 +215,14 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     )
     tokens, *columns = (
         tuple(map(itemgetter(name), islice(raw_placements, entries.end)))
-        for name in TokenPlacement._fields
+        for name in FIELDS
     )
     entries.check(
         map(eq, tokens, count()),
         lambda index: f"has token {tokens[index]}, tokens must be dense and ordered",
     )
     *integer_columns, moved = tokens, *columns
-    for name, column in zip(TokenPlacement._fields, integer_columns):
+    for name, column in zip(FIELDS, integer_columns):
         if not {int}.issuperset(map(type, column[: entries.end])):
             entries.check(
                 map(is_, map(type, column), repeat(int)), f"field {name} must be an integer"

@@ -8,51 +8,43 @@ a second move inexpressible by construction.  Stage 3 is a fresh
 assignment into the second bucket set and is not counted as a move
 within the first set.
 
-A trace stores its parameters and one column per ``TokenPlacement``
-field after ``token``; the token is the index into every column.  The
-per-token records and each per-stage occupancy histogram are derived
-from the columns on first use.  Traces are immutable once produced and
-safe to share between threads.
+A trace stores its parameters and one column per report field after
+``token``, in the order ``FIELDS`` gives; the token is the index into
+every column.  There is no per-token record: the report writers, the
+parser and the verifier all read the columns.  Each per-stage occupancy
+histogram is tallied from its column on first use.  Traces are
+immutable once produced and safe to share between threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat, starmap
+from itertools import repeat
 from operator import mod
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 from .placement import PlacementParams, _stage1_columns
 
 __all__ = [
+    "FIELDS",
     "LifecycleTrace",
-    "TokenPlacement",
     "run_lifecycle",
 ]
 
-
-class TokenPlacement(NamedTuple):
-    """Per-token record across the three stages."""
-
-    token: int
-    label: int
-    stage1_bucket: int
-    stage2_bucket: int
-    stage3_bucket: int
-    moved_in_stage2: bool
+# The per-token fields of every report, in column order.
+FIELDS = ("token", "label", "stage1_bucket", "stage2_bucket", "stage3_bucket", "moved_in_stage2")
 
 
 @dataclass(frozen=True)
 class LifecycleTrace:
     """One instance's placements as columns, plus occupancy per stage.
 
-    Column ``name`` holds every token's ``TokenPlacement.name``, in
-    token order.  ``placements`` is the read-only tuple of per-token
-    records, which no command reads, and ``occupancyN`` the read-only
-    tally of the ``stageN_bucket`` column, each made at most once per
-    trace.  ``occupancy1`` and ``occupancy2`` are indexed by first-set
-    bucket, ``occupancy3`` by second-set bucket.
+    Column ``name`` holds every token's field ``name`` of ``FIELDS``,
+    in token order.  ``occupancyN`` is the read-only tally of the
+    ``stageN_bucket`` column, made at most once per trace.
+    ``occupancy1`` and ``occupancy2`` are indexed by first-set bucket,
+    ``occupancy3`` by second-set bucket.
     """
 
     params: PlacementParams
@@ -64,14 +56,9 @@ class LifecycleTrace:
 
     @property
     def columns(self) -> tuple[Sequence[int], ...]:
-        """Every ``TokenPlacement`` field as a column, in field order; the
-        token column is the range of indices."""
-        fields = TokenPlacement._fields[1:]
-        return (range(len(self.label)), *(getattr(self, name) for name in fields))
-
-    @cached_property
-    def placements(self) -> tuple[TokenPlacement, ...]:
-        return tuple(starmap(TokenPlacement, zip(*self.columns)))
+        """Every field of ``FIELDS`` as a column, in that order; the token
+        column is the range of indices."""
+        return (range(len(self.label)), *(getattr(self, name) for name in FIELDS[1:]))
 
     @cached_property
     def occupancy1(self) -> tuple[int, ...]:
@@ -87,7 +74,11 @@ class LifecycleTrace:
 
 
 def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
-    """Histogram of bucket indices in ``[0, size)``, zero counts included."""
+    """Histogram of bucket indices in ``[0, size)``, zero counts included.
+
+    It counts the occupancy histograms and every histogram that
+    ``ringfill.verify.check_requirements`` reads on a whole trace.
+    """
     counts = [0] * size
     for bucket in buckets:
         counts[bucket] += 1

@@ -83,11 +83,6 @@ class PlacementParams:
                 f"second_set_size={self.second_set_size} with first_set_size={self.first_set_size}"
             )
 
-    def fill_window(self) -> tuple[int, ...]:
-        """Ring buckets available to stage 1, in window order."""
-        size = self.first_set_size
-        return tuple((self.first_bucket + i) % size for i in range(self.fill_width))
-
     def window_offset(self, bucket: int) -> int:
         """Distance of a ring bucket from the window start, around the ring."""
         return (bucket - self.first_bucket) % self.first_set_size

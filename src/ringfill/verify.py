@@ -33,7 +33,9 @@ clause holds, and the offender's witness wins after that.  One
 reader gives a requirement's witness on the first ``t`` tokens of a
 run, and no offender or histogram reads the token count, so that is
 the requirement's verdict on the run of ``t`` tokens.
-``check_requirements`` reads every requirement on the whole trace.
+``check_requirements`` reads every requirement on the whole trace and
+counts each histogram's whole column with ``ringfill.lifecycle._tally``,
+the code behind the occupancy histograms.
 
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
@@ -43,14 +45,16 @@ the token count ``T``, so the run of ``T`` tokens is the first ``T``
 tokens of every longer run.  Per ``(B, C, f)`` triple the sweep makes
 one lifecycle and one oracle walk, at the triple's largest ``T``, finds
 each offender once, and reads every smaller ``T``'s verdict after its
-first ``T`` tokens.  R1–R5, RC and the oracle comparison read only the
-stage-1 quadruple ``(T, B, C, f)``, so a failure there counts for every
-second-set size.  R6's histogram is the only one that reads the
-second-set size ``B'``; the sweep keeps one tally of ``label % B'`` per
-``B'``.  Parameters and witnesses are built only for each requirement's
-first failure and the first oracle mismatch.  The test suite holds the
-verdict to ``check_requirements`` on the full per-token trace of every
-instance, and ``check_requirements`` to a per-token restatement of the
+first ``T`` tokens: each histogram is a ``_Tally``, the sweep's own,
+fed one token at a time and its spread current after every token.
+R1–R5, RC and the oracle comparison read only the stage-1 quadruple
+``(T, B, C, f)``, so a failure there counts for every second-set size.
+R6's histogram is the only one that reads the second-set size ``B'``;
+the sweep keeps one tally of ``label % B'`` per ``B'``.  Parameters and
+witnesses are built only for each requirement's first failure and the
+first oracle mismatch.  The test suite holds the verdict to
+``check_requirements`` on the full per-token trace of every instance,
+and ``check_requirements`` to a per-token restatement of the
 requirements on broken traces.
 
 Spreads include zero-count buckets of the relevant set: all fill-window
@@ -62,11 +66,11 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
-from itertools import accumulate, compress, count, groupby, islice, repeat
+from itertools import compress, count, groupby, islice, repeat
 from operator import attrgetter, lt, mod, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lifecycle import LifecycleTrace, run_lifecycle
+from .lifecycle import LifecycleTrace, _tally, run_lifecycle
 from .placement import PlacementParams, gap
 
 __all__ = [
@@ -113,10 +117,10 @@ class RequirementReport:
 class _Tally:
     """Histogram of ``[0, size)`` under +1 increments, its spread kept current.
 
-    ``high`` is the largest count, ``low`` the smallest, ``spread`` their
-    difference and ``at_low`` the number of buckets holding ``low``.
-    ``extend`` adds a stretch of increments in amortised O(1) each, and
-    ``spread`` is current after every ``extend``.
+    The sweep's histogram of every prefix of a run.  ``high`` is the
+    largest count, ``low`` the smallest, ``spread`` their difference and
+    ``at_low`` the number of buckets holding ``low``.  ``add`` is
+    amortised O(1), and ``spread`` is current after every ``add``.
     """
 
     __slots__ = ("counts", "high", "low", "at_low", "spread")
@@ -128,38 +132,26 @@ class _Tally:
         self.at_low = size
         self.spread = 0
 
-    def extend(self, buckets: Sequence[int]) -> None:
-        """Add one to each of ``buckets``' counts, in order."""
+    def add(self, bucket: int) -> None:
+        """Add one to ``bucket``'s count; a bucket not below the size is
+        not counted."""
         counts = self.counts
-        if len(buckets) >= len(counts):
-            # A stretch at least as long as the histogram pays for one
-            # O(size) pass over it.
-            for bucket in buckets:
-                counts[bucket] += 1
-            self.high = max(counts)
-            self.low = min(counts)
-            self.at_low = counts.count(self.low)
-            self.spread = self.high - self.low
+        if bucket >= len(counts):
             return
+        count = counts[bucket] + 1
+        counts[bucket] = count
         # ``low`` rises only when an increment lifts the last bucket at
         # it; every bucket then holds at least the new ``low``, and one
         # rescan counts the buckets at it.  That happens at most once per
         # ``size`` increments.
-        high, low, at_low = self.high, self.low, self.at_low
-        lifted = low + 1  # a bucket's count after an increment from low
-        for bucket in buckets:
-            count = counts[bucket] + 1
-            counts[bucket] = count
-            if count == lifted:
-                at_low -= 1
-                if not at_low:
-                    low = count
-                    lifted = count + 1
-                    at_low = counts.count(count)
-            if count > high:
-                high = count
-        self.high, self.low, self.at_low = high, low, at_low
-        self.spread = high - low
+        if count == self.low + 1:
+            self.at_low -= 1
+            if not self.at_low:
+                self.low = count
+                self.at_low = counts.count(count)
+        if count > self.high:
+            self.high = count
+        self.spread = self.high - self.low
 
 
 # A requirement's offender is a function of the trace and of its
@@ -329,42 +321,25 @@ REQUIREMENT_IDS = tuple(row[0] for row in _REQUIREMENTS)
 REQUIREMENT_DESCRIPTIONS = {row[0]: row[1] for row in _REQUIREMENTS}
 
 
-def _histogram(
-    buckets_of, params: PlacementParams, trace: LifecycleTrace
-) -> tuple[Sequence[int], _Tally, Sequence[int], Sequence[int]]:
-    """The buckets the histogram ``buckets_of`` gives on ``params`` and
-    ``trace``, an empty tally of them, the buckets it counts, and for
-    each ``t`` how many of them the first ``t`` tokens hold."""
-    buckets, size = buckets_of(params, trace)
-    if max(buckets, default=0) < size:
-        return buckets, _Tally(size), buckets, range(len(buckets) + 1)
-    counted = [bucket for bucket in buckets if bucket < size]
-    return (
-        buckets,
-        _Tally(size),
-        counted,
-        list(accumulate(map(lt, buckets, repeat(size)), initial=0)),
-    )
-
-
 def _witness(
-    row: tuple, offender: tuple[int, dict] | None, tally: _Tally | None, tokens: int
+    row: tuple, offender: tuple[int, dict] | None, counts: Sequence[int], spread: int, tokens: int
 ) -> dict | None:
     """The witness fields of requirement ``row`` on the first ``tokens``
     tokens, or None while it holds there.
 
     ``offender`` is the row's offender on a run of at least ``tokens``
-    tokens and ``tally`` the row's histogram of its first ``tokens``
-    tokens.  An offender among them wins; else a spread over 1 fails the
-    count clause, whose fields lead with ``clause: "count"`` when the
-    requirement also has an offender.
+    tokens, ``counts`` the row's histogram of its first ``tokens`` tokens
+    and ``spread`` that histogram's spread; a row without a histogram
+    has no counts and a spread of 0.  An offender among the tokens wins;
+    else a spread over 1 fails the count clause, whose fields lead with
+    ``clause: "count"`` when the requirement also has an offender.
     """
     if offender is not None and offender[0] < tokens:
         return offender[1]
-    if tally is not None and tally.spread > 1:
+    if spread > 1:
         _, _, find_offender, (name, _) = row
         lead = {"clause": "count"} if find_offender else {}
-        return {**lead, name: list(tally.counts), "spread": tally.spread}
+        return {**lead, name: list(counts), "spread": spread}
     return None
 
 
@@ -385,8 +360,9 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     offending indices) to reproduce the failure from scratch.  The empty
     trace passes everything vacuously.  Each requirement is read on the
     whole trace.  Requirements that share a histogram are read together,
-    from one tally and one copy of its buckets, and each histogram's
-    buckets are dropped before the next histogram's are built.
+    from one whole-column tally and one copy of its buckets, and each
+    histogram's buckets are dropped before the next histogram's are
+    built.
     """
     params = trace.params
     tokens = len(trace.label)
@@ -396,15 +372,16 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
         by_histogram.setdefault(histogram and histogram[1], []).append(row)
     witnesses = dict.fromkeys(REQUIREMENT_IDS)
     for buckets_of, rows in by_histogram.items():
-        buckets = tally = None
+        buckets, counts, spread = None, (), 0
         if buckets_of is not None:
-            buckets, tally, counted, _ = _histogram(buckets_of, params, trace)
-            tally.extend(counted)
-            del counted
+            buckets, size = buckets_of(params, trace)
+            # Only R2's window offsets can lie outside their histogram.
+            counts = _tally(filter(size.__gt__, buckets), size)
+            spread = max(counts) - min(counts)
         for row in rows:
             find_offender = row[2]
             offender = None if find_offender is None else find_offender(trace, buckets)
-            witnesses[row[0]] = _witness(row, offender, tally, tokens)
+            witnesses[row[0]] = _witness(row, offender, counts, spread, tokens)
     return RequirementReport(
         tuple(
             RequirementCheck(requirement_id, True)
@@ -564,7 +541,8 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         # One tally per histogram function, and R6's once per B'.  Each
         # reading is (row, B', the instances it stands for, offender,
         # tally); a reading of a requirement that does not read B' is
-        # taken at the smallest B' and stands for every B'.
+        # taken at the smallest B' and stands for every B', and one
+        # without a histogram reads an empty tally, whose spread is 0.
         feeds: dict = {}
         readings = []
         for row in _REQUIREMENTS:
@@ -572,12 +550,13 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
             buckets_of = None if histogram is None else histogram[1]
             per_second = buckets_of is _second_set_residues
             for second in seconds if per_second else seconds[:1]:
-                buckets = tally = None
+                buckets, tally = None, _Tally(0)
                 if buckets_of is not None:
                     if (buckets_of, second) not in feeds:
                         instance = replace(longest, second_set_size=second)
-                        feeds[buckets_of, second] = _histogram(buckets_of, instance, trace)
-                    buckets, tally, _, _ = feeds[buckets_of, second]
+                        buckets, size = buckets_of(instance, trace)
+                        feeds[buckets_of, second] = buckets, _Tally(size)
+                    buckets, tally = feeds[buckets_of, second]
                 # The trace's stage 3 is that of the smallest B' alone.
                 offender = None
                 if find_offender is not None and second == seconds[0]:
@@ -586,8 +565,9 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         fed = 0
         for planning in group:
             tokens = planning.token_count
-            for _, tally, counted, ends in feeds.values():
-                tally.extend(counted[ends[fed] : ends[tokens]])
+            for buckets, tally in feeds.values():
+                for bucket in buckets[fed:tokens]:
+                    tally.add(bucket)
             fed = tokens
             report.instances_checked += len(seconds)
             if tokens > agreed:
@@ -596,7 +576,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
                     report.minimal_oracle_mismatch = planning
             gap_present = None  # gap(planning).present, found on first need
             for row, second, weight, offender, tally in readings:
-                witness_fields = _witness(row, offender, tally, tokens)
+                witness_fields = _witness(row, offender, tally.counts, tally.spread, tokens)
                 if witness_fields is None:
                     continue
                 requirement_id = row[0]

@@ -1,10 +1,10 @@
 """Shared helpers: a terse instance builder, hypothesis strategies, a
-runner for the module command line, a recorder of histogram tallies, a
-guard against building per-token records, the closed-form histogram of
-label residues, and the references the fast paths are held to: the
-per-token lifecycle, the per-token requirement check, the per-entry
-trace parser, the per-instance sweep and the dict-per-record JSON
-reports."""
+runner for the module command line, a recorder of histogram tallies,
+the closed-form histogram of label residues, a per-token record and the
+reader of a trace's rows as records, and the references the fast paths
+are held to: the per-token lifecycle, the per-token requirement check,
+the per-entry trace parser, the per-instance sweep and the
+dict-per-record JSON reports."""
 
 from __future__ import annotations
 
@@ -13,7 +13,9 @@ import os
 import subprocess
 import sys
 from dataclasses import asdict, fields
+from itertools import starmap
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -28,7 +30,6 @@ from ringfill import (
     RequirementReport,
     SweepDomain,
     SweepReport,
-    TokenPlacement,
     check_requirements,
     gap,
     label,
@@ -101,18 +102,9 @@ def large_ring_params(draw, max_buckets: int = 10**6, max_tokens: int = 200_000)
 
 
 @pytest.fixture
-def no_placement_records(monkeypatch) -> None:
-    """Make reading ``LifecycleTrace.placements`` fail the test."""
-
-    def refuse(trace):
-        raise AssertionError("a per-token TokenPlacement tuple was built")
-
-    monkeypatch.setattr(LifecycleTrace, "placements", property(refuse))
-
-
-@pytest.fixture
 def tally_sizes(monkeypatch) -> list[int]:
-    """Set sizes of the trace histograms tallied from now on, in order."""
+    """Set sizes of the whole-column histograms tallied from now on, in
+    order: the trace's occupancy histograms and ``check_requirements``'s."""
     sizes: list[int] = []
     real_tally = ringfill.lifecycle._tally
 
@@ -120,8 +112,25 @@ def tally_sizes(monkeypatch) -> list[int]:
         sizes.append(size)
         return real_tally(buckets, size)
 
-    monkeypatch.setattr(ringfill.lifecycle, "_tally", counting_tally)
+    for module in (ringfill.lifecycle, ringfill.verify):
+        monkeypatch.setattr(module, "_tally", counting_tally)
     return sizes
+
+
+class Placement(NamedTuple):
+    """One token's record across the three stages: a trace's row."""
+
+    token: int
+    label: int
+    stage1_bucket: int
+    stage2_bucket: int
+    stage3_bucket: int
+    moved_in_stage2: bool
+
+
+def trace_rows(trace: LifecycleTrace) -> tuple[Placement, ...]:
+    """The trace's rows, one record per token, read from its columns."""
+    return tuple(starmap(Placement, zip(*trace.columns)))
 
 
 def _label_residue_counts(
@@ -145,7 +154,7 @@ def _label_residue_counts(
     return counts[turn:] + counts[:turn]
 
 
-def reference_placement(params: PlacementParams, token: int) -> TokenPlacement:
+def reference_placement(params: PlacementParams, token: int) -> Placement:
     """One token's record, built from ``label`` and the closed forms of
     ``plan_stage1``'s docstring alone."""
     size = params.first_set_size
@@ -159,18 +168,18 @@ def reference_placement(params: PlacementParams, token: int) -> TokenPlacement:
         bucket = (params.first_bucket + offset) % size
     after = value % size
     final = value % params.second_set_size
-    return TokenPlacement(token, value, bucket, after, final, bucket != after)
+    return Placement(token, value, bucket, after, final, bucket != after)
 
 
-def reference_lifecycle(params: PlacementParams) -> tuple[TokenPlacement, ...]:
-    """The records ``run_lifecycle(params).placements`` must hold, built
-    one token at a time."""
+def reference_lifecycle(params: PlacementParams) -> tuple[Placement, ...]:
+    """The rows ``run_lifecycle(params)`` must hold, built one token at a
+    time."""
     return tuple(reference_placement(params, token) for token in range(params.token_count))
 
 
 def trace_of(params: PlacementParams, placements) -> LifecycleTrace:
     """The trace whose columns hold ``placements``' fields after ``token``."""
-    columns = zip(*placements) if placements else [()] * len(TokenPlacement._fields)
+    columns = zip(*placements) if placements else [()] * len(Placement._fields)
     _, *stage_columns = columns
     return LifecycleTrace(params, *stage_columns)
 
@@ -179,7 +188,7 @@ def reference_parse_trace_report(document: dict) -> LifecycleTrace:
     """What ``parse_trace_report(document)`` must give: the same trace, or
     a ValueError with the same message.  Each placement entry is checked
     in turn, in the order its fields are read, and built into a
-    ``TokenPlacement``."""
+    ``Placement``."""
     if not isinstance(document, dict):
         raise ValueError("report must be a JSON object")
     report_keys = {
@@ -202,8 +211,8 @@ def reference_parse_trace_report(document: dict) -> LifecycleTrace:
         raise ValueError("placements must be a list")
     if len(raw_placements) != params.token_count:
         raise ValueError(f"expected {params.token_count} placements, got {len(raw_placements)}")
-    placement_fields = set(TokenPlacement._fields)
-    integer_fields = TokenPlacement._fields[:-1]
+    placement_fields = set(Placement._fields)
+    integer_fields = Placement._fields[:-1]
     placements = []
     for index, entry in enumerate(raw_placements):
         if not isinstance(entry, dict):
@@ -212,7 +221,7 @@ def reference_parse_trace_report(document: dict) -> LifecycleTrace:
             raise ValueError(
                 f"placement {index} must have exactly the fields {sorted(placement_fields)}"
             )
-        placement = TokenPlacement(**entry)
+        placement = Placement(**entry)
         if placement.token != index:
             raise ValueError(
                 f"placement {index} has token {placement.token}, "
@@ -315,7 +324,7 @@ def reference_check_requirements(trace: LifecycleTrace) -> RequirementReport:
         return None
 
     def stage_map(field, size):
-        index = TokenPlacement._fields.index(field)
+        index = Placement._fields.index(field)
         counts = [0] * size
         for record in records:
             token, value, bucket = record[0], record[1], record[index]
@@ -427,7 +436,7 @@ def reference_trace_report(trace: LifecycleTrace, report: RequirementReport) -> 
     placement, rendered by ``json.dumps(indent=2)``."""
     document = {
         "params": asdict(trace.params),
-        "placements": [placement._asdict() for placement in trace.placements],
+        "placements": [placement._asdict() for placement in trace_rows(trace)],
         "occupancy1": list(trace.occupancy1),
         "occupancy2": list(trace.occupancy2),
         "occupancy3": list(trace.occupancy3),

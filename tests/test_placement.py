@@ -15,7 +15,13 @@ from ringfill import (
     run_lifecycle,
 )
 
-from conftest import make_params, placement_params
+from conftest import make_params, placement_params, trace_rows
+
+
+def window_buckets(params: PlacementParams) -> list[int]:
+    """The ring buckets of the fill window, in window order."""
+    size = params.first_set_size
+    return [(params.first_bucket + i) % size for i in range(params.fill_width)]
 
 
 class TestPlacementParams:
@@ -44,14 +50,20 @@ class TestPlacementParams:
             make_params(5, 4, 2, target=4)
 
     def test_fill_window_lists_consecutive_ring_buckets(self):
-        assert make_params(0, 5, 3, first=1).fill_window() == (1, 2, 3)
+        params = make_params(0, 5, 3, first=1)
+        assert window_buckets(params) == [1, 2, 3]
+        inside = [bucket for bucket in range(5) if params.in_fill_window(bucket)]
+        assert sorted(inside, key=params.window_offset) == [1, 2, 3]
 
     def test_fill_window_wraps_around_the_ring(self):
-        assert make_params(0, 4, 3, first=3).fill_window() == (3, 0, 1)
+        params = make_params(0, 4, 3, first=3)
+        assert window_buckets(params) == [3, 0, 1]
+        inside = [bucket for bucket in range(4) if params.in_fill_window(bucket)]
+        assert sorted(inside, key=params.window_offset) == [3, 0, 1]
 
     def test_window_offset_inverts_fill_window(self):
         params = make_params(0, 6, 4, first=4)
-        for offset, bucket in enumerate(params.fill_window()):
+        for offset, bucket in enumerate(window_buckets(params)):
             assert params.window_offset(bucket) == offset
             assert params.in_fill_window(bucket)
 
@@ -67,12 +79,12 @@ class TestStreams:
 
     def test_round_starts_with_descending_tokens(self):
         trace = run_lifecycle(make_params(8, 4, 2))
-        observed = [not p.moved_in_stage2 for p in trace.placements]
+        observed = [not moved for moved in trace.moved_in_stage2]
         assert observed == [True, True, False, False, True, True, False, False]
 
     def test_full_width_window_has_no_ascending_tokens(self):
         trace = run_lifecycle(make_params(8, 4, 4))
-        assert not any(p.moved_in_stage2 for p in trace.placements)
+        assert not any(trace.moved_in_stage2)
 
 
 class TestLabel:
@@ -167,17 +179,17 @@ class TestStageMaps:
 
     def test_rebalance_reduces_label_modulo_ring_size(self):
         trace = run_lifecycle(make_params(12, 5, 3, first=3, target=7))
-        stage2 = [p.stage2_bucket for p in trace.placements]
+        stage2 = list(trace.stage2_bucket)
         assert stage2 == [0, 4, 3, 1, 2, 0, 4, 3, 1, 2, 0, 4]
 
     def test_reshard_reduces_label_modulo_second_set_size(self):
         trace = run_lifecycle(make_params(12, 5, 3, first=3, target=7))
-        stage3 = [p.stage3_bucket for p in trace.placements]
+        stage3 = list(trace.stage3_bucket)
         assert stage3 == [5, 4, 3, 6, 0, 3, 2, 1, 4, 5, 1, 0]
 
     @given(placement_params())
     def test_stage_maps_agree_with_the_label(self, params):
-        for placement in run_lifecycle(params).placements:
+        for placement in trace_rows(run_lifecycle(params)):
             value = label(params, placement.token)
             assert placement.label == value
             assert placement.stage2_bucket == value % params.first_set_size

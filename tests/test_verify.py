@@ -21,7 +21,6 @@ from ringfill import (
     PlacementParams,
     RequirementCheck,
     SweepDomain,
-    TokenPlacement,
     check_requirements,
     gap,
     plan_stage1,
@@ -33,6 +32,7 @@ from ringfill.cli import sweep_report_document
 from ringfill.verify import _Tally
 
 from conftest import (
+    Placement,
     _label_residue_counts,
     make_params,
     placement_params,
@@ -100,7 +100,7 @@ def broken_traces(draw):
     which may lie outside its set."""
     params = draw(placement_params().filter(lambda params: params.token_count))
     trace = run_lifecycle(params)
-    name = draw(st.sampled_from(TokenPlacement._fields[1:]))
+    name = draw(st.sampled_from(Placement._fields[1:]))
     column = list(getattr(trace, name))
     token = draw(st.integers(0, len(column) - 1))
     if name == "moved_in_stage2":
@@ -214,10 +214,7 @@ class TestCheckRequirements:
 
     def test_lying_move_flag_is_detected(self):
         trace = run_lifecycle(make_params(4, 4, 2, target=5))
-        rows = [
-            (p.label, p.stage1_bucket, p.stage2_bucket, p.stage3_bucket, p.moved_in_stage2)
-            for p in trace.placements
-        ]
+        rows = list(zip(*trace.columns[1:]))
         rows[2] = rows[2][:4] + (False,)
         lying = build_trace(trace.params, rows)
         check = check_requirements(lying)["R4"]
@@ -301,10 +298,7 @@ class TestCheckRequirements:
 
     def test_ascending_stream_starting_off_the_window_start_is_detected(self):
         trace = run_lifecycle(make_params(4, 4, 2, target=5))
-        rows = [
-            (p.label, p.stage1_bucket, p.stage2_bucket, p.stage3_bucket, p.moved_in_stage2)
-            for p in trace.placements
-        ]
+        rows = list(zip(*trace.columns[1:]))
         rows[2] = (rows[2][0], 1) + rows[2][2:]
         rows[3] = (rows[3][0], 0) + rows[3][2:]
         shifted = build_trace(trace.params, rows)
@@ -326,19 +320,12 @@ class TestCheckRequirements:
         rebuilt = PlacementParams(**check.witness["params"])
         assert check_requirements(run_lifecycle(rebuilt))["R6"] == check
 
-    def test_requirements_that_share_a_histogram_share_its_tally(self, monkeypatch):
-        # R3 and R5 both count label % B: three histograms, not four.
-        built = []
-
-        class CountedTally(_Tally):
-            def __init__(self, size):
-                built.append(size)
-                super().__init__(size)
-
-        monkeypatch.setattr(ringfill.verify, "_Tally", CountedTally)
-        report = check_requirements(run_lifecycle(make_params(5, 4, 3, target=5)))
+    def test_requirements_that_share_a_histogram_share_its_tally(self, tally_sizes):
+        # R3 and R5 both count label % B: three whole-column tallies, not four.
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        report = check_requirements(trace)
         assert [check.id for check in report.failures()] == ["R6"]
-        assert built == [3, 4, 5]
+        assert tally_sizes == [3, 4, 5]
 
     def test_each_histogram_builds_its_buckets_once(self):
         # R5's and R6's residue clauses read the label residues their
@@ -573,11 +560,6 @@ class TestSweep:
         assert calls == {"run_lifecycle": 30, "prose_oracle_stage1": 30}
         assert report.instances_checked == sum(1 for _ in domain.iter_instances())
 
-    def test_default_sweep_reads_only_columns(self, no_placement_records):
-        report = sweep()
-        assert report.instances_checked == 113432
-        assert report.only_expected_failures
-
     def test_wide_spans_and_long_runs_match_the_reference(self):
         domain = SweepDomain(max_buckets=5, max_rounds=6, target_span=4)
         assert sweep(domain) == reference_sweep(domain)
@@ -631,6 +613,29 @@ class TestSweep:
         assert params.token_count == 6
         assert check.witness["token"] == 5
 
+    def test_a_stage1_bucket_outside_the_window_is_left_out_of_the_window_counts(
+        self, monkeypatch
+    ):
+        # Token 3 sits one slot past the window whenever the window leaves
+        # the ring a slot: R2's tally skips its offset, which is not below
+        # the window width, on every run of more than three tokens.
+        real = ringfill.verify.run_lifecycle
+
+        def outside(params):
+            trace = real(params)
+            buckets = list(trace.stage1_bucket)
+            size, width = params.first_set_size, params.fill_width
+            if len(buckets) > 3 and width < size:
+                buckets[3] = (params.first_bucket + width) % size
+            return replace(trace, stage1_bucket=tuple(buckets))
+
+        monkeypatch.setattr(ringfill.verify, "run_lifecycle", outside)
+        domain = SweepDomain(max_buckets=4)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
+        assert report.violation_counts["R2"] == 148
+        assert report.oracle_mismatches == 1016
+
     def test_a_stage3_bucket_off_its_label_residue_is_unexpected(self, monkeypatch):
         # Stage 3 taken modulo one more than the second-set size: token 2,
         # label 2, lands in bucket 2 of (1, 1, 0)'s second set of 2.
@@ -683,35 +688,10 @@ class TestTally:
         plain = [0] * size
         assert tally.spread == 0
         for bucket in increments:
-            tally.extend([bucket])
+            tally.add(bucket)
             plain[bucket] += 1
             assert tally.counts == plain
             assert tally.spread == max(plain) - min(plain)
-
-    @given(tally_feeds(), st.data())
-    def test_stretches_equal_single_increments(self, feed, data):
-        size, increments = feed
-        cuts = data.draw(st.lists(st.integers(0, len(increments)), max_size=5))
-        assert_stretches_tally_plainly(size, increments, cuts)
-
-    def test_a_long_stretch_leaves_the_minimum_count_current(self):
-        # Six increments fill three buckets in one long stretch; the next,
-        # short stretch must see all three still at the minimum.
-        assert_stretches_tally_plainly(3, [0, 1, 2, 0, 1, 2, 0], [6])
-
-
-def assert_stretches_tally_plainly(size, increments, cuts) -> None:
-    """Fed in the stretches that ``cuts`` marks, a tally matches a plain
-    tally and its spread after every stretch."""
-    tally = _Tally(size)
-    plain = [0] * size
-    cuts = sorted(cuts)
-    for begin, end in zip([0, *cuts], [*cuts, len(increments)]):
-        tally.extend(increments[begin:end])
-        for bucket in increments[begin:end]:
-            plain[bucket] += 1
-        assert tally.counts == plain
-        assert tally.spread == max(plain) - min(plain)
 
 
 class TestLabelResidueCounts:
@@ -727,7 +707,9 @@ class TestLabelResidueCounts:
 
 def window_counts(trace: LifecycleTrace) -> list[int]:
     """Stage-1 token counts of the fill window, in window order."""
-    return [trace.occupancy1[bucket] for bucket in trace.params.fill_window()]
+    params = trace.params
+    size = params.first_set_size
+    return [trace.occupancy1[(params.first_bucket + i) % size] for i in range(params.fill_width)]
 
 
 def stream_ends(trace: LifecycleTrace) -> tuple[int | None, int | None]:
@@ -735,9 +717,8 @@ def stream_ends(trace: LifecycleTrace) -> tuple[int | None, int | None]:
     token, None for a stream that never ran.  Only ascending tokens move
     in the rebalance, so the move flag names each token's stream."""
     ends: dict[bool, int | None] = {True: None, False: None}
-    for placement in trace.placements:
-        offset = trace.params.window_offset(placement.stage1_bucket)
-        ends[placement.moved_in_stage2] = offset
+    for bucket, moved in zip(trace.stage1_bucket, trace.moved_in_stage2):
+        ends[moved] = trace.params.window_offset(bucket)
     return ends[True], ends[False]
 
 
@@ -779,7 +760,7 @@ class TestClassifyEndState:
 
     def test_ascending_final_token_is_unclassified(self):
         trace = run_lifecycle(make_params(4, 4, 2))
-        assert trace.placements[-1].moved_in_stage2
+        assert trace.moved_in_stage2[-1]
         assert stream_ends(trace) == (1, 0)
         assert window_counts(trace) == [2, 2]
 
@@ -797,7 +778,7 @@ class TestClassifyEndState:
     @given(placement_params())
     def test_classification_predicts_the_window_counts(self, params):
         trace = run_lifecycle(params)
-        if not trace.placements or trace.placements[-1].moved_in_stage2:
+        if not trace.moved_in_stage2 or trace.moved_in_stage2[-1]:
             return
         ascending, descending = stream_ends(trace)
         if ascending is None or descending == 0:
