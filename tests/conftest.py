@@ -1,6 +1,6 @@
 """Shared helpers: a terse instance builder, hypothesis strategies, a
-runner for the module command line, a recorder of histogram tallies,
-the closed-form histogram of label residues, a per-token record and the
+runner for the module command line, a guard against tallying a token at
+a time, a recorder of whole-column histogram tallies, the closed-form histogram of label residues, a per-token record and the
 reader of a trace's rows as records, and the references the fast paths
 are held to: the per-token lifecycle, the per-token requirement check,
 the per-entry trace parser, the per-instance sweep and the
@@ -99,6 +99,16 @@ def large_ring_params(draw, max_buckets: int = 10**6, max_tokens: int = 200_000)
     tokens = draw(st.integers(0, min(3 * buckets + 3, max_tokens)))
     target = draw(st.integers(buckets + 1, 2 * buckets))
     return PlacementParams(tokens, buckets, fill, first, target)
+
+
+@pytest.fixture
+def no_increment_tally(monkeypatch) -> None:
+    """Make building the sweep's one-increment ``_Tally`` fail the test."""
+
+    def refuse(size):
+        raise AssertionError("a histogram was tallied one token at a time")
+
+    monkeypatch.setattr(ringfill.verify, "_Tally", refuse)
 
 
 @pytest.fixture

@@ -533,6 +533,27 @@ class TestArgumentHandling:
         assert (code, err) == (0, "")
         assert out.splitlines() == rows
 
+class TestShapeOfWork:
+    """No command, parse or check tallies a histogram one token at a time:
+    each counts whole columns, and the one-increment tally is the sweep's."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [PLAN_ARGS + ["--format", fmt] for fmt in ("table", "json", "csv")]
+        + [TRACE_ARGS + ["--format", fmt] for fmt in ("table", "json", "csv")]
+        + [VERIFY_FAIL_ARGS + ["--format", fmt] for fmt in ("table", "json")],
+    )
+    def test_commands_read_only_columns(self, capsys, no_increment_tally, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code in (0, 2)
+        assert out and err == ""
+
+    def test_parse_and_check_read_only_columns(self, no_increment_tally):
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        document = json.loads(trace_report(trace, check_requirements(trace)))
+        report = check_requirements(parse_trace_report(document))
+        assert [check.id for check in report.failures()] == ["R6"]
+
 
 class TestOutputHandling:
     def test_report_goes_to_the_requested_file(self, capsys, tmp_path):

@@ -151,6 +151,13 @@ class TestColumns:
         trace = run_lifecycle(params)
         assert list(enumerate(trace.stage1_bucket)) == prose_oracle_stage1(params)
 
+    def test_occupancies_are_built_on_first_read_and_only_once(self, tally_sizes):
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        assert tally_sizes == []
+        assert trace.occupancy1 is trace.occupancy1
+        assert trace.occupancy3 is trace.occupancy3
+        assert tally_sizes == [4, 5]
+
     @settings(max_examples=15, deadline=None)
     @given(large_ring_params(), st.lists(st.integers(0, 3 * 10**6), max_size=20))
     @example(make_params(150_003, 50_000, 20_001, first=49_999, target=99_999), [])

@@ -29,6 +29,7 @@ from ringfill import (
     sweep,
 )
 from ringfill.cli import sweep_report_document
+from ringfill.lifecycle import _tally
 from ringfill.verify import _Tally
 
 from conftest import (
@@ -560,6 +561,14 @@ class TestSweep:
         assert calls == {"run_lifecycle": 30, "prose_oracle_stage1": 30}
         assert report.instances_checked == sum(1 for _ in domain.iter_instances())
 
+    def test_default_sweep_reads_only_columns(self, tally_sizes):
+        # The sweep tallies every prefix from the trace's columns a token
+        # at a time; it builds no whole-column histogram.
+        report = sweep()
+        assert report.instances_checked == 113432
+        assert report.only_expected_failures
+        assert tally_sizes == []
+
     def test_wide_spans_and_long_runs_match_the_reference(self):
         domain = SweepDomain(max_buckets=5, max_rounds=6, target_span=4)
         assert sweep(domain) == reference_sweep(domain)
@@ -692,6 +701,29 @@ class TestTally:
             plain[bucket] += 1
             assert tally.counts == plain
             assert tally.spread == max(plain) - min(plain)
+
+    @given(tally_feeds(), st.integers(0, 3))
+    def test_increments_equal_the_whole_column_tally(self, feed, beyond):
+        # The sweep's tally of a column matches check_requirements', which
+        # counts it whole after dropping the buckets not below the size.
+        size, increments = feed
+        column = [bucket + beyond for bucket in increments]
+        tally = _Tally(size)
+        for bucket in column:
+            tally.add(bucket)
+        whole = _tally(filter(size.__gt__, column), size)
+        assert tuple(tally.counts) == whole
+        assert tally.spread == max(whole) - min(whole)
+
+    def test_a_long_stretch_leaves_the_minimum_count_current(self):
+        # Six increments fill three buckets evenly; the next increment must
+        # see all three still at the minimum, so the spread is 1.
+        tally = _Tally(3)
+        for bucket in [0, 1, 2, 0, 1, 2]:
+            tally.add(bucket)
+        assert (tally.low, tally.at_low, tally.spread) == (2, 3, 0)
+        tally.add(0)
+        assert (tally.low, tally.at_low, tally.spread) == (2, 2, 1)
 
 
 class TestLabelResidueCounts:
