@@ -43,19 +43,21 @@ count and the oracle mismatches.  It does each piece of work once for
 what it depends on.  Nothing in stage 1, the labels or the oracle reads
 the token count ``T``, so the run of ``T`` tokens is the first ``T``
 tokens of every longer run.  Per ``(B, C, f)`` triple the sweep makes
-one lifecycle and one oracle walk, at the triple's largest ``T``, finds
-each offender once, and reads every smaller ``T``'s verdict after its
-first ``T`` tokens: each histogram is a ``_Tally``, the sweep's own,
-fed one token at a time and its spread current after every token.
-R1–R5, RC and the oracle comparison read only the stage-1 quadruple
-``(T, B, C, f)``, so a failure there counts for every second-set size.
-R6's histogram is the only one that reads the second-set size ``B'``;
-the sweep keeps one tally of ``label % B'`` per ``B'``.  Parameters and
-witnesses are built only for each requirement's first failure and the
-first oracle mismatch.  The test suite holds the verdict to
-``check_requirements`` on the full per-token trace of every instance,
-and ``check_requirements`` to a per-token restatement of the
-requirements on broken traces.
+one lifecycle and one oracle walk, at the triple's largest ``T``, and
+judges each requirement once: it finds the offender and builds each
+histogram's spread record, whose entry ``t`` is the spread after the
+first ``t`` tokens.  The run of ``T`` tokens fails a requirement when
+its offender lies among its first ``T`` tokens or its spread after
+``T`` tokens is over 1.  R1–R5, RC and the oracle comparison read only
+the stage-1 quadruple ``(T, B, C, f)``, so a failure there counts for
+every second-set size.  R6's histogram is the only one that reads the
+second-set size ``B'``; the sweep records the spread of ``label % B'``
+once per ``B'``.  Parameters and a witness are built only at each
+requirement's first failure, from the offender or the whole-column
+tally of that run's tokens, and at the first oracle mismatch.  The
+test suite holds the verdict to ``check_requirements`` on the full
+per-token trace of every instance, and ``check_requirements`` to a
+per-token restatement of the requirements on broken traces.
 
 Spreads include zero-count buckets of the relevant set: all fill-window
 buckets for R2, the whole first set for R3 and R5, the whole second set
@@ -65,9 +67,9 @@ for R6.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
-from functools import partial
+from functools import cache, partial
 from itertools import compress, count, groupby, islice, repeat
-from operator import attrgetter, lt, mod, ne, sub
+from operator import attrgetter, itemgetter, lt, mod, ne, sub
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lifecycle import LifecycleTrace, _tally, run_lifecycle
@@ -114,44 +116,31 @@ class RequirementReport:
         return tuple(check for check in self.checks if not check.passed)
 
 
-class _Tally:
-    """Histogram of ``[0, size)`` under +1 increments, its spread kept current.
-
-    The sweep's histogram of every prefix of a run.  ``high`` is the
-    largest count, ``low`` the smallest, ``spread`` their difference and
-    ``at_low`` the number of buckets holding ``low``.  ``add`` is
-    amortised O(1), and ``spread`` is current after every ``add``.
-    """
-
-    __slots__ = ("counts", "high", "low", "at_low", "spread")
-
-    def __init__(self, size: int) -> None:
-        self.counts = [0] * size
-        self.high = 0
-        self.low = 0
-        self.at_low = size
-        self.spread = 0
-
-    def add(self, bucket: int) -> None:
-        """Add one to ``bucket``'s count; a bucket not below the size is
-        not counted."""
-        counts = self.counts
-        if bucket >= len(counts):
-            return
-        count = counts[bucket] + 1
-        counts[bucket] = count
-        # ``low`` rises only when an increment lifts the last bucket at
-        # it; every bucket then holds at least the new ``low``, and one
-        # rescan counts the buckets at it.  That happens at most once per
-        # ``size`` increments.
-        if count == self.low + 1:
-            self.at_low -= 1
-            if not self.at_low:
-                self.low = count
-                self.at_low = counts.count(count)
-        if count > self.high:
-            self.high = count
-        self.spread = self.high - self.low
+def _spreads(buckets: Iterable[int], size: int) -> list[int]:
+    """The spread record of a histogram of ``[0, size)``: entry ``t`` is
+    the spread of the histogram of the first ``t`` buckets.  A bucket not
+    below the size is not counted."""
+    counts = [0] * size
+    high = low = 0
+    at_low = size
+    spreads = [0]
+    for bucket in buckets:
+        if bucket < size:
+            count = counts[bucket] + 1
+            counts[bucket] = count
+            # ``low`` rises only when an increment lifts the last bucket at
+            # it; every bucket then holds at least the new ``low``, and one
+            # rescan counts the buckets at it.  That happens at most once
+            # per ``size`` increments.
+            if count == low + 1:
+                at_low -= 1
+                if not at_low:
+                    low = count
+                    at_low = counts.count(count)
+            if count > high:
+                high = count
+        spreads.append(high - low)
+    return spreads
 
 
 # A requirement's offender is a function of the trace and of its
@@ -511,17 +500,19 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     params))`` would judge it.  The planning instances come grouped by
     ``(B, C, f)`` triple, each group in ascending ``T``.  Per group the
     sweep makes one ``run_lifecycle`` and one ``prose_oracle_stage1``,
-    both at the group's largest ``T``, finds each requirement's offender
-    once, keeps one tally per histogram and reads every requirement
-    after the first ``T`` tokens for the instance of ``T`` tokens.  A
-    failure of R1–R5, RC or the oracle comparison counts for every
-    second-set size.  R6's histogram is the only one that reads the
-    second-set size ``B'``: the sweep keeps it once per ``B'``.  The
-    trace is run at the smallest ``B'``, so R6's offender, a stage-3
-    bucket off its label residue, counts for that ``B'`` alone.
-    Instances are visited in lexicographic parameter order, so the first
-    failure recorded per requirement is the minimal one and the whole
-    report is deterministic.
+    both at the group's largest ``T``, and judges each requirement once:
+    it finds the offender and builds the histogram's spread record, and
+    the run of ``T`` tokens fails when the offender lies among its first
+    ``T`` tokens or the spread after ``T`` tokens is over 1.  A failure
+    of R1–R5, RC or the oracle comparison counts for every second-set
+    size.  R6's histogram is the only one that reads the second-set size
+    ``B'``: the sweep judges R6 once per ``B'``.  The trace is run at the
+    smallest ``B'``, so R6's offender, a stage-3 bucket off its label
+    residue, counts for that ``B'`` alone.  Only a requirement's first
+    failure in lexicographic parameter order gets its parameters and a
+    witness, which ``_witness`` reads from the offender or from the
+    whole-column tally of that run's tokens, so the whole report is
+    deterministic.
     """
     if domain is None:
         domain = SweepDomain()
@@ -534,68 +525,67 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         seconds = domain.second_set_sizes(longest.first_set_size)
         trace = run_lifecycle(longest)
         oracle = prose_oracle_stage1(longest)
+        report.instances_checked += len(group) * len(seconds)
         # The oracle agrees on exactly the runs of at most this many tokens.
         agreed = next(
             compress(count(), map(ne, zip(count(), trace.stage1_bucket), oracle)), len(oracle)
         )
-        # One tally per histogram function, and R6's once per B'.  Each
-        # reading is (row, B', the instances it stands for, offender,
-        # tally); a reading of a requirement that does not read B' is
-        # taken at the smallest B' and stands for every B', and one
-        # without a histogram reads an empty tally, whose spread is 0.
-        feeds: dict = {}
-        readings = []
+        mismatched = [planning for planning in group if planning.token_count > agreed]
+        report.oracle_mismatches += len(mismatched) * len(seconds)
+        if mismatched and report.minimal_oracle_mismatch is None:
+            report.minimal_oracle_mismatch = mismatched[0]
+        # Each histogram's buckets, size and spread record; R6's per B'.
+        records: dict = {}
+        # Gap presence, asked at most once per planning instance.
+        gapped = cache(lambda planning: gap(planning).present)
         for row in _REQUIREMENTS:
-            _, _, find_offender, histogram = row
-            buckets_of = None if histogram is None else histogram[1]
+            requirement_id, _, find_offender, histogram = row
+            buckets_of = histogram and histogram[1]
             per_second = buckets_of is _second_set_residues
+            weight = 1 if per_second else len(seconds)
+            firsts = []  # (T, B', offender, buckets, size) of each first failure
             for second in seconds if per_second else seconds[:1]:
-                buckets, tally = None, _Tally(0)
+                buckets, size, spreads = None, 0, None
                 if buckets_of is not None:
-                    if (buckets_of, second) not in feeds:
+                    if (buckets_of, second) not in records:
                         instance = replace(longest, second_set_size=second)
                         buckets, size = buckets_of(instance, trace)
-                        feeds[buckets_of, second] = buckets, _Tally(size)
-                    buckets, tally = feeds[buckets_of, second]
+                        records[buckets_of, second] = buckets, size, _spreads(buckets, size)
+                    buckets, size, spreads = records[buckets_of, second]
                 # The trace's stage 3 is that of the smallest B' alone.
                 offender = None
                 if find_offender is not None and second == seconds[0]:
                     offender = find_offender(trace, buckets)
-                readings.append((row, second, 1 if per_second else len(seconds), offender, tally))
-        fed = 0
-        for planning in group:
-            tokens = planning.token_count
-            for buckets, tally in feeds.values():
-                for bucket in buckets[fed:tokens]:
-                    tally.add(bucket)
-            fed = tokens
-            report.instances_checked += len(seconds)
-            if tokens > agreed:
-                report.oracle_mismatches += len(seconds)
-                if report.minimal_oracle_mismatch is None:
-                    report.minimal_oracle_mismatch = planning
-            gap_present = None  # gap(planning).present, found on first need
-            for row, second, weight, offender, tally in readings:
-                witness_fields = _witness(row, offender, tally.counts, tally.spread, tokens)
-                if witness_fields is None:
-                    continue
-                requirement_id = row[0]
-                counts[requirement_id] += weight
+                # Runs of at most this many tokens do not hold the offender.
+                clean = len(trace.label) if offender is None else offender[0]
+                failing = [
+                    planning
+                    for planning in group
+                    if planning.token_count > clean
+                    or spreads is not None and spreads[planning.token_count] > 1
+                ]
                 # Expected: the documented gap case, R6's count clause at
                 # spread exactly 2 on an instance whose labels have a gap.
-                unexpected = weight
-                if (
-                    requirement_id == "R6"
-                    and witness_fields["clause"] == "count"
-                    and witness_fields["spread"] == 2
-                ):
-                    if gap_present is None:
-                        gap_present = gap(planning).present
-                    if gap_present:
-                        unexpected = 0
-                report.unexpected_violations += unexpected
-                if requirement_id not in minimal:
-                    params = replace(planning, second_set_size=second)
-                    check = _failed(requirement_id, params, witness_fields)
-                    minimal[requirement_id] = (params, check)
+                expected = 0
+                if requirement_id == "R6":
+                    expected = sum(
+                        1
+                        for planning in failing
+                        if planning.token_count <= clean
+                        and spreads[planning.token_count] == 2
+                        and gapped(planning)
+                    )
+                counts[requirement_id] += weight * len(failing)
+                report.unexpected_violations += weight * len(failing) - expected
+                if failing:
+                    firsts.append((failing[0].token_count, second, offender, buckets, size))
+            if firsts and requirement_id not in minimal:
+                tokens, second, offender, buckets, size = min(firsts, key=itemgetter(0))
+                whole, spread = (), 0
+                if buckets is not None:
+                    whole = _tally(filter(size.__gt__, buckets[:tokens]), size)
+                    spread = max(whole) - min(whole)
+                params = replace(longest, token_count=tokens, second_set_size=second)
+                witness_fields = _witness(row, offender, whole, spread, tokens)
+                minimal[requirement_id] = params, _failed(requirement_id, params, witness_fields)
     return report

@@ -1,6 +1,7 @@
 """Shared helpers: a terse instance builder, hypothesis strategies, a
-runner for the module command line, a guard against tallying a token at
-a time, a recorder of whole-column histogram tallies, the closed-form histogram of label residues, a per-token record and the
+runner for the module command line, a guard against recording a spread
+after every token, a recorder of whole-column histogram tallies, the
+closed-form histogram of label residues, a per-token record and the
 reader of a trace's rows as records, and the references the fast paths
 are held to: the per-token lifecycle, the per-token requirement check,
 the per-entry trace parser, the per-instance sweep and the
@@ -102,13 +103,13 @@ def large_ring_params(draw, max_buckets: int = 10**6, max_tokens: int = 200_000)
 
 
 @pytest.fixture
-def no_increment_tally(monkeypatch) -> None:
-    """Make building the sweep's one-increment ``_Tally`` fail the test."""
+def no_spread_record(monkeypatch) -> None:
+    """Make building the sweep's per-prefix spread record fail the test."""
 
-    def refuse(size):
-        raise AssertionError("a histogram was tallied one token at a time")
+    def refuse(buckets, size):
+        raise AssertionError("a histogram's spread was recorded after every token")
 
-    monkeypatch.setattr(ringfill.verify, "_Tally", refuse)
+    monkeypatch.setattr(ringfill.verify, "_spreads", refuse)
 
 
 @pytest.fixture

@@ -534,8 +534,8 @@ class TestArgumentHandling:
         assert out.splitlines() == rows
 
 class TestShapeOfWork:
-    """No command, parse or check tallies a histogram one token at a time:
-    each counts whole columns, and the one-increment tally is the sweep's."""
+    """No command, parse or check records a histogram's spread after every
+    token: each counts whole columns, and the spread record is the sweep's."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -543,16 +543,21 @@ class TestShapeOfWork:
         + [TRACE_ARGS + ["--format", fmt] for fmt in ("table", "json", "csv")]
         + [VERIFY_FAIL_ARGS + ["--format", fmt] for fmt in ("table", "json")],
     )
-    def test_commands_read_only_columns(self, capsys, no_increment_tally, argv):
+    def test_commands_read_only_columns(self, capsys, no_spread_record, argv):
         code, out, err = run_cli(capsys, argv)
         assert code in (0, 2)
         assert out and err == ""
 
-    def test_parse_and_check_read_only_columns(self, no_increment_tally):
+    def test_parse_and_check_read_only_columns(self, no_spread_record):
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         document = json.loads(trace_report(trace, check_requirements(trace)))
         report = check_requirements(parse_trace_report(document))
         assert [check.id for check in report.failures()] == ["R6"]
+
+    def test_the_sweep_records_spreads(self, capsys, no_spread_record):
+        # The guard is live: the sweep command trips it.
+        with pytest.raises(AssertionError, match="spread was recorded"):
+            run_cli(capsys, ["sweep", "--max-buckets", "1"])
 
 
 class TestOutputHandling:

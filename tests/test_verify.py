@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
+from typing import Callable, NamedTuple
 
 import pytest
 from hypothesis import example, given
@@ -30,7 +31,7 @@ from ringfill import (
 )
 from ringfill.cli import sweep_report_document
 from ringfill.lifecycle import _tally
-from ringfill.verify import _Tally
+from ringfill.verify import _spreads
 
 from conftest import (
     Placement,
@@ -546,28 +547,35 @@ class TestSweep:
     def test_sweep_runs_one_lifecycle_and_one_oracle_walk_per_triple(
         self, monkeypatch
     ):
-        calls = {"run_lifecycle": 0, "prose_oracle_stage1": 0}
+        calls = dict.fromkeys(["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap"], 0)
         for name in calls:
             real = getattr(ringfill.verify, name)
 
-            def counting(params, real=real, name=name):
+            def counting(*args, real=real, name=name):
                 calls[name] += 1
-                return real(params)
+                return real(*args)
 
             monkeypatch.setattr(ringfill.verify, name, counting)
         domain = SweepDomain(max_buckets=4)
         report = sweep(domain)
         # One (B, C, f) triple per window width and start: 1 + 4 + 9 + 16.
-        assert calls == {"run_lifecycle": 30, "prose_oracle_stage1": 30}
+        # Each builds B + 2 spread records: R2's, the one R3 and R5 share,
+        # and R6's for each of the B second-set sizes.  Gap presence is
+        # asked once per planning instance that R6's count clause fails
+        # at spread 2, never once per second-set size.
+        assert calls == {
+            "run_lifecycle": 30, "prose_oracle_stage1": 30, "_spreads": 160, "gap": 112
+        }
         assert report.instances_checked == sum(1 for _ in domain.iter_instances())
 
     def test_default_sweep_reads_only_columns(self, tally_sizes):
-        # The sweep tallies every prefix from the trace's columns a token
-        # at a time; it builds no whole-column histogram.
+        # The sweep judges every prefix from the spread records of the
+        # trace's columns; the one whole-column histogram it tallies is
+        # that of R6's minimal witness, over the second set of 3.
         report = sweep()
         assert report.instances_checked == 113432
         assert report.only_expected_failures
-        assert tally_sizes == []
+        assert tally_sizes == [3]
 
     def test_wide_spans_and_long_runs_match_the_reference(self):
         domain = SweepDomain(max_buckets=5, max_rounds=6, target_span=4)
@@ -601,67 +609,33 @@ class TestSweep:
             "R6": (params, RequirementCheck("R6", False, witness))
         }
 
-    def test_first_failures_count_from_their_offending_token(self, monkeypatch):
-        # Token 5's move flag lies in every lifecycle: R4 fails exactly on
-        # the runs of more than five tokens, 50 instances of the domain.
-        real = ringfill.verify.run_lifecycle
-
-        def lying(params):
-            trace = real(params)
-            flags = list(trace.moved_in_stage2)
-            if len(flags) > 5:
-                flags[5] = not flags[5]
-            return replace(trace, moved_in_stage2=tuple(flags))
-
-        monkeypatch.setattr(ringfill.verify, "run_lifecycle", lying)
-        domain = SweepDomain(max_buckets=2)
-        report = sweep(domain)
-        assert report == reference_sweep(domain)
-        assert report.violation_counts["R4"] == 50
-        params, check = report.minimal_violations["R4"]
-        assert params.token_count == 6
-        assert check.witness["token"] == 5
-
-    def test_a_stage1_bucket_outside_the_window_is_left_out_of_the_window_counts(
-        self, monkeypatch
-    ):
-        # Token 3 sits one slot past the window whenever the window leaves
-        # the ring a slot: R2's tally skips its offset, which is not below
-        # the window width, on every run of more than three tokens.
-        real = ringfill.verify.run_lifecycle
-
-        def outside(params):
-            trace = real(params)
-            buckets = list(trace.stage1_bucket)
-            size, width = params.first_set_size, params.fill_width
-            if len(buckets) > 3 and width < size:
-                buckets[3] = (params.first_bucket + width) % size
-            return replace(trace, stage1_bucket=tuple(buckets))
-
-        monkeypatch.setattr(ringfill.verify, "run_lifecycle", outside)
-        domain = SweepDomain(max_buckets=4)
-        report = sweep(domain)
-        assert report == reference_sweep(domain)
-        assert report.violation_counts["R2"] == 148
-        assert report.oracle_mismatches == 1016
-
-    def test_a_stage3_bucket_off_its_label_residue_is_unexpected(self, monkeypatch):
-        # Stage 3 taken modulo one more than the second-set size: token 2,
-        # label 2, lands in bucket 2 of (1, 1, 0)'s second set of 2.
-        real = ringfill.verify.run_lifecycle
-
-        def off_by_one_set(params):
-            trace = real(params)
-            size = params.second_set_size + 1
-            return replace(trace, stage3_bucket=tuple(value % size for value in trace.label))
-
-        monkeypatch.setattr(ringfill.verify, "run_lifecycle", off_by_one_set)
-        report = sweep(SweepDomain(max_buckets=3))
-        assert not report.only_expected_failures
-        params, check = report.minimal_violations["R6"]
-        assert params == PlacementParams(3, 1, 1, 0, 2)
-        assert check.witness["clause"] == "residue"
-        assert check.witness["token"] == 2
+    def test_twenty_bucket_verdict(self):
+        # Rings of up to twenty buckets, 27 times the default domain's
+        # instances: still only the documented gap cases fail.
+        report = sweep(SweepDomain(max_buckets=20))
+        assert report.instances_checked == 3067064
+        assert report.violation_counts == {
+            "R1": 0,
+            "R2": 0,
+            "R3": 0,
+            "R4": 0,
+            "R5": 0,
+            "R6": 531856,
+            "RC": 0,
+        }
+        assert report.unexpected_violations == 0
+        assert report.oracle_mismatches == 0
+        assert report.minimal_oracle_mismatch is None
+        params = PlacementParams(3, 2, 2, 0, 3)
+        witness = {
+            "params": asdict(params),
+            "clause": "count",
+            "occupancy3": [2, 1, 0],
+            "spread": 2,
+        }
+        assert report.minimal_violations == {
+            "R6": (params, RequirementCheck("R6", False, witness))
+        }
 
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
@@ -672,6 +646,182 @@ class TestSweep:
         assert report == reference_sweep(domain)
         assert report.oracle_mismatches == 7
         assert report.minimal_oracle_mismatch == PlacementParams(1, 1, 1, 0, 2)
+        assert not report.only_expected_failures
+
+
+def edit_token(trace: LifecycleTrace, column: str, token: int, change) -> LifecycleTrace:
+    """The trace with entry ``token`` of ``column`` replaced by
+    ``change(entry, params)``, when the run has that token."""
+    values = list(getattr(trace, column))
+    if token < len(values):
+        values[token] = change(values[token], trace.params)
+    return replace(trace, **{column: tuple(values)})
+
+
+def label_plus_one_at_token_7(trace):
+    return edit_token(trace, "label", 7, lambda value, _: value + 1)
+
+
+def ascending_stage1_slots_plus_one(trace):
+    """Every moved token, which is an ascending one, a stage-1 bucket on."""
+    size = trace.params.first_set_size
+    column = zip(trace.stage1_bucket, trace.moved_in_stage2)
+    return replace(
+        trace,
+        stage1_bucket=tuple((bucket + 1) % size if moved else bucket for bucket, moved in column),
+    )
+
+
+def stage1_past_the_window_at_token_3(trace):
+    """Token 3 one slot past the window, whenever the window leaves the
+    ring a slot."""
+    params = trace.params
+    if params.fill_width == params.first_set_size:
+        return trace
+    past = (params.first_bucket + params.fill_width) % params.first_set_size
+    return edit_token(trace, "stage1_bucket", 3, lambda *_: past)
+
+
+def move_flag_dropped_at_token_9(trace):
+    return edit_token(trace, "moved_in_stage2", 9, lambda *_: False)
+
+
+def move_flag_flipped_at_token_5(trace):
+    return edit_token(trace, "moved_in_stage2", 5, lambda flag, _: not flag)
+
+
+def stage2_plus_one_at_token_5(trace):
+    return edit_token(
+        trace, "stage2_bucket", 5, lambda bucket, params: (bucket + 1) % params.first_set_size
+    )
+
+
+def stage3_plus_one_at_token_4(trace):
+    return edit_token(
+        trace, "stage3_bucket", 4, lambda bucket, params: (bucket + 1) % params.second_set_size
+    )
+
+
+def stage3_modulo_one_more(trace):
+    """Stage 3 taken modulo one more than the second-set size."""
+    size = trace.params.second_set_size + 1
+    return replace(trace, stage3_bucket=tuple(value % size for value in trace.label))
+
+
+class Mutant(NamedTuple):
+    """A trace mutant and what the sweep of ``domain`` must make of it.
+
+    ``caught`` maps each requirement that must catch the mutant, or
+    ``"oracle"``, to its count; every other count is the unmutated
+    sweep's.  ``reference`` says whether ``reference_sweep`` can judge
+    it: its own checks refuse an R6 failure other than the documented
+    gap case.  ``minimal`` pins the parameters and some witness fields
+    of a requirement's minimal violation.
+    """
+
+    edit: Callable[[LifecycleTrace], LifecycleTrace]
+    domain: SweepDomain
+    caught: dict[str, int]
+    unexpected: int
+    reference: bool = True
+    minimal: dict[str, tuple[PlacementParams, dict]] = {}
+
+
+FOUR = SweepDomain(max_buckets=4)
+
+MUTANTS = (
+    Mutant(
+        label_plus_one_at_token_7,
+        FOUR,
+        {"R1": 907, "R3": 989, "R5": 1016, "R6": 986},
+        3654,
+        reference=False,
+    ),
+    Mutant(
+        ascending_stage1_slots_plus_one,
+        FOUR,
+        {"R2": 449, "R4": 672, "RC": 1099, "oracle": 1099},
+        2220,
+    ),
+    # R2's spread record skips the offset past the window, which is not
+    # below the window width, on every run of more than three tokens.
+    Mutant(
+        stage1_past_the_window_at_token_3,
+        FOUR,
+        {"R2": 148, "R4": 504, "RC": 800, "oracle": 1016},
+        1452,
+    ),
+    Mutant(move_flag_dropped_at_token_9, FOUR, {"R4": 168}, 168),
+    Mutant(stage2_plus_one_at_token_5, FOUR, {"R4": 990, "R5": 1214}, 2204),
+    Mutant(stage3_plus_one_at_token_4, FOUR, {"R6": 465}, 370, reference=False),
+    # A first failure counts from its offending token: R4 fails exactly on
+    # the runs of more than five tokens, 50 instances of the domain.
+    Mutant(
+        move_flag_flipped_at_token_5,
+        SweepDomain(max_buckets=2),
+        {"R4": 50},
+        50,
+        minimal={"R4": (PlacementParams(6, 1, 1, 0, 2), {"token": 5})},
+    ),
+    # Token 2, label 2, lands in bucket 2 of (1, 1, 0)'s second set of 2.
+    Mutant(
+        stage3_modulo_one_more,
+        SweepDomain(max_buckets=3),
+        {"R6": 167},
+        152,
+        reference=False,
+        minimal={"R6": (PlacementParams(3, 1, 1, 0, 2), {"clause": "residue", "token": 2})},
+    ),
+)
+
+
+def gap_length_plus_one(descriptor):
+    return replace(descriptor, gap_length=descriptor.gap_length + 1)
+
+
+def gap_start_minus_one(descriptor):
+    return replace(descriptor, gap_start=descriptor.gap_start - 1)
+
+
+class TestMutantCatalogue:
+    """Broken lifecycles the sweep must flag, each through a wrapper of
+    ``ringfill.verify.run_lifecycle`` that edits every trace it returns."""
+
+    @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda mutant: mutant.edit.__name__)
+    def test_the_sweep_catches_the_mutant(self, monkeypatch, mutant):
+        clean = sweep(mutant.domain)
+        real = ringfill.verify.run_lifecycle
+        monkeypatch.setattr(
+            ringfill.verify, "run_lifecycle", lambda params: mutant.edit(real(params))
+        )
+        report = sweep(mutant.domain)
+        assert not report.only_expected_failures
+        caught = {**report.violation_counts, "oracle": report.oracle_mismatches}
+        assert all(caught[catcher] for catcher in mutant.caught)
+        assert caught == {
+            **clean.violation_counts,
+            "oracle": clean.oracle_mismatches,
+            **mutant.caught,
+        }
+        assert report.unexpected_violations == mutant.unexpected
+        for requirement_id, (params, fields) in mutant.minimal.items():
+            found, check = report.minimal_violations[requirement_id]
+            assert found == params
+            assert {name: check.witness[name] for name in fields} == fields
+        if mutant.reference:
+            assert report == reference_sweep(mutant.domain)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known escape: the sweep reads only whether a gap is present, "
+        "so a mislaid gap passes as the documented gap case",
+    )
+    @pytest.mark.parametrize("edit", [gap_length_plus_one, gap_start_minus_one])
+    def test_a_mislaid_gap_is_caught(self, monkeypatch, edit):
+        real = ringfill.verify.gap
+        monkeypatch.setattr(ringfill.verify, "gap", lambda params: edit(real(params)))
+        report = sweep()
+        assert report.violation_counts["R6"] == 17264
         assert not report.only_expected_failures
 
 
@@ -693,37 +843,28 @@ class TestTally:
     @example((3, [2] * 40 + [0, 1]))
     def test_spread_is_current_after_every_increment(self, feed):
         size, increments = feed
-        tally = _Tally(size)
+        spreads = _spreads(increments, size)
+        assert len(spreads) == len(increments) + 1
         plain = [0] * size
-        assert tally.spread == 0
-        for bucket in increments:
-            tally.add(bucket)
+        assert spreads[0] == 0
+        for tokens, bucket in enumerate(increments, 1):
             plain[bucket] += 1
-            assert tally.counts == plain
-            assert tally.spread == max(plain) - min(plain)
+            assert spreads[tokens] == max(plain) - min(plain)
 
     @given(tally_feeds(), st.integers(0, 3))
     def test_increments_equal_the_whole_column_tally(self, feed, beyond):
-        # The sweep's tally of a column matches check_requirements', which
-        # counts it whole after dropping the buckets not below the size.
+        # The sweep's spread record of a column ends at check_requirements'
+        # spread, which counts the column whole after dropping the buckets
+        # not below the size.
         size, increments = feed
         column = [bucket + beyond for bucket in increments]
-        tally = _Tally(size)
-        for bucket in column:
-            tally.add(bucket)
         whole = _tally(filter(size.__gt__, column), size)
-        assert tuple(tally.counts) == whole
-        assert tally.spread == max(whole) - min(whole)
+        assert _spreads(column, size)[-1] == max(whole) - min(whole)
 
     def test_a_long_stretch_leaves_the_minimum_count_current(self):
         # Six increments fill three buckets evenly; the next increment must
         # see all three still at the minimum, so the spread is 1.
-        tally = _Tally(3)
-        for bucket in [0, 1, 2, 0, 1, 2]:
-            tally.add(bucket)
-        assert (tally.low, tally.at_low, tally.spread) == (2, 3, 0)
-        tally.add(0)
-        assert (tally.low, tally.at_low, tally.spread) == (2, 2, 1)
+        assert _spreads([0, 1, 2, 0, 1, 2, 0], 3) == [0, 1, 1, 0, 1, 1, 0, 1]
 
 
 class TestLabelResidueCounts:
