@@ -74,14 +74,14 @@ class LifecycleTrace:
 
 
 def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
-    """Histogram of bucket indices in ``[0, size)``, zero counts included.
-
+    """Histogram of bucket indices in ``[0, size)``, zero counts included;
+    a bucket not below the size is not counted, as in ``verify._spreads``.
     It counts the occupancy histograms and every histogram that
-    ``ringfill.verify.check_requirements`` reads on a whole trace.
-    """
+    ``ringfill.verify.check_requirements`` reads on a whole trace."""
     counts = [0] * size
     for bucket in buckets:
-        counts[bucket] += 1
+        if bucket < size:
+            counts[bucket] += 1
     return tuple(counts)
 
 

@@ -23,45 +23,47 @@ expected and flags anything else.
 Each requirement is stated once, as a row of one table, in one or both
 of two forms.  An offender fails it for good at the first offending
 token: R1, R4, RC and the residue clauses of R5 and R6.  A histogram
-fails it while its spread is over 1: R2 over the stage-1 window
-offsets, R3 and the count clauses of R5 and R6 over label residues.
-R3 and R5 count the same ``label % B``, so one tally serves both, and
-an offender reads the buckets its histogram built, so R5's and R6's
-residue clauses compare their stage with those residues.  R5's and
-R6's counts are their stage's bucket counts for as long as the residue
-clause holds, and the offender's witness wins after that.  One
-reader gives a requirement's witness on the first ``t`` tokens of a
-run, and no offender or histogram reads the token count, so that is
-the requirement's verdict on the run of ``t`` tokens.
+fails it while its spread is over 1, zero-count buckets included: R2
+over the stage-1 window offsets, sized by the window width ``C``, and
+R3 and the count clauses of R5 and R6 over ``label % size``, sized by
+``B`` (R3 and R5, which share one tally) or ``B'`` (R6).  No tally
+counts a bucket not below its size, which only R2's offsets can be.
+R5's and R6's residue clauses compare their stage with the residues
+their histogram built, so their counts are their stage's bucket counts
+for as long as the residue clause holds.  One reader gives a
+requirement's witness on the first ``t`` tokens of a run, and no
+offender or histogram reads the token count, so that is the
+requirement's verdict on the run of ``t`` tokens.
 ``check_requirements`` reads every requirement on the whole trace and
 counts each histogram's whole column with ``ringfill.lifecycle._tally``,
 the code behind the occupancy histograms.
 
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
-count and the oracle mismatches.  It does each piece of work once for
-what it depends on.  Nothing in stage 1, the labels or the oracle reads
-the token count ``T``, so the run of ``T`` tokens is the first ``T``
-tokens of every longer run.  Per ``(B, C, f)`` triple the sweep makes
-one lifecycle and one oracle walk, at the triple's largest ``T``, and
-judges each requirement once: it finds the offender and builds each
-histogram's spread record, whose entry ``t`` is the spread after the
-first ``t`` tokens.  The run of ``T`` tokens fails a requirement when
-its offender lies among its first ``T`` tokens or its spread after
-``T`` tokens is over 1.  R1–R5, RC and the oracle comparison read only
-the stage-1 quadruple ``(T, B, C, f)``, so a failure there counts for
-every second-set size.  R6's histogram is the only one that reads the
-second-set size ``B'``; the sweep records the spread of ``label % B'``
-once per ``B'``.  Parameters and a witness are built only at each
-requirement's first failure, from the offender or the whole-column
-tally of that run's tokens, and at the first oracle mismatch.  The
-test suite holds the verdict to ``check_requirements`` on the full
-per-token trace of every instance, and ``check_requirements`` to a
-per-token restatement of the requirements on broken traces.
+count and the oracle mismatches.  Nothing in stage 1, the labels or the
+oracle reads the token count ``T``, so the run of ``T`` tokens is the
+first ``T`` tokens of every longer run, and the sweep does each piece of
+work once for what it depends on: one lifecycle and one oracle walk per
+``(B, C, f)`` triple, one spread record per histogram and size, and
+parameters and a witness only at each requirement's first failure and
+at the first oracle mismatch.  The test suite holds the verdict to
+``check_requirements`` on the full per-token trace of every instance,
+and ``check_requirements`` to a per-token restatement of the
+requirements on broken traces.
 
-Spreads include zero-count buckets of the relevant set: all fill-window
-buckets for R2, the whole first set for R3 and R5, the whole second set
-for R6.
+Every histogram repeats in ``T``, so one period of ``T`` shows every
+spread it takes.  Any ``L = lcm(B, C)`` consecutive tokens hold each
+round position ``L/B`` times: the descending stream puts ``L/B`` of
+them in every window slot, and the ascending stream takes
+``(B - C)·L/B`` consecutive slots, a multiple of ``C``.  So R2's window
+counts at ``T + L`` are those at ``T`` plus ``L/C`` in every slot.  The
+labels of ``T`` tokens are the ``T + gap_length`` values from
+``first_bucket`` up, minus the gap; the gap's length depends only on
+``(T - 1) mod B`` and its start moves by ``B`` a round.  So with
+``L = lcm(B, size)`` the ``label % size`` counts of R3 and R5
+(``size = B``) and of R6 (``size = B'``) at ``T + L`` are those at
+``T`` plus ``L/size`` in every class: ``L`` more values of the range,
+and a gap of the same length on the same classes.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class RequirementReport:
 def _spreads(buckets: Iterable[int], size: int) -> list[int]:
     """The spread record of a histogram of ``[0, size)``: entry ``t`` is
     the spread of the histogram of the first ``t`` buckets.  A bucket not
-    below the size is not counted."""
+    below the size is not counted, as in ``lifecycle._tally``."""
     counts = [0] * size
     high = low = 0
     at_low = size
@@ -147,11 +149,11 @@ def _spreads(buckets: Iterable[int], size: int) -> list[int]:
 # histogram's buckets (None for a requirement without one) that gives
 # the first offending token and that token's witness fields, or None;
 # both depend only on the tokens up to the offender.  Its histogram is a
-# pair (witness name, buckets): ``buckets(params, trace)`` gives one
-# bucket per token and the number of buckets, from ``params`` rather
-# than the trace's own so the sweep can ask for every second-set size,
-# and a token whose bucket is not below that number is not counted.
-# Neither reads ``token_count``.
+# triple (witness name, buckets, size field): ``buckets(trace, size)``
+# gives one bucket per token, for the size ``getattr(params, size
+# field)`` of the params in hand rather than the trace's own, so the
+# sweep can ask for every second-set size.  Neither reads
+# ``token_count``.
 
 
 def _first(flags: Iterable[object]) -> int | None:
@@ -241,27 +243,14 @@ def _off_step(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     }
 
 
-def _window_slots(
-    params: PlacementParams, trace: LifecycleTrace
-) -> tuple[tuple[int, ...], int]:
-    """R2: each token's stage-1 window offset, over the window's slots."""
-    return tuple(_window_offsets(trace.stage1_bucket, params)), params.fill_width
+def _window_slots(trace: LifecycleTrace, _) -> tuple[int, ...]:
+    """R2: each token's stage-1 window offset, a slot of the window."""
+    return tuple(_window_offsets(trace.stage1_bucket, trace.params))
 
 
-def _first_set_residues(
-    params: PlacementParams, trace: LifecycleTrace
-) -> tuple[tuple[int, ...], int]:
-    """R3 and R5: each token's label modulo the first-set size."""
-    size = params.first_set_size
-    return tuple(map(mod, trace.label, repeat(size))), size
-
-
-def _second_set_residues(
-    params: PlacementParams, trace: LifecycleTrace
-) -> tuple[tuple[int, ...], int]:
-    """R6: each token's label modulo the second-set size."""
-    size = params.second_set_size
-    return tuple(map(mod, trace.label, repeat(size))), size
+def _label_residues(trace: LifecycleTrace, size: int) -> tuple[int, ...]:
+    """R3, R5 and R6: each token's label modulo ``size``."""
+    return tuple(map(mod, trace.label, repeat(size)))
 
 
 # The requirements in report order: (id, description, offender, histogram).
@@ -271,13 +260,13 @@ _REQUIREMENTS = (
         "R2",
         "fill-window token counts differ by at most 1",
         None,
-        ("window_counts", _window_slots),
+        ("window_counts", _window_slots, "fill_width"),
     ),
     (
         "R3",
         "label residue counts over the first set differ by at most 1",
         None,
-        ("residue_counts", _first_set_residues),
+        ("residue_counts", _label_residues, "first_set_size"),
     ),
     (
         "R4",
@@ -289,13 +278,13 @@ _REQUIREMENTS = (
         "R5",
         "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
         partial(_off_residue, "stage2_bucket"),
-        ("occupancy2", _first_set_residues),
+        ("occupancy2", _label_residues, "first_set_size"),
     ),
     (
         "R6",
         "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
         partial(_off_residue, "stage3_bucket"),
-        ("occupancy3", _second_set_residues),
+        ("occupancy3", _label_residues, "second_set_size"),
     ),
     (
         "RC",
@@ -326,7 +315,7 @@ def _witness(
     if offender is not None and offender[0] < tokens:
         return offender[1]
     if spread > 1:
-        _, _, find_offender, (name, _) = row
+        _, _, find_offender, (name, _, _) = row
         lead = {"clause": "count"} if find_offender else {}
         return {**lead, name: list(counts), "spread": spread}
     return None
@@ -358,14 +347,15 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     by_histogram: dict = {}
     for row in _REQUIREMENTS:
         histogram = row[3]
-        by_histogram.setdefault(histogram and histogram[1], []).append(row)
+        key = histogram and (histogram[1], getattr(params, histogram[2]))
+        by_histogram.setdefault(key, []).append(row)
     witnesses = dict.fromkeys(REQUIREMENT_IDS)
-    for buckets_of, rows in by_histogram.items():
+    for key, rows in by_histogram.items():
         buckets, counts, spread = None, (), 0
-        if buckets_of is not None:
-            buckets, size = buckets_of(params, trace)
-            # Only R2's window offsets can lie outside their histogram.
-            counts = _tally(filter(size.__gt__, buckets), size)
+        if key is not None:
+            buckets_of, size = key
+            buckets = buckets_of(trace, size)
+            counts = _tally(buckets, size)
             spread = max(counts) - min(counts)
         for row in rows:
             find_offender = row[2]
@@ -505,7 +495,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     the run of ``T`` tokens fails when the offender lies among its first
     ``T`` tokens or the spread after ``T`` tokens is over 1.  A failure
     of R1–R5, RC or the oracle comparison counts for every second-set
-    size.  R6's histogram is the only one that reads the second-set size
+    size.  R6's histogram is the only one sized by the second-set size
     ``B'``: the sweep judges R6 once per ``B'``.  The trace is run at the
     smallest ``B'``, so R6's offender, a stage-3 bucket off its label
     residue, counts for that ``B'`` alone.  Only a requirement's first
@@ -534,24 +524,24 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         report.oracle_mismatches += len(mismatched) * len(seconds)
         if mismatched and report.minimal_oracle_mismatch is None:
             report.minimal_oracle_mismatch = mismatched[0]
-        # Each histogram's buckets, size and spread record; R6's per B'.
+        # Each histogram's buckets and spread record by (buckets, size).
         records: dict = {}
         # Gap presence, asked at most once per planning instance.
         gapped = cache(lambda planning: gap(planning).present)
         for row in _REQUIREMENTS:
             requirement_id, _, find_offender, histogram = row
-            buckets_of = histogram and histogram[1]
-            per_second = buckets_of is _second_set_residues
+            per_second = histogram is not None and histogram[2] == "second_set_size"
             weight = 1 if per_second else len(seconds)
             firsts = []  # (T, B', offender, buckets, size) of each first failure
             for second in seconds if per_second else seconds[:1]:
                 buckets, size, spreads = None, 0, None
-                if buckets_of is not None:
-                    if (buckets_of, second) not in records:
-                        instance = replace(longest, second_set_size=second)
-                        buckets, size = buckets_of(instance, trace)
-                        records[buckets_of, second] = buckets, size, _spreads(buckets, size)
-                    buckets, size, spreads = records[buckets_of, second]
+                if histogram is not None:
+                    _, buckets_of, size_field = histogram
+                    size = second if per_second else getattr(longest, size_field)
+                    if (buckets_of, size) not in records:
+                        buckets = buckets_of(trace, size)
+                        records[buckets_of, size] = buckets, _spreads(buckets, size)
+                    buckets, spreads = records[buckets_of, size]
                 # The trace's stage 3 is that of the smallest B' alone.
                 offender = None
                 if find_offender is not None and second == seconds[0]:
@@ -583,7 +573,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
                 tokens, second, offender, buckets, size = min(firsts, key=itemgetter(0))
                 whole, spread = (), 0
                 if buckets is not None:
-                    whole = _tally(filter(size.__gt__, buckets[:tokens]), size)
+                    whole = _tally(buckets[:tokens], size)
                     spread = max(whole) - min(whole)
                 params = replace(longest, token_count=tokens, second_set_size=second)
                 witness_fields = _witness(row, offender, whole, spread, tokens)

@@ -1,10 +1,21 @@
 """The public names of the package and of its command-line module: any
-change to the API has to edit this test."""
+change to the API has to edit this test.  Two lint rules on the
+package's source ride along: no import goes unused and no private
+module-level name goes unreferenced, so a removal leaves no orphan
+behind."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import ringfill
 import ringfill.cli
+
+MODULES = {
+    path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
+    for path in sorted(Path(ringfill.__file__).parent.glob("*.py"))
+}
 
 
 def test_public_names_are_pinned():
@@ -40,3 +51,68 @@ def test_cli_module_names_are_pinned():
         "trace_report",
     ]
     assert all(hasattr(ringfill.cli, name) for name in ringfill.cli.__all__)
+
+
+def _read_names(tree: ast.AST) -> set[str]:
+    """Every bare name ``tree`` loads or deletes."""
+    return {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+
+
+def _exported(tree: ast.Module) -> set[str]:
+    """The names a module lists in its ``__all__``, if it has one."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def test_every_import_is_used_or_exported():
+    unused = []
+    for name, tree in MODULES.items():
+        used = _read_names(tree) | _exported(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.partition(".")[0]
+                    if bound not in used:
+                        unused.append(f"{name}: {bound}")
+    assert unused == []
+
+
+def test_every_private_module_name_is_referenced():
+    # A private name counts as referenced when some module of the
+    # package reads it, as a name or an attribute, or imports it;
+    # docstring text does not count.
+    referenced = set()
+    for tree in MODULES.values():
+        referenced |= _read_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                referenced |= {alias.name for alias in node.names}
+    orphans = []
+    for name, tree in MODULES.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            orphans += [
+                f"{name}: {private}"
+                for private in defined
+                if private.startswith("_")
+                and not private.startswith("__")
+                and private not in referenced
+            ]
+    assert orphans == []

@@ -8,6 +8,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from dataclasses import asdict, replace
+from math import lcm
 from typing import Callable, NamedTuple
 
 import pytest
@@ -331,7 +332,8 @@ class TestCheckRequirements:
 
     def test_each_histogram_builds_its_buckets_once(self):
         # R5's and R6's residue clauses read the label residues their
-        # histograms built.
+        # histograms built: one window-slot column, and one residue
+        # column per set size, B for R3 and R5 and B' for R6.
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         calls = Counter()
 
@@ -344,8 +346,7 @@ class TestCheckRequirements:
             check_requirements(trace)
         finally:
             sys.setprofile(None)
-        histograms = ("_window_slots", "_first_set_residues", "_second_set_residues")
-        assert [calls[name] for name in histograms] == [1, 1, 1]
+        assert [calls[name] for name in ("_window_slots", "_label_residues")] == [1, 2]
 
     def test_peak_memory_above_the_trace_is_a_quarter_of_it(self):
         # R1 sorts the labels instead of building a set of them, and each
@@ -547,13 +548,15 @@ class TestSweep:
     def test_sweep_runs_one_lifecycle_and_one_oracle_walk_per_triple(
         self, monkeypatch
     ):
-        calls = dict.fromkeys(["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap"], 0)
+        calls = dict.fromkeys(
+            ["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap", "replace"], 0
+        )
         for name in calls:
             real = getattr(ringfill.verify, name)
 
-            def counting(*args, real=real, name=name):
+            def counting(*args, real=real, name=name, **changes):
                 calls[name] += 1
-                return real(*args)
+                return real(*args, **changes)
 
             monkeypatch.setattr(ringfill.verify, name, counting)
         domain = SweepDomain(max_buckets=4)
@@ -562,9 +565,14 @@ class TestSweep:
         # Each builds B + 2 spread records: R2's, the one R3 and R5 share,
         # and R6's for each of the B second-set sizes.  Gap presence is
         # asked once per planning instance that R6's count clause fails
-        # at spread 2, never once per second-set size.
+        # at spread 2, never once per second-set size.  The only
+        # parameters built are those of R6's minimal witness.
         assert calls == {
-            "run_lifecycle": 30, "prose_oracle_stage1": 30, "_spreads": 160, "gap": 112
+            "run_lifecycle": 30,
+            "prose_oracle_stage1": 30,
+            "_spreads": 160,
+            "gap": 112,
+            "replace": 1,
         }
         assert report.instances_checked == sum(1 for _ in domain.iter_instances())
 
@@ -854,11 +862,11 @@ class TestTally:
     @given(tally_feeds(), st.integers(0, 3))
     def test_increments_equal_the_whole_column_tally(self, feed, beyond):
         # The sweep's spread record of a column ends at check_requirements'
-        # spread, which counts the column whole after dropping the buckets
+        # spread, which counts the column whole: neither counts a bucket
         # not below the size.
         size, increments = feed
         column = [bucket + beyond for bucket in increments]
-        whole = _tally(filter(size.__gt__, column), size)
+        whole = _tally(column, size)
         assert _spreads(column, size)[-1] == max(whole) - min(whole)
 
     def test_a_long_stretch_leaves_the_minimum_count_current(self):
@@ -964,3 +972,45 @@ class TestClassifyEndState:
         rest = {count for offset, count in enumerate(counts) if offset not in run}
         assert len(rest) == 1
         assert all(counts[offset] == min(rest) + step for offset in run)
+
+
+@st.composite
+def residue_periods(draw):
+    """An instance with ``B < B' <= 10**4`` and ``T <= 10**12``, and one
+    of its two set sizes."""
+    buckets = draw(st.integers(1, 10**4 - 1))
+    params = PlacementParams(
+        token_count=draw(st.integers(0, 10**12)),
+        first_set_size=buckets,
+        fill_width=draw(st.integers(1, buckets)),
+        first_bucket=draw(st.integers(0, buckets - 1)),
+        second_set_size=draw(st.integers(buckets + 1, 10**4)),
+    )
+    return params, draw(st.sampled_from([buckets, params.second_set_size]))
+
+
+class TestPeriods:
+    """Each histogram repeats in the token count, as the ``verify``
+    docstring argues: ``lcm`` more tokens add ``lcm / size`` to every
+    bucket of a histogram of ``size`` buckets."""
+
+    @given(residue_periods())
+    @example((make_params(0, 3, 2, target=4), 4))
+    @example((make_params(5, 4, 3, target=5), 5))
+    def test_label_residue_counts_repeat_every_lcm_of_b_and_the_size(self, instance):
+        params, size = instance
+        period = lcm(params.first_set_size, size)
+        later = replace(params, token_count=params.token_count + period)
+        counts = _label_residue_counts(params, gap(params), size)
+        assert _label_residue_counts(later, gap(later), size) == [
+            held + period // size for held in counts
+        ]
+
+    @given(placement_params(max_buckets=40, max_tokens=200))
+    def test_window_counts_repeat_every_lcm_of_b_and_c(self, params):
+        period = lcm(params.first_set_size, params.fill_width)
+        later = replace(params, token_count=params.token_count + period)
+        counts = window_counts(run_lifecycle(params))
+        assert window_counts(run_lifecycle(later)) == [
+            held + period // params.fill_width for held in counts
+        ]
