@@ -31,7 +31,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, fields
 from itertools import chain, compress, count, islice, repeat
-from operator import eq, is_, itemgetter, not_
+from operator import countOf, eq, is_, itemgetter, ne, not_
 from typing import Any
 
 from .lifecycle import FIELDS, LifecycleTrace, run_lifecycle
@@ -173,6 +173,86 @@ class _PlacementEntries:
             self.end, self.error = index, f"placement {index} {reason}"
 
 
+def _placement_columns(placements: list, params: PlacementParams) -> list[tuple]:
+    """The columns of ``FIELDS`` read from a placements list, once every
+    entry passes every check.
+
+    Each check is put first to a whole column, in one pass and in the
+    order an entry is read in.  Only when one fails is the ordered
+    ``_PlacementEntries`` scan built; it runs that check and every later
+    one entry by entry, and a ValueError names the first offending entry
+    and its first failing check.
+    """
+    scan: _PlacementEntries | None = None
+
+    def check(
+        whole: bool, holds: Iterable[object], failure: str | Callable[[int], str]
+    ) -> None:
+        # ``whole`` says the check holds on every entry before the first
+        # offender so far; ``holds`` says it for each entry in turn.
+        nonlocal scan
+        if not whole:
+            if scan is None:
+                scan = _PlacementEntries(placements)
+            scan.check(holds, failure)
+
+    check(
+        countOf(map(type, placements), dict) == len(placements),
+        map(isinstance, placements, repeat(dict)),
+        "must be an object",
+    )
+    # A dict of len(FIELDS) keys from which every field reads has exactly
+    # those keys.  A dict subclass may read a key it lacks, so the fields
+    # are read whole only when every entry is a plain dict.
+    columns = None
+    if scan is None and countOf(map(len, placements), len(FIELDS)) == len(placements):
+        try:
+            columns = [tuple(map(itemgetter(name), placements)) for name in FIELDS]
+        except KeyError:
+            pass
+    placement_fields = set(FIELDS)
+    check(
+        columns is not None,
+        map(eq, map(dict.keys, placements), repeat(placement_fields)),
+        f"must have exactly the fields {sorted(placement_fields)}",
+    )
+    if columns is None:
+        columns = [
+            tuple(map(itemgetter(name), islice(placements, scan.end))) for name in FIELDS
+        ]
+    tokens, *integer_columns, moved = columns
+    check(
+        not any(map(ne, tokens, count())),
+        map(eq, tokens, count()),
+        lambda index: f"has token {tokens[index]}, tokens must be dense and ordered",
+    )
+    for name, column in zip(FIELDS, (tokens, *integer_columns)):
+        check(
+            countOf(map(type, column), int) == len(column),
+            map(is_, map(type, column), repeat(int)),
+            f"field {name} must be an integer",
+        )
+    check(
+        countOf(map(type, moved), bool) == len(moved),
+        map(is_, map(type, moved), repeat(bool)),
+        "field moved_in_stage2 must be a boolean",
+    )
+    for column, size in zip(
+        integer_columns[1:], (params.first_set_size, params.first_set_size, params.second_set_size)
+    ):
+        # Past the first offender an entry may hold a value min cannot
+        # order; before it every value is an int.
+        values = set(column if scan is None else column[: scan.end])
+        check(
+            not values or 0 <= min(values) <= max(values) < size,
+            map(range(size).__contains__, column),
+            "has a bucket outside its set",
+        )
+    if scan is not None and scan.error is not None:
+        raise ValueError(scan.error)
+    return columns
+
+
 def parse_trace_report(document: dict) -> LifecycleTrace:
     """Rebuild a trace from an emitted JSON report.
 
@@ -204,41 +284,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
         raise ValueError("placements must be a list")
     if len(raw_placements) != params.token_count:
         raise ValueError(f"expected {params.token_count} placements, got {len(raw_placements)}")
-    # One pass per check and one per field, in the order the checks read
-    # an entry; the scans for an offender run only when a check fails.
-    entries = _PlacementEntries(raw_placements)
-    placement_fields = set(FIELDS)
-    entries.check(map(isinstance, raw_placements, repeat(dict)), "must be an object")
-    entries.check(
-        map(eq, map(dict.keys, raw_placements), repeat(placement_fields)),
-        f"must have exactly the fields {sorted(placement_fields)}",
-    )
-    tokens, *columns = (
-        tuple(map(itemgetter(name), islice(raw_placements, entries.end)))
-        for name in FIELDS
-    )
-    entries.check(
-        map(eq, tokens, count()),
-        lambda index: f"has token {tokens[index]}, tokens must be dense and ordered",
-    )
-    *integer_columns, moved = tokens, *columns
-    for name, column in zip(FIELDS, integer_columns):
-        if not {int}.issuperset(map(type, column[: entries.end])):
-            entries.check(
-                map(is_, map(type, column), repeat(int)), f"field {name} must be an integer"
-            )
-    if not {bool}.issuperset(map(type, moved[: entries.end])):
-        entries.check(
-            map(is_, map(type, moved), repeat(bool)), "field moved_in_stage2 must be a boolean"
-        )
-    for column, size in zip(
-        columns[1:4], (params.first_set_size, params.first_set_size, params.second_set_size)
-    ):
-        head = column[: entries.end]
-        if head and not 0 <= min(head) <= max(head) < size:
-            entries.check(map(range(size).__contains__, column), "has a bucket outside its set")
-    if entries.error is not None:
-        raise ValueError(entries.error)
+    _, *columns = _placement_columns(raw_placements, params)
     trace = LifecycleTrace(params, *columns)
 
     # The length check must come before the trace tallies its column, so

@@ -18,6 +18,7 @@ immutable once produced and safe to share between threads.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
@@ -75,13 +76,14 @@ class LifecycleTrace:
 
 def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
     """Histogram of bucket indices in ``[0, size)``, zero counts included;
-    a bucket not below the size is not counted, as in ``verify._spreads``.
+    a bucket outside that range is not counted, as in ``verify._spreads``.
     It counts the occupancy histograms and every histogram that
     ``ringfill.verify.check_requirements`` reads on a whole trace."""
+    # The list comes first, so a size too large to index raises at once.
     counts = [0] * size
-    for bucket in buckets:
-        if bucket < size:
-            counts[bucket] += 1
+    for bucket, held in Counter(buckets).items():
+        if 0 <= bucket < size:
+            counts[bucket] = held
     return tuple(counts)
 
 

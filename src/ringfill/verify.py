@@ -27,7 +27,7 @@ fails it while its spread is over 1, zero-count buckets included: R2
 over the stage-1 window offsets, sized by the window width ``C``, and
 R3 and the count clauses of R5 and R6 over ``label % size``, sized by
 ``B`` (R3 and R5, which share one tally) or ``B'`` (R6).  No tally
-counts a bucket not below its size, which only R2's offsets can be.
+counts a bucket outside ``[0, size)``, which only R2's offsets can be.
 R5's and R6's residue clauses compare their stage with the residues
 their histogram built, so their counts are their stage's bucket counts
 for as long as the residue clause holds.  One reader gives a
@@ -70,8 +70,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
-from itertools import compress, count, groupby, islice, repeat
-from operator import attrgetter, itemgetter, lt, mod, ne, sub
+from itertools import compress, count, cycle, groupby, islice, repeat
+from operator import attrgetter, itemgetter, lt, mod, ne
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lifecycle import LifecycleTrace, _tally, run_lifecycle
@@ -120,14 +120,14 @@ class RequirementReport:
 
 def _spreads(buckets: Iterable[int], size: int) -> list[int]:
     """The spread record of a histogram of ``[0, size)``: entry ``t`` is
-    the spread of the histogram of the first ``t`` buckets.  A bucket not
-    below the size is not counted, as in ``lifecycle._tally``."""
+    the spread of the histogram of the first ``t`` buckets.  A bucket
+    outside ``[0, size)`` is not counted, as in ``lifecycle._tally``."""
     counts = [0] * size
     high = low = 0
     at_low = size
     spreads = [0]
     for bucket in buckets:
-        if bucket < size:
+        if 0 <= bucket < size:
             count = counts[bucket] + 1
             counts[bucket] = count
             # ``low`` rises only when an increment lifts the last bucket at
@@ -161,11 +161,22 @@ def _first(flags: Iterable[object]) -> int | None:
     return next(compress(count(), flags), None)
 
 
+class _RingOffsets(dict):
+    """Each ring bucket's distance from the window start, around the ring,
+    worked out once per distinct bucket when it is first looked up."""
+
+    def __init__(self, params: PlacementParams) -> None:
+        super().__init__()
+        self.start, self.size = params.first_bucket, params.first_set_size
+
+    def __missing__(self, bucket: int) -> int:
+        offset = self[bucket] = (bucket - self.start) % self.size
+        return offset
+
+
 def _window_offsets(buckets: Iterable[int], params: PlacementParams) -> Iterator[int]:
     """Each bucket's distance from the window start, around the ring."""
-    return map(
-        mod, map(sub, buckets, repeat(params.first_bucket)), repeat(params.first_set_size)
-    )
+    return map(_RingOffsets(params).__getitem__, buckets)
 
 
 def _repeated_label(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
@@ -230,7 +241,7 @@ def _off_step(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     flags = trace.moved_in_stage2
     offsets = list(_window_offsets(compress(trace.stage1_bucket, flags), params))
     # The window slot each moved token should have taken, in turn.
-    slots = list(map(mod, range(len(offsets)), repeat(params.fill_width)))
+    slots = list(islice(cycle(range(params.fill_width)), len(offsets)))
     if offsets == slots:
         return None
     position = _first(map(ne, offsets, slots))

@@ -116,15 +116,30 @@ class CountingWriter(io.TextIOWrapper):
         return super().write(text)
 
 
-JSON_ATOMS = (None, True, -1, 2.0, 10**20, "x", [], {})
+# 1.0, 0 and 1 equal the ints and flags of small documents: only a type
+# check tells them apart.
+JSON_ATOMS = (None, True, -1, 0, 1, 1.0, 2.0, 10**20, "x", [], {})
 PARAMS_FIELDS = "['fill_width', 'first_bucket', 'first_set_size', 'second_set_size', 'token_count']"
+PLACEMENT_FIELDS = (
+    "['label', 'moved_in_stage2', 'stage1_bucket', 'stage2_bucket', 'stage3_bucket', 'token']"
+)
 TRACE_REPORT_KEYS = (
     "['gap', 'occupancy1', 'occupancy2', 'occupancy3', 'params', 'placements', 'requirements']"
 )
 # The label gap of make_params(5, 4, 3, target=5), the validation document.
 GAP = '{"present": true, "gap_start": 4, "gap_length": 2, "round": 1, "offset": 2}'
+
+
+def with_entry(document, index, entry):
+    """``document`` with placement ``index`` replaced by ``entry``."""
+    placements = list(document["placements"])
+    placements[index] = entry
+    return {**document, "placements": placements}
+
+
 # One mutation per rejection branch of parse_trace_report that the
-# tests below do not name otherwise, with the exact message it raises.
+# tests below do not name otherwise, and each input a whole-column check
+# could let through, with the exact message it raises.
 REJECTIONS = {
     "document is a list": (lambda d: [d], "report must be a JSON object"),
     "params is a list": (lambda d: {**d, "params": []}, "params must be an object"),
@@ -143,6 +158,26 @@ REJECTIONS = {
     "placement is a number": (
         lambda d: {**d, "placements": [*d["placements"][:2], 2, *d["placements"][3:]]},
         "placement 2 must be an object",
+    ),
+    # Six keys, every one a string: only the key names are wrong.
+    "placement with a key renamed": (
+        lambda d: with_entry(
+            d, 1, {("labels" if k == "label" else k): v for k, v in d["placements"][1].items()}
+        ),
+        f"placement 1 must have exactly the fields {PLACEMENT_FIELDS}",
+    ),
+    # True == 1, so the token is dense and ordered; only its type is wrong.
+    "token equal to 1": (
+        lambda d: with_entry(d, 1, {**d["placements"][1], "token": True}),
+        "placement 1 field token must be an integer",
+    ),
+    "bucket equal to 1": (
+        lambda d: with_entry(d, 1, {**d["placements"][1], "stage1_bucket": 1.0}),
+        "placement 1 field stage1_bucket must be an integer",
+    ),
+    "move flag equal to true": (
+        lambda d: with_entry(d, 3, {**d["placements"][3], "moved_in_stage2": 1}),
+        "placement 3 field moved_in_stage2 must be a boolean",
     ),
     "report with an extra key": (
         lambda d: {**d, "extra": 1},
@@ -165,30 +200,38 @@ REJECTIONS = {
         f"gap must be {GAP}, the label gap of params",
     ),
 }
+# The rows that reject one placement entry.
+ENTRY_REJECTIONS = [
+    name for name, (_, message) in REJECTIONS.items() if message.startswith("placement ")
+]
 
 
 def mutate_node(document, data, root=()):
-    """Replace a node under ``root`` with a JSON atom, or delete it; the
-    node is drawn from every path below ``root``, cut to a random prefix
-    no shorter than ``root``, so inner nodes are hit as well as leaves.
-    Returns the mutated document, which is a new object only when its
-    root was replaced."""
+    """Replace a node under ``root`` with a JSON atom, delete it, or
+    rename the key it sits under in an object; the node is drawn from
+    every path below ``root``, cut to a random prefix no shorter than
+    ``root``, so inner nodes are hit as well as leaves.  Returns the
+    mutated document, which is a new object only when its root was
+    replaced."""
     node = document
     for key in root:
         node = node[key]
     path = root + data.draw(st.sampled_from(list(node_paths(node))))
     path = path[: data.draw(st.integers(len(root), len(path)))]
-    delete = bool(path) and data.draw(st.booleans())
-    atom = None if delete else data.draw(st.sampled_from(JSON_ATOMS))
     if not path:
-        return atom
+        return data.draw(st.sampled_from(JSON_ATOMS))
     parent = document
     for key in path[:-1]:
         parent = parent[key]
-    if delete:
+    moves = ["replace", "delete"] + (["rename"] if isinstance(parent, dict) else [])
+    move = data.draw(st.sampled_from(moves))
+    if move == "delete":
         del parent[path[-1]]
+    elif move == "rename":
+        # "label" may be the key's own name, or one the object has already.
+        parent[data.draw(st.sampled_from(["x", "label"]))] = parent.pop(path[-1])
     else:
-        parent[path[-1]] = atom
+        parent[path[-1]] = data.draw(st.sampled_from(JSON_ATOMS))
     return document
 
 
@@ -535,7 +578,8 @@ class TestArgumentHandling:
 
 class TestShapeOfWork:
     """No command, parse or check records a histogram's spread after every
-    token: each counts whole columns, and the spread record is the sweep's."""
+    token: each counts whole columns, and the spread record is the sweep's.
+    The parser scans for an offending entry only in a document it rejects."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -553,6 +597,30 @@ class TestShapeOfWork:
         document = json.loads(trace_report(trace, check_requirements(trace)))
         report = check_requirements(parse_trace_report(document))
         assert [check.id for check in report.failures()] == ["R6"]
+
+    @pytest.mark.parametrize("rejection", [None, *ENTRY_REJECTIONS])
+    def test_only_a_failing_check_builds_the_offender_scan(self, monkeypatch, rejection):
+        # A well-formed document passes every check on whole columns; an
+        # offending entry fails one, and only then is the scan built.
+        built = []
+
+        class CountingEntries(ringfill.cli._PlacementEntries):
+            def __init__(self, entries):
+                built.append(len(entries))
+                super().__init__(entries)
+
+        monkeypatch.setattr(ringfill.cli, "_PlacementEntries", CountingEntries)
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        document = json.loads(trace_report(trace, check_requirements(trace)))
+        if rejection is None:
+            assert parse_trace_report(document) == trace
+            assert built == []
+        else:
+            mutate, message = REJECTIONS[rejection]
+            with pytest.raises(ValueError) as raised:
+                parse_trace_report(mutate(document))
+            assert str(raised.value) == message
+            assert built == [5]
 
     def test_the_sweep_records_spreads(self, capsys, no_spread_record):
         # The guard is live: the sweep command trips it.
@@ -900,6 +968,10 @@ class TestTraceReportValidation:
         with pytest.raises(ValueError) as raised:
             parse_trace_report(mutate(document))
         assert str(raised.value) == message
+        # The per-entry reference gives the same message, word for word.
+        assert parse_outcome(reference_parse_trace_report, mutate(document)) == (
+            f"ValueError: {message}"
+        )
 
     def test_huge_set_size_is_rejected_before_any_tally(self, document):
         # A tally of 10**20 buckets cannot even be requested, so a parser

@@ -859,15 +859,21 @@ class TestTally:
             plain[bucket] += 1
             assert spreads[tokens] == max(plain) - min(plain)
 
-    @given(tally_feeds(), st.integers(0, 3))
-    def test_increments_equal_the_whole_column_tally(self, feed, beyond):
+    @given(tally_feeds(), st.integers(-3, 3))
+    def test_increments_equal_the_whole_column_tally(self, feed, shift):
         # The sweep's spread record of a column ends at check_requirements'
         # spread, which counts the column whole: neither counts a bucket
-        # not below the size.
+        # outside [0, size), below it or beyond it.
         size, increments = feed
-        column = [bucket + beyond for bucket in increments]
+        column = [bucket + shift for bucket in increments]
         whole = _tally(column, size)
+        assert whole == tuple(map(column.count, range(size)))
         assert _spreads(column, size)[-1] == max(whole) - min(whole)
+
+    def test_a_negative_bucket_is_not_counted(self):
+        # A negative index would count into bucket size + bucket.
+        assert _tally((-1, 0, 5), 3) == (1, 0, 0)
+        assert _spreads([-1, 0], 2) == [0, 0, 1]
 
     def test_a_long_stretch_leaves_the_minimum_count_current(self):
         # Six increments fill three buckets evenly; the next increment must
