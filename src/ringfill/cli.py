@@ -19,8 +19,9 @@ output as it comes, so a report holds its trace, or nothing for a plan
 in JSON or CSV, plus one block.  Everything that can fail on bad input
 runs before the output file is opened.  ``plan_report`` and
 ``trace_report`` join the same blocks into one text.  The trace parser
-builds the columns straight from the JSON records, with one pass per
-field and per check.
+reads each field of the JSON records into a column in one pass and puts
+every check of a record to whole columns first; only when one fails does
+it scan the records in order for the first offender.
 """
 
 from __future__ import annotations
@@ -263,7 +264,9 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     re-verification runs on exactly the data the report claims.  Raises
     ValueError on any malformation; for the placement records, the error
     names the first offending record and its first failing check, in the
-    order a record's fields are read.
+    order a record's fields are read.  Each check of a record is put to
+    whole columns first, and the records are scanned for the offender
+    only when one fails.
     """
     if not isinstance(document, dict):
         raise ValueError("report must be a JSON object")

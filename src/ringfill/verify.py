@@ -72,7 +72,7 @@ from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
 from itertools import compress, count, cycle, groupby, islice, repeat
 from operator import attrgetter, itemgetter, lt, mod, ne
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lifecycle import LifecycleTrace, _tally, run_lifecycle
 from .placement import PlacementParams, gap
@@ -127,7 +127,8 @@ def _spreads(buckets: Iterable[int], size: int) -> list[int]:
     at_low = size
     spreads = [0]
     for bucket in buckets:
-        if 0 <= bucket < size:
+        # Two tests, not a chained one, which costs more in this loop.
+        if bucket >= 0 and bucket < size:
             count = counts[bucket] + 1
             counts[bucket] = count
             # ``low`` rises only when an increment lifts the last bucket at
@@ -161,22 +162,11 @@ def _first(flags: Iterable[object]) -> int | None:
     return next(compress(count(), flags), None)
 
 
-class _RingOffsets(dict):
-    """Each ring bucket's distance from the window start, around the ring,
-    worked out once per distinct bucket when it is first looked up."""
-
-    def __init__(self, params: PlacementParams) -> None:
-        super().__init__()
-        self.start, self.size = params.first_bucket, params.first_set_size
-
-    def __missing__(self, bucket: int) -> int:
-        offset = self[bucket] = (bucket - self.start) % self.size
-        return offset
-
-
-def _window_offsets(buckets: Iterable[int], params: PlacementParams) -> Iterator[int]:
-    """Each bucket's distance from the window start, around the ring."""
-    return map(_RingOffsets(params).__getitem__, buckets)
+def _window_offset(column: Sequence[int], params: PlacementParams) -> Callable[[int], int]:
+    """The distance of each bucket of ``column`` from the window start,
+    around the ring, worked out once per distinct bucket."""
+    start, size = params.first_bucket, params.first_set_size
+    return {bucket: (bucket - start) % size for bucket in set(column)}.__getitem__
 
 
 def _repeated_label(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
@@ -200,7 +190,8 @@ def _bad_move(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     moved = tuple(map(ne, stage1, stage2))
     lying = None if flags == moved else _first(map(ne, flags, moved))
     # Both buckets inside the window: forbidden shuffle.
-    inside = map(lt, _window_offsets(compress(stage2, moved), params), repeat(params.fill_width))
+    offsets = map(_window_offset(stage2, params), compress(stage2, moved))
+    inside = map(lt, offsets, repeat(params.fill_width))
     shuffled = next(compress(compress(count(), moved), inside), None)
     if lying is not None and (shuffled is None or lying <= shuffled):
         token, reason = lying, "flag_mismatch"
@@ -239,7 +230,8 @@ def _off_step(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     next window slot."""
     params = trace.params
     flags = trace.moved_in_stage2
-    offsets = list(_window_offsets(compress(trace.stage1_bucket, flags), params))
+    stage1 = trace.stage1_bucket
+    offsets = list(map(_window_offset(stage1, params), compress(stage1, flags)))
     # The window slot each moved token should have taken, in turn.
     slots = list(islice(cycle(range(params.fill_width)), len(offsets)))
     if offsets == slots:
@@ -256,7 +248,8 @@ def _off_step(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
 
 def _window_slots(trace: LifecycleTrace, _) -> tuple[int, ...]:
     """R2: each token's stage-1 window offset, a slot of the window."""
-    return tuple(_window_offsets(trace.stage1_bucket, trace.params))
+    stage1 = trace.stage1_bucket
+    return tuple(map(_window_offset(stage1, trace.params), stage1))
 
 
 def _label_residues(trace: LifecycleTrace, size: int) -> tuple[int, ...]:
