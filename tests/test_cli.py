@@ -6,6 +6,7 @@ import csv
 import io
 import json
 import tracemalloc
+from collections import defaultdict
 from dataclasses import astuple
 
 import pytest
@@ -137,6 +138,11 @@ def with_entry(document, index, entry):
     return {**document, "placements": placements}
 
 
+def label_renamed(entry):
+    """``entry`` with its ``label`` key renamed ``labels``."""
+    return {("labels" if key == "label" else key): value for key, value in entry.items()}
+
+
 # One mutation per rejection branch of parse_trace_report that the
 # tests below do not name otherwise, and each input a whole-column check
 # could let through, with the exact message it raises.
@@ -161,9 +167,12 @@ REJECTIONS = {
     ),
     # Six keys, every one a string: only the key names are wrong.
     "placement with a key renamed": (
-        lambda d: with_entry(
-            d, 1, {("labels" if k == "label" else k): v for k, v in d["placements"][1].items()}
-        ),
+        lambda d: with_entry(d, 1, label_renamed(d["placements"][1])),
+        f"placement 1 must have exactly the fields {PLACEMENT_FIELDS}",
+    ),
+    # A defaultdict reads any field, so only its key set shows the rename.
+    "placement a defaultdict with a key renamed": (
+        lambda d: with_entry(d, 1, defaultdict(int, label_renamed(d["placements"][1]))),
         f"placement 1 must have exactly the fields {PLACEMENT_FIELDS}",
     ),
     # True == 1, so the token is dense and ordered; only its type is wrong.
