@@ -20,8 +20,8 @@ in JSON or CSV, plus one block.  Everything that can fail on bad input
 runs before the output file is opened.  ``plan_report`` and
 ``trace_report`` join the same blocks into one text.  The trace parser
 reads each field of the JSON records into a column in one pass and puts
-every check of a record to whole columns first; only when one fails does
-it scan the records in order for the first offender.
+each check of a record to whole columns, once; when one fails, it halves
+the records down to the first offender with the same checks.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, fields
-from itertools import chain, compress, count, islice, repeat
-from operator import countOf, eq, is_, itemgetter, ne, not_
+from itertools import chain, count, islice
+from operator import countOf, itemgetter, ne
 from typing import Any
 
 from .lifecycle import FIELDS, LifecycleTrace, run_lifecycle
@@ -150,108 +150,69 @@ def _is_json_int(value: object) -> bool:
     return type(value) is int
 
 
-class _PlacementEntries:
-    """The first offending entry of a placements list, under checks
-    applied in the order an entry is read in.
+def _read_placements(entries: list, params: PlacementParams, first: int = 0) -> list[tuple] | str:
+    """The columns of ``FIELDS`` read from ``entries``, placements
+    ``first`` onwards, or what the first check that some entry fails
+    says of it.
 
-    Each check scans only the entries before the first offender found so
-    far, so after every check ``end`` is the first entry that fails any
-    check so far (the list's length while none does) and ``error`` names
-    that entry's first failing check.
+    The checks run in the order an entry is read in, each once on whole
+    columns.  A failure that names a value names the last entry's, which
+    is the offender's when ``entries`` holds it alone.
     """
-
-    def __init__(self, entries: list) -> None:
-        self.end = len(entries)
-        self.error: str | None = None
-
-    def check(self, holds: Iterable[object], failure: str | Callable[[int], str]) -> None:
-        """Apply one check; ``holds`` says for each entry in turn whether
-        it passes, and ``failure`` is what a failing entry breaks, as text
-        or as a function of the entry's index."""
-        index = next(compress(count(), map(not_, islice(holds, self.end))), self.end)
-        if index < self.end:
-            reason = failure if isinstance(failure, str) else failure(index)
-            self.end, self.error = index, f"placement {index} {reason}"
+    size = len(entries)
+    plain = countOf(map(type, entries), dict) == size
+    if not (plain or all(isinstance(entry, dict) for entry in entries)):
+        return "must be an object"
+    fields_failure = f"must have exactly the fields {sorted(FIELDS)}"
+    # A dict of len(FIELDS) keys from which every field reads has exactly
+    # those keys.  A dict subclass may read a key it lacks, so its key set
+    # is compared instead.
+    if plain:
+        if countOf(map(len, entries), len(FIELDS)) != size:
+            return fields_failure
+    elif countOf(map(dict.keys, entries), set(FIELDS)) != size:
+        return fields_failure
+    try:
+        columns = [tuple(map(itemgetter(name), entries)) for name in FIELDS]
+    except KeyError:
+        return fields_failure
+    tokens, *integer_columns, moved = columns
+    if any(map(ne, tokens, count(first))):
+        return f"has token {tokens[-1]}, tokens must be dense and ordered"
+    for name, column in zip(FIELDS, (tokens, *integer_columns)):
+        if countOf(map(type, column), int) != size:
+            return f"field {name} must be an integer"
+    if countOf(map(type, moved), bool) != size:
+        return "field moved_in_stage2 must be a boolean"
+    for column, set_size in zip(
+        integer_columns[1:], (params.first_set_size, params.first_set_size, params.second_set_size)
+    ):
+        values = set(column)
+        if values and not 0 <= min(values) <= max(values) < set_size:
+            return "has a bucket outside its set"
+    return columns
 
 
 def _placement_columns(placements: list, params: PlacementParams) -> list[tuple]:
     """The columns of ``FIELDS`` read from a placements list, once every
     entry passes every check.
 
-    Each check is put first to a whole column, in one pass and in the
-    order an entry is read in.  Only when one fails is the ordered
-    ``_PlacementEntries`` scan built; it runs that check and every later
-    one entry by entry, and a ValueError names the first offending entry
-    and its first failing check.
+    A rejected list is halved down to its first offending entry: the
+    span ``[low, high)`` holds it, and only the left half of the span is
+    read at each split.  A ValueError names that entry and its first
+    failing check.
     """
-    scan: _PlacementEntries | None = None
-
-    def check(
-        whole: bool, holds: Iterable[object], failure: str | Callable[[int], str]
-    ) -> None:
-        # ``whole`` says the check holds on every entry before the first
-        # offender so far; ``holds`` says it for each entry in turn.
-        nonlocal scan
-        if not whole:
-            if scan is None:
-                scan = _PlacementEntries(placements)
-            scan.check(holds, failure)
-
-    check(
-        countOf(map(type, placements), dict) == len(placements),
-        map(isinstance, placements, repeat(dict)),
-        "must be an object",
-    )
-    # A dict of len(FIELDS) keys from which every field reads has exactly
-    # those keys.  A dict subclass may read a key it lacks, so the fields
-    # are read whole only when every entry is a plain dict.
-    columns = None
-    if scan is None and countOf(map(len, placements), len(FIELDS)) == len(placements):
-        try:
-            columns = [tuple(map(itemgetter(name), placements)) for name in FIELDS]
-        except KeyError:
-            pass
-    placement_fields = set(FIELDS)
-    check(
-        columns is not None,
-        map(eq, map(dict.keys, placements), repeat(placement_fields)),
-        f"must have exactly the fields {sorted(placement_fields)}",
-    )
-    if columns is None:
-        columns = [
-            tuple(map(itemgetter(name), islice(placements, scan.end))) for name in FIELDS
-        ]
-    tokens, *integer_columns, moved = columns
-    check(
-        not any(map(ne, tokens, count())),
-        map(eq, tokens, count()),
-        lambda index: f"has token {tokens[index]}, tokens must be dense and ordered",
-    )
-    for name, column in zip(FIELDS, (tokens, *integer_columns)):
-        check(
-            countOf(map(type, column), int) == len(column),
-            map(is_, map(type, column), repeat(int)),
-            f"field {name} must be an integer",
-        )
-    check(
-        countOf(map(type, moved), bool) == len(moved),
-        map(is_, map(type, moved), repeat(bool)),
-        "field moved_in_stage2 must be a boolean",
-    )
-    for column, size in zip(
-        integer_columns[1:], (params.first_set_size, params.first_set_size, params.second_set_size)
-    ):
-        # Past the first offender an entry may hold a value min cannot
-        # order; before it every value is an int.
-        values = set(column if scan is None else column[: scan.end])
-        check(
-            not values or 0 <= min(values) <= max(values) < size,
-            map(range(size).__contains__, column),
-            "has a bucket outside its set",
-        )
-    if scan is not None and scan.error is not None:
-        raise ValueError(scan.error)
-    return columns
+    columns = _read_placements(placements, params)
+    if not isinstance(columns, str):
+        return columns
+    low, high = 0, len(placements)
+    while high - low > 1:
+        middle = (low + high) // 2
+        if isinstance(_read_placements(placements[low:middle], params, low), str):
+            high = middle
+        else:
+            low = middle
+    raise ValueError(f"placement {low} {_read_placements(placements[low:high], params, low)}")
 
 
 def parse_trace_report(document: dict) -> LifecycleTrace:
@@ -265,8 +226,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     ValueError on any malformation; for the placement records, the error
     names the first offending record and its first failing check, in the
     order a record's fields are read.  Each check of a record is put to
-    whole columns first, and the records are scanned for the offender
-    only when one fails.
+    whole columns, and a rejected list is halved down to its offender.
     """
     if not isinstance(document, dict):
         raise ValueError("report must be a JSON object")

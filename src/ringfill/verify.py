@@ -165,8 +165,7 @@ def _first(flags: Iterable[object]) -> int | None:
 def _window_offset(column: Sequence[int], params: PlacementParams) -> Callable[[int], int]:
     """The distance of each bucket of ``column`` from the window start,
     around the ring, worked out once per distinct bucket."""
-    start, size = params.first_bucket, params.first_set_size
-    return {bucket: (bucket - start) % size for bucket in set(column)}.__getitem__
+    return {bucket: params.window_offset(bucket) for bucket in set(column)}.__getitem__
 
 
 def _repeated_label(trace: LifecycleTrace, _) -> tuple[int, dict] | None:

@@ -2,19 +2,23 @@
 change to the API has to edit this test.  Two lint rules on the
 package's source ride along: no import goes unused and no private
 module-level name goes unreferenced, so a removal leaves no orphan
-behind."""
+behind.  Every module also parses at the Python floor the project
+declares."""
 
 from __future__ import annotations
 
 import ast
 from pathlib import Path
 
+import pytest
+
 import ringfill
 import ringfill.cli
 
+PACKAGE = Path(ringfill.__file__).parent
 MODULES = {
     path.name: ast.parse(path.read_text(encoding="utf-8"), str(path))
-    for path in sorted(Path(ringfill.__file__).parent.glob("*.py"))
+    for path in sorted(PACKAGE.glob("*.py"))
 }
 
 
@@ -116,3 +120,17 @@ def test_every_private_module_name_is_referenced():
                 and private not in referenced
             ]
     assert orphans == []
+
+
+def test_every_module_parses_at_the_declared_python_floor():
+    # This holds the source to the syntax of the requires-python floor
+    # only: a runtime API newer than the floor, such as a standard-library
+    # function, still passes.  tomllib is 3.11 or later; an older
+    # interpreter holds the syntax itself when it imports the package.
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    requires = tomllib.loads(pyproject.read_text(encoding="utf-8"))["project"]["requires-python"]
+    assert requires.startswith(">=")
+    floor = tuple(map(int, requires.removeprefix(">=").split(".")))
+    for name in MODULES:
+        ast.parse((PACKAGE / name).read_text(encoding="utf-8"), name, feature_version=floor)

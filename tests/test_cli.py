@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import tracemalloc
 from collections import defaultdict
 from dataclasses import astuple
@@ -187,6 +188,21 @@ REJECTIONS = {
     "move flag equal to true": (
         lambda d: with_entry(d, 3, {**d["placements"][3], "moved_in_stage2": 1}),
         "placement 3 field moved_in_stage2 must be a boolean",
+    ),
+    # Where the search for the offender ends: at either end of the list,
+    # and at the earlier of two offenders though the later fails an
+    # earlier check.
+    "first placement out of order": (
+        lambda d: with_entry(d, 0, {**d["placements"][0], "token": 1}),
+        "placement 0 has token 1, tokens must be dense and ordered",
+    ),
+    "last placement outside its set": (
+        lambda d: with_entry(d, 4, {**d["placements"][4], "stage3_bucket": 5}),
+        "placement 4 has a bucket outside its set",
+    ),
+    "two offending placements": (
+        lambda d: with_entry(with_entry(d, 2, {**d["placements"][2], "stage1_bucket": 4}), 4, 4),
+        "placement 2 has a bucket outside its set",
     ),
     "report with an extra key": (
         lambda d: {**d, "extra": 1},
@@ -588,7 +604,8 @@ class TestArgumentHandling:
 class TestShapeOfWork:
     """No command, parse or check records a histogram's spread after every
     token: each counts whole columns, and the spread record is the sweep's.
-    The parser scans for an offending entry only in a document it rejects."""
+    The parser reads a well-formed document's entries once, and halves a
+    rejected one down to its first offending entry."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -608,28 +625,32 @@ class TestShapeOfWork:
         assert [check.id for check in report.failures()] == ["R6"]
 
     @pytest.mark.parametrize("rejection", [None, *ENTRY_REJECTIONS])
-    def test_only_a_failing_check_builds_the_offender_scan(self, monkeypatch, rejection):
-        # A well-formed document passes every check on whole columns; an
-        # offending entry fails one, and only then is the scan built.
-        built = []
+    def test_the_offender_is_found_by_halving(self, monkeypatch, rejection):
+        # A well-formed document is read once, whole.  A rejected one is
+        # halved down to its offender, reading the left half of each split
+        # and then the offender alone.
+        reads = []
+        read_placements = ringfill.cli._read_placements
 
-        class CountingEntries(ringfill.cli._PlacementEntries):
-            def __init__(self, entries):
-                built.append(len(entries))
-                super().__init__(entries)
+        def counting_read(entries, *args):
+            reads.append(len(entries))
+            return read_placements(entries, *args)
 
-        monkeypatch.setattr(ringfill.cli, "_PlacementEntries", CountingEntries)
+        monkeypatch.setattr(ringfill.cli, "_read_placements", counting_read)
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         document = json.loads(trace_report(trace, check_requirements(trace)))
+        entries = len(document["placements"])
         if rejection is None:
             assert parse_trace_report(document) == trace
-            assert built == []
+            assert reads == [entries]
         else:
             mutate, message = REJECTIONS[rejection]
             with pytest.raises(ValueError) as raised:
                 parse_trace_report(mutate(document))
             assert str(raised.value) == message
-            assert built == [5]
+            assert reads[0] == entries
+            assert len(reads) <= math.ceil(math.log2(entries)) + 2
+            assert sum(reads) <= 2 * entries + 1
 
     def test_the_sweep_records_spreads(self, capsys, no_spread_record):
         # The guard is live: the sweep command trips it.
