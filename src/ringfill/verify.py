@@ -44,12 +44,25 @@ count and the oracle mismatches.  Nothing in stage 1, the labels or the
 oracle reads the token count ``T``, so the run of ``T`` tokens is the
 first ``T`` tokens of every longer run, and the sweep does each piece of
 work once for what it depends on: one lifecycle and one oracle walk per
-``(B, C, f)`` triple, one spread record per histogram and size, and
+``(B, C, f)`` triple, one spread record per histogram and size per
+``(B, C)`` pair, shared while the rebased labels and slots agree, and
 parameters and a witness only at each requirement's first failure and
 at the first oracle mismatch.  The test suite holds the verdict to
 ``check_requirements`` on the full per-token trace of every instance,
 and ``check_requirements`` to a per-token restatement of the
 requirements on broken traces.
+
+The sharing rule: a spread does not read the names of the buckets, so
+any permutation of ``[0, size)`` keeps every prefix spread.  A trace's
+rebased labels are its labels less the window start ``f``, and
+``label % size`` is ``(label - f) % size`` rotated by ``f`` around
+``[0, size)``, so equal rebased labels give equal R3, R5 and R6 spread
+records at every size, and equal slots an equal R2 record.  The
+window-start law says why they agree across a pair's starts: the
+labels at start ``f`` are those at start 0 plus ``f``, and the slots
+are offsets from the window start.  So a correct trace's records serve
+every start of its pair, and a trace that breaks the law is simply
+recorded again.
 
 Every histogram repeats in ``T``, so one period of ``T`` shows every
 spread it takes.  Any ``L = lcm(B, C)`` consecutive tokens hold each
@@ -70,8 +83,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
-from itertools import compress, count, cycle, groupby, islice, repeat
-from operator import attrgetter, itemgetter, lt, mod, ne
+from itertools import compress, count, cycle, islice, repeat
+from operator import itemgetter, lt, mod, ne, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lifecycle import LifecycleTrace, _tally, run_lifecycle
@@ -428,19 +441,23 @@ class SweepDomain:
     def token_limit(self, first_set_size: int) -> int:
         return self.max_rounds * first_set_size + 3
 
+    def iter_triples(self) -> Iterator[tuple[int, int, int, Sequence[int]]]:
+        """Each (size, width, start) triple with its token counts, plain
+        ints that ascend, which lets the sweep read them all from one run."""
+        for size in range(1, self.max_buckets + 1):
+            for width in range(1, size + 1):
+                for start in range(size):
+                    yield size, width, start, range(self.token_limit(size) + 1)
+
     def iter_planning_instances(self) -> Iterator[PlacementParams]:
         """Stage-1 grid: one instance per (size, width, start, tokens).
 
         The second-set size is pinned to its smallest legal value; stage-1
-        planning and labels do not depend on it.  Token counts ascend
-        within each (size, width, start) triple, which lets the sweep read
-        them all from one run.
+        planning and labels do not depend on it.
         """
-        for size in range(1, self.max_buckets + 1):
-            for width in range(1, size + 1):
-                for start in range(size):
-                    for tokens in range(self.token_limit(size) + 1):
-                        yield PlacementParams(tokens, size, width, start, size + 1)
+        for size, width, start, token_counts in self.iter_triples():
+            for tokens in token_counts:
+                yield PlacementParams(tokens, size, width, start, size + 1)
 
     def second_set_sizes(self, first_set_size: int) -> range:
         """Second-set sizes swept for one first-set size."""
@@ -483,102 +500,112 @@ class SweepReport:
         return self.unexpected_violations == 0 and self.oracle_mismatches == 0
 
 
-_TRIPLE = attrgetter("first_set_size", "fill_width", "first_bucket")
+def _at_most(ascending: Sequence[int], bound: int) -> int:
+    """How many of the ascending ints are at most ``bound``."""
+    if not ascending or ascending[-1] <= bound:
+        return len(ascending)
+    return _first(map(lt, repeat(bound), ascending))
 
 
 def sweep(domain: SweepDomain | None = None) -> SweepReport:
     """Exhaustively check every instance in the domain.
 
     Each instance is counted as ``check_requirements(run_lifecycle(
-    params))`` would judge it.  The planning instances come grouped by
-    ``(B, C, f)`` triple, each group in ascending ``T``.  Per group the
-    sweep makes one ``run_lifecycle`` and one ``prose_oracle_stage1``,
-    both at the group's largest ``T``, and judges each requirement once:
-    it finds the offender and builds the histogram's spread record, and
-    the run of ``T`` tokens fails when the offender lies among its first
-    ``T`` tokens or the spread after ``T`` tokens is over 1.  A failure
-    of R1–R5, RC or the oracle comparison counts for every second-set
-    size.  R6's histogram is the only one sized by the second-set size
-    ``B'``: the sweep judges R6 once per ``B'``.  The trace is run at the
+    params))`` would judge it.  The domain gives each ``(B, C, f)``
+    triple with its token counts ``T``, ascending.  Per triple the sweep
+    makes one ``run_lifecycle`` and one ``prose_oracle_stage1``, both at
+    the largest ``T``, and judges each requirement once: it finds the
+    offender and reads the histogram's spread record, and the run of
+    ``T`` tokens fails when the offender lies among its first ``T``
+    tokens or the spread after ``T`` tokens is over 1.  A failure of
+    R1–R5, RC or the oracle comparison counts for every second-set size.
+    R6's histogram is the only one sized by the second-set size ``B'``:
+    the sweep judges R6 once per ``B'``.  The trace is run at the
     smallest ``B'``, so R6's offender, a stage-3 bucket off its label
-    residue, counts for that ``B'`` alone.  Only a requirement's first
-    failure in lexicographic parameter order gets its parameters and a
-    witness, which ``_witness`` reads from the offender or from the
-    whole-column tally of that run's tokens, so the whole report is
-    deterministic.
+    residue, counts for that ``B'`` alone.
+
+    Each spread record, kept as the token counts at which it is over 1
+    and those at which it is exactly 2, is built once per histogram and
+    size and shared, by the module's sharing rule, while the triples'
+    token counts, rebased labels and R2 slots agree: once per ``(B, C)``
+    pair on correct traces.  An offender only cuts those lists.  R5's
+    and R6's offenders and every witness read their own triple's
+    buckets.  Only a requirement's first failure in lexicographic
+    parameter order gets its parameters and a witness, which
+    ``_witness`` reads from the offender or from the whole-column tally
+    of that run's tokens, so the whole report is deterministic.
     """
     if domain is None:
         domain = SweepDomain()
     report = SweepReport(domain=domain)
     counts = report.violation_counts
     minimal = report.minimal_violations
-    for _, group in groupby(domain.iter_planning_instances(), _TRIPLE):
-        group = list(group)
-        longest = group[-1]
+    # By (buckets, size): the token counts whose runs the histogram's
+    # spread fails, and those of them at spread exactly 2.
+    shared, records = None, {}
+    for *triple, token_counts in domain.iter_triples():
+        planning = lambda tokens: PlacementParams(tokens, *triple, triple[0] + 1)
+        longest = planning(token_counts[-1])
         seconds = domain.second_set_sizes(longest.first_set_size)
         trace = run_lifecycle(longest)
         oracle = prose_oracle_stage1(longest)
-        report.instances_checked += len(group) * len(seconds)
+        report.instances_checked += len(token_counts) * len(seconds)
         # The oracle agrees on exactly the runs of at most this many tokens.
         agreed = next(
             compress(count(), map(ne, zip(count(), trace.stage1_bucket), oracle)), len(oracle)
         )
-        mismatched = [planning for planning in group if planning.token_count > agreed]
-        report.oracle_mismatches += len(mismatched) * len(seconds)
-        if mismatched and report.minimal_oracle_mismatch is None:
-            report.minimal_oracle_mismatch = mismatched[0]
-        # Each histogram's buckets and spread record by (buckets, size).
-        records: dict = {}
+        agreeing = _at_most(token_counts, agreed)
+        report.oracle_mismatches += (len(token_counts) - agreeing) * len(seconds)
+        if agreeing < len(token_counts) and report.minimal_oracle_mismatch is None:
+            report.minimal_oracle_mismatch = planning(token_counts[agreeing])
+        rebased = tuple(map(sub, trace.label, repeat(longest.first_bucket)))
+        # The records serve every triple of this content (the sharing rule).
+        content = token_counts, rebased, _window_slots(trace, None)
+        if content != shared:
+            shared, records = content, {}
         # Gap presence, asked at most once per planning instance.
-        gapped = cache(lambda planning: gap(planning).present)
+        gapped = cache(lambda tokens: gap(planning(tokens)).present)
         for row in _REQUIREMENTS:
             requirement_id, _, find_offender, histogram = row
             per_second = histogram is not None and histogram[2] == "second_set_size"
             weight = 1 if per_second else len(seconds)
             firsts = []  # (T, B', offender, buckets, size) of each first failure
             for second in seconds if per_second else seconds[:1]:
-                buckets, size, spreads = None, 0, None
+                buckets_of, size, over, twos = None, 0, (), ()
                 if histogram is not None:
                     _, buckets_of, size_field = histogram
                     size = second if per_second else getattr(longest, size_field)
                     if (buckets_of, size) not in records:
-                        buckets = buckets_of(trace, size)
-                        records[buckets_of, size] = buckets, _spreads(buckets, size)
-                    buckets, spreads = records[buckets_of, size]
+                        spreads = _spreads(buckets_of(trace, size), size)
+                        over = [tokens for tokens in token_counts if spreads[tokens] > 1]
+                        twos = [tokens for tokens in over if spreads[tokens] == 2]
+                        records[buckets_of, size] = over, twos
+                    over, twos = records[buckets_of, size]
                 # The trace's stage 3 is that of the smallest B' alone.
                 offender = None
                 if find_offender is not None and second == seconds[0]:
-                    offender = find_offender(trace, buckets)
+                    offender = find_offender(trace, buckets_of and buckets_of(trace, size))
                 # Runs of at most this many tokens do not hold the offender.
                 clean = len(trace.label) if offender is None else offender[0]
-                failing = [
-                    planning
-                    for planning in group
-                    if planning.token_count > clean
-                    or spreads is not None and spreads[planning.token_count] > 1
-                ]
+                held, cut = _at_most(over, clean), _at_most(token_counts, clean)
+                failing = held + len(token_counts) - cut
                 # Expected: the documented gap case, R6's count clause at
                 # spread exactly 2 on an instance whose labels have a gap.
                 expected = 0
                 if requirement_id == "R6":
-                    expected = sum(
-                        1
-                        for planning in failing
-                        if planning.token_count <= clean
-                        and spreads[planning.token_count] == 2
-                        and gapped(planning)
-                    )
-                counts[requirement_id] += weight * len(failing)
-                report.unexpected_violations += weight * len(failing) - expected
+                    expected = sum(map(gapped, twos[: _at_most(twos, clean)]))
+                counts[requirement_id] += weight * failing
+                report.unexpected_violations += weight * failing - expected
                 if failing:
-                    firsts.append((failing[0].token_count, second, offender, buckets, size))
+                    first = over[0] if held else token_counts[cut]
+                    firsts.append((first, second, offender, buckets_of, size))
             if firsts and requirement_id not in minimal:
-                tokens, second, offender, buckets, size = min(firsts, key=itemgetter(0))
+                first, second, offender, buckets_of, size = min(firsts, key=itemgetter(0))
                 whole, spread = (), 0
-                if buckets is not None:
-                    whole = _tally(buckets[:tokens], size)
+                if buckets_of is not None:
+                    whole = _tally(buckets_of(trace, size)[:first], size)
                     spread = max(whole) - min(whole)
-                params = replace(longest, token_count=tokens, second_set_size=second)
-                witness_fields = _witness(row, offender, whole, spread, tokens)
+                params = replace(longest, token_count=first, second_set_size=second)
+                witness_fields = _witness(row, offender, whole, spread, first)
                 minimal[requirement_id] = params, _failed(requirement_id, params, witness_fields)
     return report

@@ -3,11 +3,15 @@ change to the API has to edit this test.  Two lint rules on the
 package's source ride along: no import goes unused and no private
 module-level name goes unreferenced, so a removal leaves no orphan
 behind.  Every module also parses at the Python floor the project
-declares."""
+declares, and importing the command-line module loads no standard
+module beyond those that argparse, json and dataclasses load."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,3 +138,27 @@ def test_every_module_parses_at_the_declared_python_floor():
     floor = tuple(map(int, requires.removeprefix(">=").split(".")))
     for name in MODULES:
         ast.parse((PACKAGE / name).read_text(encoding="utf-8"), name, feature_version=floor)
+
+
+def test_importing_the_cli_loads_no_further_standard_module():
+    # Every command, ``ringfill --help`` included, pays at start-up for
+    # each module ``ringfill.cli`` loads.  Beyond what argparse, json and
+    # dataclasses load themselves, it may load only its own package.
+    script = (
+        "import sys, argparse, json, dataclasses\n"
+        "before = set(sys.modules)\n"
+        "import ringfill.cli\n"
+        "print(sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        path for path in (str(PACKAGE.parent), env.get("PYTHONPATH")) if path
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True
+    )
+    loaded = ast.literal_eval(child.stdout)
+    assert "ringfill.cli" in loaded
+    assert [
+        name for name in loaded if name != "__future__" and name.partition(".")[0] != "ringfill"
+    ] == []

@@ -23,6 +23,7 @@ from ringfill import (
     PlacementParams,
     RequirementCheck,
     SweepDomain,
+    SweepReport,
     check_requirements,
     gap,
     plan_stage1,
@@ -87,13 +88,29 @@ def fails_from_five_tokens_of_two_two_zero(trace, buckets):
     return None
 
 
+def count_sweep_calls(monkeypatch, domain: SweepDomain) -> tuple[dict[str, int], SweepReport]:
+    """The calls ``sweep(domain)`` makes to each piece of work it shares
+    out, and its report."""
+    calls = dict.fromkeys(
+        ["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap", "replace"], 0
+    )
+    for name in calls:
+        real = getattr(ringfill.verify, name)
+
+        def counting(*args, real=real, name=name, **changes):
+            calls[name] += 1
+            return real(*args, **changes)
+
+        monkeypatch.setattr(ringfill.verify, name, counting)
+    return calls, sweep(domain)
+
+
 class FiveTokens(SweepDomain):
     """A domain of the five-token instances only."""
 
-    def iter_planning_instances(self):
-        for planning in super().iter_planning_instances():
-            if planning.token_count == 5:
-                yield planning
+    def iter_triples(self):
+        for *triple, token_counts in super().iter_triples():
+            yield *triple, [tokens for tokens in token_counts if tokens == 5]
 
 
 @st.composite
@@ -548,33 +565,35 @@ class TestSweep:
     def test_sweep_runs_one_lifecycle_and_one_oracle_walk_per_triple(
         self, monkeypatch
     ):
-        calls = dict.fromkeys(
-            ["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap", "replace"], 0
-        )
-        for name in calls:
-            real = getattr(ringfill.verify, name)
-
-            def counting(*args, real=real, name=name, **changes):
-                calls[name] += 1
-                return real(*args, **changes)
-
-            monkeypatch.setattr(ringfill.verify, name, counting)
         domain = SweepDomain(max_buckets=4)
-        report = sweep(domain)
+        calls, report = count_sweep_calls(monkeypatch, domain)
         # One (B, C, f) triple per window width and start: 1 + 4 + 9 + 16.
-        # Each builds B + 2 spread records: R2's, the one R3 and R5 share,
-        # and R6's for each of the B second-set sizes.  Gap presence is
-        # asked once per planning instance that R6's count clause fails
-        # at spread 2, never once per second-set size.  The only
-        # parameters built are those of R6's minimal witness.
+        # Each (B, C) pair builds B + 2 spread records, shared by its B
+        # window starts: R2's, the one R3 and R5 share, and R6's for each
+        # of the B second-set sizes.  Gap presence is asked once per
+        # planning instance that R6's count clause fails at spread 2,
+        # never once per second-set size.  The only parameters built from
+        # others are those of R6's minimal witness.
         assert calls == {
             "run_lifecycle": 30,
             "prose_oracle_stage1": 30,
-            "_spreads": 160,
+            "_spreads": 50,
             "gap": 112,
             "replace": 1,
         }
         assert report.instances_checked == sum(1 for _ in domain.iter_instances())
+
+    def test_default_sweep_builds_each_spread_record_once_per_pair(self, monkeypatch):
+        # The sum of B * (B + 2) over B <= 10 records, not one set per triple.
+        calls, report = count_sweep_calls(monkeypatch, SweepDomain())
+        assert calls == {
+            "run_lifecycle": 385,
+            "prose_oracle_stage1": 385,
+            "_spreads": 495,
+            "gap": 4631,
+            "replace": 1,
+        }
+        assert report.instances_checked == 113432
 
     def test_default_sweep_reads_only_columns(self, tally_sizes):
         # The sweep judges every prefix from the spread records of the
@@ -690,6 +709,20 @@ def stage1_past_the_window_at_token_3(trace):
     return edit_token(trace, "stage1_bucket", 3, lambda *_: past)
 
 
+def label_plus_one_at_token_7_from_start_1(trace):
+    """The label edit at window start 1 only, against the window-start law."""
+    if trace.params.first_bucket != 1:
+        return trace
+    return label_plus_one_at_token_7(trace)
+
+
+def stage1_past_the_window_at_token_3_from_start_1(trace):
+    """The stage-1 edit at window start 1 only, against the window-start law."""
+    if trace.params.first_bucket != 1:
+        return trace
+    return stage1_past_the_window_at_token_3(trace)
+
+
 def move_flag_dropped_at_token_9(trace):
     return edit_token(trace, "moved_in_stage2", 9, lambda *_: False)
 
@@ -758,6 +791,25 @@ MUTANTS = (
         FOUR,
         {"R2": 148, "R4": 504, "RC": 800, "oracle": 1016},
         1452,
+    ),
+    # Two mutants of window start 1 alone, against the window-start law.
+    # A pair's spread records are shared only while the content they
+    # count agrees, so start 1 is recorded again, and start 2 after it;
+    # records keyed on (B, C) alone would miss R2's 40 or R3's 271.  The
+    # reference cannot judge the label edit, which breaks R6's residue
+    # clause: its counts are those of a sweep that records every triple.
+    Mutant(
+        label_plus_one_at_token_7_from_start_1,
+        FOUR,
+        {"R1": 251, "R3": 271, "R5": 280, "R6": 391},
+        1009,
+        reference=False,
+    ),
+    Mutant(
+        stage1_past_the_window_at_token_3_from_start_1,
+        FOUR,
+        {"R2": 40, "R4": 152, "RC": 208, "oracle": 280},
+        400,
     ),
     Mutant(move_flag_dropped_at_token_9, FOUR, {"R4": 168}, 168),
     Mutant(stage2_plus_one_at_token_5, FOUR, {"R4": 990, "R5": 1214}, 2204),
@@ -879,6 +931,16 @@ class TestTally:
         # Six increments fill three buckets evenly; the next increment must
         # see all three still at the minimum, so the spread is 1.
         assert _spreads([0, 1, 2, 0, 1, 2, 0], 3) == [0, 1, 1, 0, 1, 1, 0, 1]
+
+    @given(tally_feeds(), st.data())
+    def test_renaming_the_buckets_keeps_every_spread(self, feed, data):
+        # The sweep's sharing rule: label % size at one window start is
+        # that at another with the buckets renamed by a rotation.
+        size, increments = feed
+        names = data.draw(st.permutations(range(size)))
+        assert _spreads([names[bucket] for bucket in increments], size) == _spreads(
+            increments, size
+        )
 
 
 class TestLabelResidueCounts:
@@ -1020,3 +1082,29 @@ class TestPeriods:
         assert window_counts(run_lifecycle(later)) == [
             held + period // params.fill_width for held in counts
         ]
+
+
+def verdicts(params: PlacementParams) -> list[tuple]:
+    """Each requirement's pass or fail, spread and offending token on the
+    instance's own trace."""
+    return [
+        (check.id, check.passed, witness.get("spread"), witness.get("token"))
+        for check in check_requirements(run_lifecycle(params)).checks
+        for witness in [check.witness or {}]
+    ]
+
+
+class TestWindowStartLaw:
+    """An instance's verdict does not read the window start ``f``: its
+    labels are those at start 0 plus ``f``, R2's window offsets do not
+    read ``f``, and ``label % size`` at start ``f`` is that at start 0
+    rotated by ``f``, which keeps every spread.  So the sweep's spread
+    records, shared while this content agrees, serve every start of a
+    ``(B, C)`` pair."""
+
+    @given(placement_params())
+    @example(make_params(5, 4, 3, target=5))
+    def test_every_window_start_gets_the_verdict_of_start_0(self, params):
+        at_zero = verdicts(replace(params, first_bucket=0))
+        for start in range(1, params.first_set_size):
+            assert verdicts(replace(params, first_bucket=start)) == at_zero
