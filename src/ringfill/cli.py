@@ -17,8 +17,7 @@ move flag is ``false``/``true`` in JSON and, as a bool is an int,
 block of rows at a time, and the command writes each block to its
 output as it comes, so a report holds its trace, or nothing for a plan
 in JSON or CSV, plus one block.  Everything that can fail on bad input
-runs before the output file is opened.  ``plan_report`` and
-``trace_report`` join the same blocks into one text.  The trace parser
+runs before the output file is opened.  The trace parser
 reads each field of the JSON records into a column in one pass and puts
 each check of a record to whole columns, once; when one fails, it halves
 the records down to the first offender with the same checks.
@@ -52,9 +51,7 @@ __all__ = [
     "build_parser",
     "main",
     "parse_trace_report",
-    "plan_report",
     "sweep_report_document",
-    "trace_report",
 ]
 
 PLAN_CSV_FIELDS = FIELDS[:3]
@@ -89,11 +86,6 @@ def _nonneg_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"expected a decimal integer >= 0, got {text!r}")
 
 
-def plan_report(params: PlacementParams) -> str:
-    """Stage-1 report as JSON text: instance fields plus one record per token."""
-    return "".join(_plan_blocks(params))
-
-
 def _plan_blocks(params: PlacementParams) -> Iterator[str]:
     """The blocks of the plan JSON report, in order."""
     return _render_report(
@@ -121,11 +113,6 @@ def _check_document(check: RequirementCheck) -> dict:
         "status": "pass" if check.passed else "fail",
         "witness": check.witness,
     }
-
-
-def trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
-    """Full lifecycle report as JSON text."""
-    return "".join(_trace_blocks(trace, report))
 
 
 def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[str]:

@@ -19,6 +19,9 @@ a residue of the token's permanent integer label: stage 2 uses
 ``label % first_set_size``, stage 3 uses ``label % second_set_size``.
 First-stream tokens already sit at their stage-2 bucket after stage 1,
 so the rebalance moves only second-stream tokens, each exactly once.
+The label map is stated once, as the label column of
+``_stage1_columns``, which ``run_lifecycle`` keeps and the plan report
+writes.
 
 Tokens and labels are plain non-negative ints.  Label arithmetic is done
 on unreduced integers so labels from different rounds never alias; bucket
@@ -37,7 +40,6 @@ __all__ = [
     "GapDescriptor",
     "PlacementParams",
     "gap",
-    "label",
     "plan_stage1",
 ]
 
@@ -89,29 +91,6 @@ class PlacementParams:
 
     def in_fill_window(self, bucket: int) -> bool:
         return self.window_offset(bucket) < self.fill_width
-
-
-def label(params: PlacementParams, token: int) -> int:
-    """Permanent integer label of a token.
-
-    A token rides the descending first stream exactly when its position
-    within the current round falls inside the fill window, i.e. when
-    ``token % first_set_size < fill_width``; every other token rides the
-    ascending second stream.  Second-stream tokens take the plain
-    ascending form ``first_bucket + token``.  First-stream tokens take a
-    form that descends within each round, so that reducing it modulo the
-    ring size walks the window from its far end back to the start bucket.
-    Labels never drop below ``first_bucket`` and, except for a possible
-    gap left by a truncated final round, cover a contiguous range.
-    """
-    if not 0 <= token < params.token_count:
-        raise ValueError(
-            f"token {token} out of range for token_count={params.token_count}"
-        )
-    round_pos = token % params.first_set_size
-    if round_pos < params.fill_width:
-        return params.first_bucket + token + params.fill_width - 1 - 2 * round_pos
-    return params.first_bucket + token
 
 
 def _stage1_columns(params: PlacementParams) -> tuple[Iterator[int], Iterator[int]]:

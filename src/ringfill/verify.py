@@ -127,9 +127,6 @@ class RequirementReport:
     def all_pass(self) -> bool:
         return all(check.passed for check in self.checks)
 
-    def failures(self) -> tuple[RequirementCheck, ...]:
-        return tuple(check for check in self.checks if not check.passed)
-
 
 def _spreads(buckets: Iterable[int], size: int) -> list[int]:
     """The spread record of a histogram of ``[0, size)``: entry ``t`` is
@@ -421,7 +418,9 @@ class SweepDomain:
     window start, token counts from 0 through
     ``max_rounds * size + 3`` (enough full rounds plus every mid-round
     stopping offset to expose wrap effects), and second-set sizes from
-    ``size + 1`` through ``target_span * size``.
+    ``size + 1`` through ``target_span * size``.  The grid is stated
+    once, by ``iter_triples`` and ``second_set_sizes``, which ``sweep``
+    reads.
     """
 
     max_buckets: int = 10
@@ -449,25 +448,9 @@ class SweepDomain:
                 for start in range(size):
                     yield size, width, start, range(self.token_limit(size) + 1)
 
-    def iter_planning_instances(self) -> Iterator[PlacementParams]:
-        """Stage-1 grid: one instance per (size, width, start, tokens).
-
-        The second-set size is pinned to its smallest legal value; stage-1
-        planning and labels do not depend on it.
-        """
-        for size, width, start, token_counts in self.iter_triples():
-            for tokens in token_counts:
-                yield PlacementParams(tokens, size, width, start, size + 1)
-
     def second_set_sizes(self, first_set_size: int) -> range:
         """Second-set sizes swept for one first-set size."""
         return range(first_set_size + 1, self.target_span * first_set_size + 1)
-
-    def iter_instances(self) -> Iterator[PlacementParams]:
-        """The whole domain, in lexicographic parameter order."""
-        for planning in self.iter_planning_instances():
-            for second in self.second_set_sizes(planning.first_set_size):
-                yield replace(planning, second_set_size=second)
 
 
 @dataclass

@@ -2,10 +2,12 @@
 runner for the module command line, a guard against recording a spread
 after every token, a recorder of whole-column histogram tallies, the
 closed-form histogram of label residues, a per-token record and the
-reader of a trace's rows as records, and the references the fast paths
-are held to: the per-token lifecycle, the per-token requirement check,
-the per-entry trace parser, the per-instance sweep and the
-dict-per-record JSON reports."""
+reader of a trace's rows as records, a report's failing checks, the
+instances of a sweep domain, the JSON reports as whole texts, and the
+references the fast paths are held to: the per-token label, the
+per-token lifecycle, the per-token requirement check, the per-entry
+trace parser, the per-instance sweep and the dict-per-record JSON
+reports."""
 
 from __future__ import annotations
 
@@ -13,10 +15,10 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from itertools import starmap
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import pytest
 from hypothesis import strategies as st
@@ -33,10 +35,10 @@ from ringfill import (
     SweepReport,
     check_requirements,
     gap,
-    label,
     plan_stage1,
     run_lifecycle,
 )
+from ringfill.cli import _plan_blocks, _trace_blocks
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -142,6 +144,60 @@ class Placement(NamedTuple):
 def trace_rows(trace: LifecycleTrace) -> tuple[Placement, ...]:
     """The trace's rows, one record per token, read from its columns."""
     return tuple(starmap(Placement, zip(*trace.columns)))
+
+
+def failures(report: RequirementReport) -> tuple[RequirementCheck, ...]:
+    """The failing checks of ``report``, in report order."""
+    return tuple(check for check in report.checks if not check.passed)
+
+
+def planning_instances(domain: SweepDomain) -> Iterator[PlacementParams]:
+    """The stage-1 grid of ``domain``: one instance per (size, width,
+    start, tokens), its second set pinned one past the first, which
+    stage 1 and the labels do not read."""
+    for size, width, start, token_counts in domain.iter_triples():
+        for tokens in token_counts:
+            yield PlacementParams(tokens, size, width, start, size + 1)
+
+
+def instances(domain: SweepDomain) -> Iterator[PlacementParams]:
+    """Every instance of ``domain``, in lexicographic parameter order."""
+    for planning in planning_instances(domain):
+        for second in domain.second_set_sizes(planning.first_set_size):
+            yield replace(planning, second_set_size=second)
+
+
+def plan_report(params: PlacementParams) -> str:
+    """The plan JSON report as one text."""
+    return "".join(_plan_blocks(params))
+
+
+def trace_report(trace: LifecycleTrace, report: RequirementReport) -> str:
+    """The lifecycle JSON report as one text."""
+    return "".join(_trace_blocks(trace, report))
+
+
+def label(params: PlacementParams, token: int) -> int:
+    """Permanent integer label of a token, one token at a time.
+
+    A token rides the descending first stream exactly when its position
+    within the current round falls inside the fill window, i.e. when
+    ``token % first_set_size < fill_width``; every other token rides the
+    ascending second stream.  Second-stream tokens take the plain
+    ascending form ``first_bucket + token``.  First-stream tokens take a
+    form that descends within each round, so that reducing it modulo the
+    ring size walks the window from its far end back to the start bucket.
+    Labels never drop below ``first_bucket`` and, except for a possible
+    gap left by a truncated final round, cover a contiguous range.
+    """
+    if not 0 <= token < params.token_count:
+        raise ValueError(
+            f"token {token} out of range for token_count={params.token_count}"
+        )
+    round_pos = token % params.first_set_size
+    if round_pos < params.fill_width:
+        return params.first_bucket + token + params.fill_width - 1 - 2 * round_pos
+    return params.first_bucket + token
 
 
 def _label_residue_counts(
@@ -390,7 +446,7 @@ def reference_check_requirements(trace: LifecycleTrace) -> RequirementReport:
 def reference_sweep(domain: SweepDomain) -> SweepReport:
     """The verdict ``sweep(domain)`` must give, from a full check of every instance.
 
-    Each instance of ``domain.iter_instances()`` gets its own
+    Each instance of ``instances(domain)`` gets its own
     ``run_lifecycle``, its own comparison with the pointer-walk oracle
     (both looked up in ``ringfill.verify`` at call time, so a test can
     replace them) and ``check_requirements`` on its trace.  A failure is expected
@@ -401,7 +457,7 @@ def reference_sweep(domain: SweepDomain) -> SweepReport:
     other requirement is the only kind counted as unexpected.
     """
     report = SweepReport(domain=domain)
-    for params in domain.iter_instances():
+    for params in instances(domain):
         report.instances_checked += 1
         trace = ringfill.verify.run_lifecycle(params)
         stage1 = list(enumerate(trace.stage1_bucket))
@@ -412,7 +468,7 @@ def reference_sweep(domain: SweepDomain) -> SweepReport:
         descriptor = gap(params)
         occupancy = _label_residue_counts(params, descriptor, params.second_set_size)
         assert occupancy == list(trace.occupancy3), params
-        for check in check_requirements(trace).failures():
+        for check in failures(check_requirements(trace)):
             report.violation_counts[check.id] += 1
             report.minimal_violations.setdefault(check.id, (params, check))
             if check.id != "R6":

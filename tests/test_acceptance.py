@@ -20,7 +20,6 @@ from ringfill import (
     SweepDomain,
     check_requirements,
     gap,
-    label,
     plan_stage1,
     prose_oracle_stage1,
     run_lifecycle,
@@ -28,7 +27,7 @@ from ringfill import (
 )
 from ringfill.cli import parse_trace_report
 
-from conftest import reference_sweep, run_module_cli
+from conftest import planning_instances, reference_sweep, run_module_cli
 
 
 def _verdict(criterion: int, passed: bool, description: str) -> None:
@@ -54,7 +53,7 @@ def test_criterion_1_oracle_equivalence(default_sweep):
     report, elapsed = default_sweep
     quadruples = 0
     mismatches = 0
-    for params in SweepDomain().iter_planning_instances():
+    for params in planning_instances(SweepDomain()):
         quadruples += 1
         if plan_stage1(params) != prose_oracle_stage1(params):
             mismatches += 1
@@ -148,20 +147,21 @@ def test_criterion_3_reshard_split_verdict(default_sweep, default_reference):
 def test_criterion_4_round_boundary_labels():
     quadruples = 0
     failures = 0
-    for params in SweepDomain().iter_planning_instances():
+    for params in planning_instances(SweepDomain()):
         quadruples += 1
         start = params.first_bucket
         width = params.fill_width
         size = params.first_set_size
         tokens = params.token_count
-        if tokens >= 1 and label(params, 0) != start + width - 1:
+        labels = run_lifecycle(params).label
+        if tokens >= 1 and labels[0] != start + width - 1:
             failures += 1
-        if tokens >= width and label(params, width - 1) != start:
+        if tokens >= width and labels[width - 1] != start:
             failures += 1
         if tokens > size + width - 1:
-            if label(params, size) != start + size + width - 1:
+            if labels[size] != start + size + width - 1:
                 failures += 1
-            if label(params, size + width - 1) != start + size:
+            if labels[size + width - 1] != start + size:
                 failures += 1
     _verdict(
         4,
@@ -174,9 +174,9 @@ def test_criterion_4_round_boundary_labels():
 def test_criterion_5_gap_law():
     quadruples = 0
     failures = 0
-    for params in SweepDomain().iter_planning_instances():
+    for params in planning_instances(SweepDomain()):
         quadruples += 1
-        labels = {label(params, t) for t in range(params.token_count)}
+        labels = set(run_lifecycle(params).label)
         top = max(labels, default=params.first_bucket - 1)
         missing = sorted(set(range(params.first_bucket, top + 1)) - labels)
         descriptor = gap(params)

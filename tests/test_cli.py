@@ -22,17 +22,18 @@ from ringfill.cli import (
     _render_table,
     main,
     parse_trace_report,
-    plan_report,
-    trace_report,
 )
 
 from conftest import (
+    failures,
     make_params,
     placement_params,
+    plan_report,
     reference_parse_trace_report,
     reference_plan_report,
     reference_trace_report,
     run_module_cli,
+    trace_report,
     trace_rows,
 )
 
@@ -622,7 +623,7 @@ class TestShapeOfWork:
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         document = json.loads(trace_report(trace, check_requirements(trace)))
         report = check_requirements(parse_trace_report(document))
-        assert [check.id for check in report.failures()] == ["R6"]
+        assert [check.id for check in failures(report)] == ["R6"]
 
     @pytest.mark.parametrize("rejection", [None, *ENTRY_REJECTIONS])
     def test_the_offender_is_found_by_halving(self, monkeypatch, rejection):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ringfill import LifecycleTrace, label, prose_oracle_stage1, run_lifecycle
+from ringfill import LifecycleTrace, prose_oracle_stage1, run_lifecycle
 
 from conftest import (
     Placement,
+    label,
     large_ring_params,
     make_params,
     placement_params,

@@ -1,4 +1,7 @@
-"""Tests for the label map, stage-1 planner and gap analysis."""
+"""Tests for the label map, stage-1 planner and gap analysis.
+
+The library states the label map once, as the label column of a trace;
+``conftest.label`` is the per-token closed form it is held to."""
 
 from __future__ import annotations
 
@@ -10,12 +13,11 @@ from hypothesis import example, given
 from ringfill import (
     PlacementParams,
     gap,
-    label,
     plan_stage1,
     run_lifecycle,
 )
 
-from conftest import make_params, placement_params, trace_rows
+from conftest import label, make_params, placement_params, trace_rows
 
 
 def window_buckets(params: PlacementParams) -> list[int]:
@@ -87,14 +89,19 @@ class TestStreams:
         assert not any(trace.moved_in_stage2)
 
 
+def labels_of(params: PlacementParams) -> tuple[int, ...]:
+    """The library's label column of ``params``."""
+    return run_lifecycle(params).label
+
+
 class TestLabel:
     def test_first_rounds_interleave_descending_and_ascending_values(self):
         params = make_params(8, 4, 2)
-        assert [label(params, t) for t in range(8)] == [1, 0, 2, 3, 5, 4, 6, 7]
+        assert list(labels_of(params)) == [1, 0, 2, 3, 5, 4, 6, 7]
 
     def test_descending_segment_counts_down_to_round_base(self):
         params = make_params(5, 4, 3)
-        assert [label(params, t) for t in range(5)] == [2, 1, 0, 3, 6]
+        assert list(labels_of(params)) == [2, 1, 0, 3, 6]
 
     def test_round_boundary_values(self):
         # First and last token of each stream segment pin the whole map:
@@ -104,20 +111,20 @@ class TestLabel:
         width = params.fill_width
         size = params.first_set_size
         start = params.first_bucket
-        assert label(params, 0) == start + width - 1
-        assert label(params, width - 1) == start
-        assert label(params, size) == start + size + width - 1
-        assert label(params, size + width - 1) == start + size
+        labels = labels_of(params)
+        assert labels[0] == start + width - 1
+        assert labels[width - 1] == start
+        assert labels[size] == start + size + width - 1
+        assert labels[size + width - 1] == start + size
 
     @given(placement_params())
     def test_labels_are_pairwise_distinct(self, params):
-        labels = [label(params, t) for t in range(params.token_count)]
+        labels = labels_of(params)
         assert len(set(labels)) == len(labels)
 
     @given(placement_params())
     def test_labels_stay_in_the_instance_range(self, params):
-        for token in range(params.token_count):
-            value = label(params, token)
+        for value in labels_of(params):
             assert params.first_bucket <= value
             assert value < params.first_bucket + params.token_count + params.fill_width
 
@@ -227,7 +234,7 @@ class TestGap:
 
     @given(placement_params())
     def test_gap_matches_brute_force_diff_of_the_label_set(self, params):
-        labels = {label(params, t) for t in range(params.token_count)}
+        labels = set(labels_of(params))
         top = max(labels, default=params.first_bucket - 1)
         missing = sorted(set(range(params.first_bucket, top + 1)) - labels)
         descriptor = gap(params)
@@ -244,7 +251,7 @@ class TestGap:
     def test_last_label_sits_exactly_gap_length_above_the_round_base(self, params):
         descriptor = gap(params)
         if descriptor.present:
-            above = label(params, params.token_count - 1) - descriptor.gap_start
+            above = labels_of(params)[-1] - descriptor.gap_start
             assert above == descriptor.gap_length == descriptor.offset
             assert descriptor.round == (
                 (descriptor.gap_start - params.first_bucket) // params.first_set_size

@@ -38,8 +38,11 @@ from ringfill.verify import _spreads
 from conftest import (
     Placement,
     _label_residue_counts,
+    failures,
+    instances,
     make_params,
     placement_params,
+    planning_instances,
     reference_check_requirements,
     reference_sweep,
 )
@@ -147,7 +150,7 @@ class TestReportContainer:
 
     def test_failures_lists_exactly_the_failing_checks(self):
         report = check_requirements(run_lifecycle(make_params(5, 4, 3, target=5)))
-        assert [check.id for check in report.failures()] == ["R6"]
+        assert [check.id for check in failures(report)] == ["R6"]
         assert not report.all_pass
 
 
@@ -177,7 +180,7 @@ class TestCheckRequirements:
         assert check.witness["token_b"] == 2
         assert check.witness["label"] == 1
         assert_witness_fields(check, trace, "token_a", "token_b", "label")
-        assert [c.id for c in report.failures()] == ["R1"]
+        assert [c.id for c in failures(report)] == ["R1"]
 
     def test_lopsided_window_fails_count_homogeneity(self):
         # Labels balance every residue check, yet the ascending stream's
@@ -199,7 +202,7 @@ class TestCheckRequirements:
         assert check.witness["window_counts"] == [4, 2]
         assert check.witness["spread"] == 2
         assert_witness_fields(check, trace, "window_counts", "spread")
-        assert [c.id for c in report.failures()] == ["R2"]
+        assert [c.id for c in failures(report)] == ["R2"]
 
     def test_window_counts_leave_out_a_bucket_outside_the_window(self):
         # Token 3's stage-1 bucket, 2, is the slot one past the window {0, 1}.
@@ -257,7 +260,7 @@ class TestCheckRequirements:
         assert_witness_fields(
             check, trace, "token", "stage1_bucket", "stage2_bucket", "reason"
         )
-        assert [c.id for c in report.failures()] == ["R4"]
+        assert [c.id for c in failures(report)] == ["R4"]
 
     def test_rebalance_off_the_label_residue_is_detected(self):
         trace = build_trace(
@@ -273,7 +276,7 @@ class TestCheckRequirements:
         assert_witness_fields(
             check, trace, "clause", "token", "label", "stage2_bucket", "expected"
         )
-        assert [c.id for c in report.failures()] == ["R5"]
+        assert [c.id for c in failures(report)] == ["R5"]
 
     def test_lopsided_rebalance_counts_are_detected(self):
         trace = build_trace(
@@ -303,7 +306,7 @@ class TestCheckRequirements:
         assert_witness_fields(
             check, trace, "clause", "token", "label", "stage3_bucket", "expected"
         )
-        assert [c.id for c in report.failures()] == ["R6"]
+        assert [c.id for c in failures(report)] == ["R6"]
 
     def test_gap_instance_fails_reshard_counts(self):
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
@@ -314,7 +317,7 @@ class TestCheckRequirements:
         assert check.witness["occupancy3"] == [1, 2, 1, 1, 0]
         assert check.witness["spread"] == 2
         assert_witness_fields(check, trace, "clause", "occupancy3", "spread")
-        assert [c.id for c in report.failures()] == ["R6"]
+        assert [c.id for c in failures(report)] == ["R6"]
 
     def test_ascending_stream_starting_off_the_window_start_is_detected(self):
         trace = run_lifecycle(make_params(4, 4, 2, target=5))
@@ -332,7 +335,7 @@ class TestCheckRequirements:
         assert_witness_fields(
             check, shifted, "position", "token", "expected_offset", "actual_offset"
         )
-        assert [c.id for c in report.failures()] == ["RC"]
+        assert [c.id for c in failures(report)] == ["RC"]
 
     def test_witness_params_reproduce_the_failure(self):
         params = make_params(5, 4, 3, target=5)
@@ -344,7 +347,7 @@ class TestCheckRequirements:
         # R3 and R5 both count label % B: three whole-column tallies, not four.
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         report = check_requirements(trace)
-        assert [check.id for check in report.failures()] == ["R6"]
+        assert [check.id for check in failures(report)] == ["R6"]
         assert tally_sizes == [3, 4, 5]
 
     def test_each_histogram_builds_its_buckets_once(self):
@@ -388,7 +391,7 @@ class TestCheckRequirements:
     @given(placement_params())
     def test_real_traces_only_ever_fail_reshard_counts_on_gaps(self, params):
         report = check_requirements(run_lifecycle(params))
-        for check in report.failures():
+        for check in failures(report):
             assert check.id == "R6"
             assert check.witness["clause"] == "count"
             assert check.witness["spread"] == 2
@@ -442,19 +445,19 @@ class TestSweepDomain:
             SweepDomain(target_span=1)
 
     def test_single_bucket_domain_size(self):
-        instances = list(SweepDomain(max_buckets=1).iter_instances())
-        assert len(instances) == 8
-        assert instances[0] == PlacementParams(0, 1, 1, 0, 2)
-        assert instances[-1] == PlacementParams(7, 1, 1, 0, 2)
+        every = list(instances(SweepDomain(max_buckets=1)))
+        assert len(every) == 8
+        assert every[0] == PlacementParams(0, 1, 1, 0, 2)
+        assert every[-1] == PlacementParams(7, 1, 1, 0, 2)
 
     def test_two_bucket_domain_size(self):
-        assert sum(1 for _ in SweepDomain(max_buckets=2).iter_instances()) == 104
+        assert sum(1 for _ in instances(SweepDomain(max_buckets=2))) == 104
 
     def test_three_bucket_domain_size(self):
-        assert sum(1 for _ in SweepDomain(max_buckets=3).iter_instances()) == 536
+        assert sum(1 for _ in instances(SweepDomain(max_buckets=3))) == 536
 
     def test_instances_come_out_in_lexicographic_order(self):
-        seen = list(SweepDomain(max_buckets=3).iter_instances())
+        seen = list(instances(SweepDomain(max_buckets=3)))
         keys = [
             (p.first_set_size, p.fill_width, p.first_bucket, p.token_count, p.second_set_size)
             for p in seen
@@ -462,9 +465,22 @@ class TestSweepDomain:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
 
+    @pytest.mark.parametrize(
+        "domain, size",
+        [
+            (SweepDomain(max_buckets=2), 104),
+            (SweepDomain(max_buckets=3), 536),
+            (SweepDomain(), 113432),
+            # One token count per triple, B window starts and widths, B second sets.
+            (FiveTokens(), sum(buckets**3 for buckets in range(1, 11))),
+        ],
+    )
+    def test_the_enumerator_yields_what_the_sweep_checks(self, domain, size):
+        assert sum(1 for _ in instances(domain)) == sweep(domain).instances_checked == size
+
     def test_planning_instances_collapse_the_second_set_axis(self):
         domain = SweepDomain(max_buckets=3)
-        planning = list(domain.iter_planning_instances())
+        planning = list(planning_instances(domain))
         assert len(planning) == 200
         assert all(p.second_set_size == p.first_set_size + 1 for p in planning)
 
@@ -496,7 +512,7 @@ class TestSweep:
         }
         failing = [
             params
-            for params in domain.iter_instances()
+            for params in instances(domain)
             if not check_requirements(run_lifecycle(params)).all_pass
         ]
         assert failing == [
@@ -528,7 +544,7 @@ class TestSweep:
         assert len(check.witness["occupancy3"]) == 5
 
     def test_gap_free_instances_pass_everything(self):
-        for params in SweepDomain(max_buckets=4).iter_instances():
+        for params in instances(SweepDomain(max_buckets=4)):
             if not gap(params).present:
                 assert check_requirements(run_lifecycle(params)).all_pass
 
@@ -538,7 +554,7 @@ class TestSweep:
         report = sweep(domain)
         assert report == reference_sweep(domain)
         assert report.violation_counts["R2"] == 104
-        first = next(domain.iter_instances())
+        first = next(instances(domain))
         assert first.second_set_size == first.first_set_size + 1
         witness = {"params": asdict(first), "forced": True}
         assert report.minimal_violations["R2"] == (
@@ -581,7 +597,7 @@ class TestSweep:
             "gap": 112,
             "replace": 1,
         }
-        assert report.instances_checked == sum(1 for _ in domain.iter_instances())
+        assert report.instances_checked == sum(1 for _ in instances(domain))
 
     def test_default_sweep_builds_each_spread_record_once_per_pair(self, monkeypatch):
         # The sum of B * (B + 2) over B <= 10 records, not one set per triple.
