@@ -29,7 +29,6 @@ import argparse
 import json
 import sys
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import asdict, fields
 from itertools import chain, count, islice
 from operator import countOf, itemgetter, ne
 from typing import Any
@@ -119,14 +118,14 @@ def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[
     """The blocks of the lifecycle JSON report, in order; the histograms
     and the gap are computed before the first block is."""
     return _render_report(
-        asdict(trace.params),
+        trace.params._asdict(),
         FIELDS,
         (*trace.columns[:-1], map(("false", "true").__getitem__, trace.moved_in_stage2)),
         {
             "occupancy1": trace.occupancy1,
             "occupancy2": trace.occupancy2,
             "occupancy3": trace.occupancy3,
-            "gap": asdict(gap(trace.params)),
+            "gap": gap(trace.params)._asdict(),
             "requirements": [_check_document(check) for check in report.checks],
         },
     )
@@ -222,7 +221,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     raw_params = document["params"]
     if not isinstance(raw_params, dict):
         raise ValueError("params must be an object")
-    expected_fields = {param.name for param in fields(PlacementParams)}
+    expected_fields = set(PlacementParams._fields)
     if raw_params.keys() != expected_fields:
         raise ValueError(f"params must have exactly the fields {sorted(expected_fields)}")
     if not all(map(_is_json_int, raw_params.values())):
@@ -256,7 +255,7 @@ def parse_trace_report(document: dict) -> LifecycleTrace:
     for bucket, held in enumerate(trace.occupancy1):
         if held != 0 and not params.in_fill_window(bucket):
             raise ValueError(f"occupancy1 is nonzero at bucket {bucket}, outside the fill window")
-    expected_gap = asdict(gap(params))
+    expected_gap = gap(params)._asdict()
     raw_gap = document["gap"]
     if not (
         isinstance(raw_gap, dict)
@@ -278,15 +277,15 @@ def sweep_report_document(report: SweepReport) -> dict:
         if requirement_id in report.minimal_violations:
             params, check = report.minimal_violations[requirement_id]
             minimal[requirement_id] = {
-                "params": asdict(params),
+                "params": params._asdict(),
                 "check": _check_document(check),
             }
     mismatch = report.minimal_oracle_mismatch
     return {
-        "domain": asdict(report.domain),
+        "domain": report.domain._asdict(),
         "instances_checked": report.instances_checked,
         "oracle_mismatches": report.oracle_mismatches,
-        "minimal_oracle_mismatch": None if mismatch is None else asdict(mismatch),
+        "minimal_oracle_mismatch": None if mismatch is None else mismatch._asdict(),
         "violation_counts": dict(report.violation_counts),
         "minimal_violations": minimal,
         "unexpected_violations": report.unexpected_violations,

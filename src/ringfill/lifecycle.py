@@ -19,11 +19,10 @@ immutable once produced and safe to share between threads.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from operator import mod
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .placement import PlacementParams, _stage1_columns
 
@@ -37,23 +36,32 @@ __all__ = [
 FIELDS = ("token", "label", "stage1_bucket", "stage2_bucket", "stage3_bucket", "moved_in_stage2")
 
 
-@dataclass(frozen=True)
-class LifecycleTrace:
-    """One instance's placements as columns, plus occupancy per stage.
-
-    Column ``name`` holds every token's field ``name`` of ``FIELDS``,
-    in token order.  ``occupancyN`` is the read-only tally of the
-    ``stageN_bucket`` column, made at most once per trace.
-    ``occupancy1`` and ``occupancy2`` are indexed by first-set bucket,
-    ``occupancy3`` by second-set bucket.
-    """
-
+class _TraceFields(NamedTuple):
     params: PlacementParams
     label: tuple[int, ...]
     stage1_bucket: tuple[int, ...]
     stage2_bucket: tuple[int, ...]
     stage3_bucket: tuple[int, ...]
     moved_in_stage2: tuple[bool, ...]
+
+
+class LifecycleTrace(_TraceFields):
+    """One instance's placements as columns, plus occupancy per stage.
+
+    An immutable named tuple of ``params`` and one column per field of
+    ``FIELDS`` after ``token``: column ``name`` holds every token's field
+    ``name``, in token order.  ``occupancyN`` is the read-only tally of
+    the ``stageN_bucket`` column, made at most once per trace and cached
+    outside the tuple; setting or deleting any attribute, a field or
+    not, raises AttributeError.  ``occupancy1`` and ``occupancy2`` are
+    indexed by first-set bucket, ``occupancy3`` by second-set bucket.
+    """
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a trace is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a trace is immutable")
 
     @property
     def columns(self) -> tuple[Sequence[int], ...]:

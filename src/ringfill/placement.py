@@ -31,10 +31,9 @@ Python ints are unbounded, so no overflow guard is needed at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
 from operator import mod
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 __all__ = [
     "GapDescriptor",
@@ -44,9 +43,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PlacementParams:
-    """One placement instance.
+class _PlacementFields(NamedTuple):
+    token_count: int
+    first_set_size: int
+    fill_width: int
+    first_bucket: int
+    second_set_size: int
+
+
+class PlacementParams(_PlacementFields):
+    """One placement instance, an immutable named tuple.
 
     Attributes:
         token_count: number of tokens to place, zero allowed.
@@ -56,34 +62,45 @@ class PlacementParams:
         first_bucket: ring index where the fill window starts.
         second_set_size: bucket count of the second set; must be strictly
             larger than the first.
+
+    Construction, by position or by keyword, raises ValueError on an
+    invalid instance.  ``_replace`` and ``_make`` build the tuple
+    without that check, so the package never calls them.
     """
 
-    token_count: int
-    first_set_size: int
-    fill_width: int
-    first_bucket: int
-    second_set_size: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.token_count < 0:
-            raise ValueError(f"token_count must be >= 0, got {self.token_count}")
-        if self.first_set_size < 1:
-            raise ValueError(f"first_set_size must be >= 1, got {self.first_set_size}")
-        if not 1 <= self.fill_width <= self.first_set_size:
+    # The sweep builds one per gap question, so the fields are checked
+    # as arguments and the tuple built without a further call.
+    def __new__(
+        cls,
+        token_count: int,
+        first_set_size: int,
+        fill_width: int,
+        first_bucket: int,
+        second_set_size: int,
+    ) -> PlacementParams:
+        if token_count < 0:
+            raise ValueError(f"token_count must be >= 0, got {token_count}")
+        if first_set_size < 1:
+            raise ValueError(f"first_set_size must be >= 1, got {first_set_size}")
+        if not 1 <= fill_width <= first_set_size:
             raise ValueError(
                 "fill_width must be between 1 and first_set_size, got "
-                f"fill_width={self.fill_width} with first_set_size={self.first_set_size}"
+                f"fill_width={fill_width} with first_set_size={first_set_size}"
             )
-        if not 0 <= self.first_bucket < self.first_set_size:
+        if not 0 <= first_bucket < first_set_size:
             raise ValueError(
                 "first_bucket must be between 0 and first_set_size - 1, got "
-                f"first_bucket={self.first_bucket} with first_set_size={self.first_set_size}"
+                f"first_bucket={first_bucket} with first_set_size={first_set_size}"
             )
-        if self.second_set_size <= self.first_set_size:
+        if second_set_size <= first_set_size:
             raise ValueError(
                 "second_set_size must exceed first_set_size, got "
-                f"second_set_size={self.second_set_size} with first_set_size={self.first_set_size}"
+                f"second_set_size={second_set_size} with first_set_size={first_set_size}"
             )
+        fields = token_count, first_set_size, fill_width, first_bucket, second_set_size
+        return tuple.__new__(cls, fields)
 
     def window_offset(self, bucket: int) -> int:
         """Distance of a ring bucket from the window start, around the ring."""
@@ -148,9 +165,9 @@ def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:
     return list(enumerate(buckets))
 
 
-@dataclass(frozen=True)
-class GapDescriptor:
-    """Contiguous interval of label values that no token carries.
+class GapDescriptor(NamedTuple):
+    """Contiguous interval of label values that no token carries, an
+    immutable named tuple.
 
     A run that stops partway through a descending sweep, before the sweep
     reaches the window's start bucket, leaves the low labels of its final

@@ -36,7 +36,9 @@ offender or histogram reads the token count, so that is the
 requirement's verdict on the run of ``t`` tokens.
 ``check_requirements`` reads every requirement on the whole trace and
 counts each histogram's whole column with ``ringfill.lifecycle._tally``,
-the code behind the occupancy histograms.
+the code behind the occupancy histograms.  Where R5's or R6's residue
+clause holds, its histogram is that stage's occupancy histogram, so the
+check reads it off the trace, where a parsed trace already keeps it.
 
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
@@ -44,10 +46,12 @@ count and the oracle mismatches.  Nothing in stage 1, the labels or the
 oracle reads the token count ``T``, so the run of ``T`` tokens is the
 first ``T`` tokens of every longer run, and the sweep does each piece of
 work once for what it depends on: one lifecycle and one oracle walk per
-``(B, C, f)`` triple, one spread record per histogram and size per
-``(B, C)`` pair, shared while the rebased labels and slots agree, and
-parameters and a witness only at each requirement's first failure and
-at the first oracle mismatch.  The test suite holds the verdict to
+``(B, C, f)`` triple, one spread record per histogram per ``(B, C)``
+pair, shared while the rebased labels and slots agree, and parameters
+and a witness only at each requirement's first failure and at the first
+oracle mismatch.  R6's record folds in every second-set size ``B'``
+above the smallest, where no offender is read, so a triple judges all
+of them in one pass over their distinct spread-2 token counts.  The test suite holds the verdict to
 ``check_requirements`` on the full per-token trace of every instance,
 and ``check_requirements`` to a per-token restatement of the
 requirements on broken traces.
@@ -81,10 +85,10 @@ and a gap of the same length on the same classes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, replace
-from functools import cache, partial
-from itertools import compress, count, cycle, islice, repeat
-from operator import itemgetter, lt, mod, ne, sub
+from collections import Counter
+from functools import partial
+from itertools import chain, compress, count, cycle, islice, repeat
+from operator import lt, mod, ne, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .lifecycle import LifecycleTrace, _tally, run_lifecycle
@@ -111,11 +115,35 @@ class RequirementCheck(NamedTuple):
     witness: dict | None = None
 
 
-@dataclass(frozen=True)
 class RequirementReport:
-    """Ordered verdicts for R1 through R6 plus RC."""
+    """Ordered verdicts for R1 through R6 plus RC, looked up by id.
 
-    checks: tuple[RequirementCheck, ...]
+    An immutable record of one field, ``checks``.  It is a small class,
+    not a named tuple, because ``report[id]`` looks a verdict up by
+    requirement id where a tuple would index by position.
+    """
+
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[RequirementCheck, ...]) -> None:
+        object.__setattr__(self, "checks", checks)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a report is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete {name!r}: a report is immutable")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not RequirementReport:
+            return NotImplemented
+        return self.checks == other.checks
+
+    def __hash__(self) -> int:
+        return hash(self.checks)
+
+    def __repr__(self) -> str:
+        return f"RequirementReport(checks={self.checks!r})"
 
     def __getitem__(self, requirement_id: str) -> RequirementCheck:
         for check in self.checks:
@@ -339,7 +367,7 @@ def _failed(
 ) -> RequirementCheck:
     """A failing verdict whose witness is the instance's params, then ``witness_fields``."""
     return RequirementCheck(
-        requirement_id, False, {"params": asdict(params), **witness_fields}
+        requirement_id, False, {"params": params._asdict(), **witness_fields}
     )
 
 
@@ -351,9 +379,11 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     offending indices) to reproduce the failure from scratch.  The empty
     trace passes everything vacuously.  Each requirement is read on the
     whole trace.  Requirements that share a histogram are read together,
-    from one whole-column tally and one copy of its buckets, and each
+    from one copy of its buckets and one whole-column tally, and each
     histogram's buckets are dropped before the next histogram's are
-    built.
+    built.  The tally is the trace's own ``occupancy2`` or
+    ``occupancy3`` when R5's or R6's residue clause holds, so a parsed
+    trace's histograms are not counted twice.
     """
     params = trace.params
     tokens = len(trace.label)
@@ -368,11 +398,19 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
         if key is not None:
             buckets_of, size = key
             buckets = buckets_of(trace, size)
-            counts = _tally(buckets, size)
+        offenders = [None if row[2] is None else row[2](trace, buckets) for row in rows]
+        if key is not None:
+            # A residue clause that holds says its stage column is these
+            # buckets, whose tally the trace keeps under the histogram's
+            # name: R5's occupancy2 and R6's occupancy3.
+            kept = [
+                row[3][0]
+                for row, offender in zip(rows, offenders)
+                if row[2] is not None and offender is None
+            ]
+            counts = getattr(trace, kept[0]) if kept else _tally(buckets, size)
             spread = max(counts) - min(counts)
-        for row in rows:
-            find_offender = row[2]
-            offender = None if find_offender is None else find_offender(trace, buckets)
+        for row, offender in zip(rows, offenders):
             witnesses[row[0]] = _witness(row, offender, counts, spread, tokens)
     return RequirementReport(
         tuple(
@@ -410,9 +448,15 @@ def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
     return assignments
 
 
-@dataclass(frozen=True)
-class SweepDomain:
-    """Finite grid of instances, swept in lexicographic parameter order.
+class _DomainFields(NamedTuple):
+    max_buckets: int = 10
+    max_rounds: int = 4
+    target_span: int = 2
+
+
+class SweepDomain(_DomainFields):
+    """Finite grid of instances, swept in lexicographic parameter order;
+    an immutable named tuple.
 
     For each first-set size up to ``max_buckets``: every fill width, every
     window start, token counts from 0 through
@@ -420,14 +464,14 @@ class SweepDomain:
     stopping offset to expose wrap effects), and second-set sizes from
     ``size + 1`` through ``target_span * size``.  The grid is stated
     once, by ``iter_triples`` and ``second_set_sizes``, which ``sweep``
-    reads.
+    reads.  Construction raises ValueError on an empty grid, as
+    ``PlacementParams`` does on an invalid instance.
     """
 
-    max_buckets: int = 10
-    max_rounds: int = 4
-    target_span: int = 2
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> SweepDomain:
+        self = super().__new__(cls, *args, **kwargs)
         if self.max_buckets < 1:
             raise ValueError(f"max_buckets must be >= 1, got {self.max_buckets}")
         if self.max_rounds < 1:
@@ -436,6 +480,7 @@ class SweepDomain:
             raise ValueError(
                 f"target_span must be >= 2 for a non-empty second-set range, got {self.target_span}"
             )
+        return self
 
     def token_limit(self, first_set_size: int) -> int:
         return self.max_rounds * first_set_size + 3
@@ -453,8 +498,7 @@ class SweepDomain:
         return range(first_set_size + 1, self.target_span * first_set_size + 1)
 
 
-@dataclass
-class SweepReport:
+class SweepReport(NamedTuple):
     """Verdict of an exhaustive sweep.
 
     ``violation_counts`` counts the failing instances per requirement.
@@ -467,16 +511,12 @@ class SweepReport:
     """
 
     domain: SweepDomain
-    instances_checked: int = 0
-    violation_counts: dict[str, int] = field(
-        default_factory=lambda: {rid: 0 for rid in REQUIREMENT_IDS}
-    )
-    minimal_violations: dict[str, tuple[PlacementParams, RequirementCheck]] = field(
-        default_factory=dict
-    )
-    oracle_mismatches: int = 0
-    minimal_oracle_mismatch: PlacementParams | None = None
-    unexpected_violations: int = 0
+    instances_checked: int
+    violation_counts: dict[str, int]
+    minimal_violations: dict[str, tuple[PlacementParams, RequirementCheck]]
+    oracle_mismatches: int
+    minimal_oracle_mismatch: PlacementParams | None
+    unexpected_violations: int
 
     @property
     def only_expected_failures(self) -> bool:
@@ -490,6 +530,43 @@ def _at_most(ascending: Sequence[int], bound: int) -> int:
     return _first(map(lt, repeat(bound), ascending))
 
 
+def _runs_over_one(buckets: Iterable[int], size: int, token_counts: Sequence[int]) -> tuple:
+    """The token counts, of ``token_counts``, at which the spread of the
+    histogram of ``buckets`` over ``[0, size)`` is over 1, and those of
+    them at which it is exactly 2."""
+    spreads = _spreads(buckets, size)
+    over = [tokens for tokens in token_counts if spreads[tokens] > 1]
+    return over, [tokens for tokens in over if spreads[tokens] == 2]
+
+
+def _spread_record(
+    trace: LifecycleTrace, buckets_of: Callable, sizes: Sequence[int], token_counts: Sequence[int]
+) -> tuple:
+    """A histogram's spread record at every size of ``sizes``, on runs of
+    ``token_counts`` tokens of ``trace``.
+
+    At the first size: the token counts whose runs the spread fails, and
+    those of them at spread exactly 2, from which an offender cuts the
+    runs that hold it.  Folded over every other size, where no offender
+    is read: how many runs the spread fails, the token counts at spread
+    exactly 2 with how many sizes have each, and the first failing run
+    as ``(tokens, size)`` in lexicographic order, or None.
+    """
+    over, twos = _runs_over_one(buckets_of(trace, sizes[0]), sizes[0], token_counts)
+    failing, twos_above, first_above = 0, Counter(), None
+    for size in sizes[1:]:
+        above, size_twos = _runs_over_one(buckets_of(trace, size), size, token_counts)
+        failing += len(above)
+        twos_above.update(size_twos)
+        if above and (first_above is None or above[0] < first_above[0]):
+            first_above = above[0], size
+    return over, twos, failing, twos_above, first_above
+
+
+# The spread record of a row without a histogram: no run fails.
+_NO_RECORD = (), (), 0, {}, None
+
+
 def sweep(domain: SweepDomain | None = None) -> SweepReport:
     """Exhaustively check every instance in the domain.
 
@@ -497,98 +574,114 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     params))`` would judge it.  The domain gives each ``(B, C, f)``
     triple with its token counts ``T``, ascending.  Per triple the sweep
     makes one ``run_lifecycle`` and one ``prose_oracle_stage1``, both at
-    the largest ``T``, and judges each requirement once: it finds the
-    offender and reads the histogram's spread record, and the run of
-    ``T`` tokens fails when the offender lies among its first ``T``
-    tokens or the spread after ``T`` tokens is over 1.  A failure of
-    R1–R5, RC or the oracle comparison counts for every second-set size.
-    R6's histogram is the only one sized by the second-set size ``B'``:
-    the sweep judges R6 once per ``B'``.  The trace is run at the
-    smallest ``B'``, so R6's offender, a stage-3 bucket off its label
-    residue, counts for that ``B'`` alone.
+    the largest ``T`` and the smallest second-set size ``B'``, and
+    judges each requirement once: it finds the offender and reads the
+    histogram's spread record, and the run of ``T`` tokens fails when
+    the offender lies among its first ``T`` tokens or the spread after
+    ``T`` tokens is over 1.  A failure of R1–R5, RC or the oracle
+    comparison counts for every ``B'``.
 
-    Each spread record, kept as the token counts at which it is over 1
-    and those at which it is exactly 2, is built once per histogram and
-    size and shared, by the module's sharing rule, while the triples'
-    token counts, rebased labels and R2 slots agree: once per ``(B, C)``
-    pair on correct traces.  An offender only cuts those lists.  R5's
-    and R6's offenders and every witness read their own triple's
-    buckets.  Only a requirement's first failure in lexicographic
-    parameter order gets its parameters and a witness, which
-    ``_witness`` reads from the offender or from the whole-column tally
-    of that run's tokens, so the whole report is deterministic.
+    R6's histogram is the only one sized by ``B'``, and its loop over
+    ``B'`` is folded into its spread record.  The trace's stage 3 is
+    that of the smallest ``B'``, so R6's offender, a stage-3 bucket off
+    its label residue, cuts the runs of that ``B'`` alone, which the
+    record keeps as its own lists.  Every larger ``B'`` has no offender,
+    so the record keeps only what the verdict reads of them: how many
+    runs fail, the token counts at spread exactly 2 with their
+    multiplicity, and the first failure.  A triple then judges every
+    larger ``B'`` at once, asking ``gap`` once per distinct ``T`` of
+    those spread-2 runs, through a dict per triple.
+
+    Each spread record is built once per histogram and sizes and shared,
+    by the module's sharing rule, while the triples' token counts,
+    rebased labels and R2 slots agree: once per ``(B, C)`` pair on
+    correct traces.  R5's and R6's offenders and every witness read
+    their own triple's buckets.  Only a requirement's first failure in
+    lexicographic parameter order gets its parameters and a witness,
+    which ``_witness`` reads from the offender or from the whole-column
+    tally of that run's tokens, so the whole report is deterministic;
+    once a requirement has its witness, later triples only count.
     """
     if domain is None:
         domain = SweepDomain()
-    report = SweepReport(domain=domain)
-    counts = report.violation_counts
-    minimal = report.minimal_violations
-    # By (buckets, size): the token counts whose runs the histogram's
-    # spread fails, and those of them at spread exactly 2.
+    instances = mismatches = unexpected = 0
+    first_mismatch = None
+    counts = dict.fromkeys(REQUIREMENT_IDS, 0)
+    minimal = {}
+    # The spread records by (buckets, sizes), kept while the content agrees.
     shared, records = None, {}
-    for *triple, token_counts in domain.iter_triples():
-        planning = lambda tokens: PlacementParams(tokens, *triple, triple[0] + 1)
-        longest = planning(token_counts[-1])
-        seconds = domain.second_set_sizes(longest.first_set_size)
+    for size, width, start, token_counts in domain.iter_triples():
+        seconds = domain.second_set_sizes(size)
+        longest = PlacementParams(token_counts[-1], size, width, start, seconds[0])
         trace = run_lifecycle(longest)
         oracle = prose_oracle_stage1(longest)
-        report.instances_checked += len(token_counts) * len(seconds)
+        instances += len(token_counts) * len(seconds)
         # The oracle agrees on exactly the runs of at most this many tokens.
         agreed = next(
             compress(count(), map(ne, zip(count(), trace.stage1_bucket), oracle)), len(oracle)
         )
         agreeing = _at_most(token_counts, agreed)
-        report.oracle_mismatches += (len(token_counts) - agreeing) * len(seconds)
-        if agreeing < len(token_counts) and report.minimal_oracle_mismatch is None:
-            report.minimal_oracle_mismatch = planning(token_counts[agreeing])
-        rebased = tuple(map(sub, trace.label, repeat(longest.first_bucket)))
+        mismatches += (len(token_counts) - agreeing) * len(seconds)
+        if agreeing < len(token_counts) and first_mismatch is None:
+            first_mismatch = PlacementParams(token_counts[agreeing], size, width, start, seconds[0])
+        rebased = tuple(map(sub, trace.label, repeat(start)))
         # The records serve every triple of this content (the sharing rule).
         content = token_counts, rebased, _window_slots(trace, None)
         if content != shared:
             shared, records = content, {}
-        # Gap presence, asked at most once per planning instance.
-        gapped = cache(lambda tokens: gap(planning(tokens)).present)
+        gapped = {}  # gap presence by token count, asked at most once each
         for row in _REQUIREMENTS:
             requirement_id, _, find_offender, histogram = row
-            per_second = histogram is not None and histogram[2] == "second_set_size"
-            weight = 1 if per_second else len(seconds)
-            firsts = []  # (T, B', offender, buckets, size) of each first failure
-            for second in seconds if per_second else seconds[:1]:
-                buckets_of, size, over, twos = None, 0, (), ()
-                if histogram is not None:
-                    _, buckets_of, size_field = histogram
-                    size = second if per_second else getattr(longest, size_field)
-                    if (buckets_of, size) not in records:
-                        spreads = _spreads(buckets_of(trace, size), size)
-                        over = [tokens for tokens in token_counts if spreads[tokens] > 1]
-                        twos = [tokens for tokens in over if spreads[tokens] == 2]
-                        records[buckets_of, size] = over, twos
-                    over, twos = records[buckets_of, size]
-                # The trace's stage 3 is that of the smallest B' alone.
-                offender = None
-                if find_offender is not None and second == seconds[0]:
-                    offender = find_offender(trace, buckets_of and buckets_of(trace, size))
-                # Runs of at most this many tokens do not hold the offender.
-                clean = len(trace.label) if offender is None else offender[0]
-                held, cut = _at_most(over, clean), _at_most(token_counts, clean)
-                failing = held + len(token_counts) - cut
-                # Expected: the documented gap case, R6's count clause at
-                # spread exactly 2 on an instance whose labels have a gap.
-                expected = 0
-                if requirement_id == "R6":
-                    expected = sum(map(gapped, twos[: _at_most(twos, clean)]))
-                counts[requirement_id] += weight * failing
-                report.unexpected_violations += weight * failing - expected
-                if failing:
-                    first = over[0] if held else token_counts[cut]
-                    firsts.append((first, second, offender, buckets_of, size))
-            if firsts and requirement_id not in minimal:
-                first, second, offender, buckets_of, size = min(firsts, key=itemgetter(0))
+            # A failing run counts once per B', save R6's: R6 is judged
+            # per B', so a run at its smallest B' counts once.
+            record, weight, buckets = _NO_RECORD, len(seconds), None
+            if histogram is not None:
+                _, buckets_of, size_field = histogram
+                sizes = (getattr(longest, size_field),)
+                if size_field == "second_set_size":
+                    sizes, weight = seconds, 1
+                if (buckets_of, sizes) not in records:
+                    records[buckets_of, sizes] = _spread_record(
+                        trace, buckets_of, sizes, token_counts
+                    )
+                record = records[buckets_of, sizes]
+                if find_offender is not None:
+                    buckets = buckets_of(trace, sizes[0])
+            over, twos, failing_above, twos_above, first_above = record
+            offender = None if find_offender is None else find_offender(trace, buckets)
+            # Runs of at most this many tokens do not hold the offender.
+            clean = len(trace.label) if offender is None else offender[0]
+            held, cut = _at_most(over, clean), _at_most(token_counts, clean)
+            failing = held + len(token_counts) - cut
+            # Expected: the documented gap case, R6's count clause at
+            # spread exactly 2 on an instance whose labels have a gap.
+            expected = 0
+            if requirement_id == "R6":
+                runs = chain(zip(twos[: _at_most(twos, clean)], repeat(1)), twos_above.items())
+                for tokens, times in runs:
+                    if tokens not in gapped:
+                        params = PlacementParams(tokens, size, width, start, seconds[0])
+                        gapped[tokens] = gap(params).present
+                    expected += times * gapped[tokens]
+            counts[requirement_id] += weight * failing + failing_above
+            unexpected += weight * failing + failing_above - expected
+            if requirement_id in minimal:
+                continue
+            # The first failing run is the least (tokens, B'); no two
+            # candidates share a B'.
+            firsts = []
+            if failing:
+                firsts.append((over[0] if held else token_counts[cut], seconds[0], offender))
+            if first_above is not None:
+                firsts.append((*first_above, None))
+            if firsts:
+                first, second, offender = min(firsts)
+                params = PlacementParams(first, size, width, start, second)
                 whole, spread = (), 0
-                if buckets_of is not None:
-                    whole = _tally(buckets_of(trace, size)[:first], size)
+                if histogram is not None:
+                    histogram_size = getattr(params, size_field)
+                    whole = _tally(buckets_of(trace, histogram_size)[:first], histogram_size)
                     spread = max(whole) - min(whole)
-                params = replace(longest, token_count=first, second_set_size=second)
                 witness_fields = _witness(row, offender, whole, spread, first)
                 minimal[requirement_id] = params, _failed(requirement_id, params, witness_fields)
-    return report
+    return SweepReport(domain, instances, counts, minimal, mismatches, first_mismatch, unexpected)

@@ -15,7 +15,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import asdict, fields, replace
 from itertools import starmap
 from pathlib import Path
 from typing import Iterator, NamedTuple
@@ -26,6 +25,7 @@ from hypothesis import strategies as st
 import ringfill.lifecycle
 import ringfill.verify
 from ringfill import (
+    REQUIREMENT_IDS,
     GapDescriptor,
     LifecycleTrace,
     PlacementParams,
@@ -164,7 +164,7 @@ def instances(domain: SweepDomain) -> Iterator[PlacementParams]:
     """Every instance of ``domain``, in lexicographic parameter order."""
     for planning in planning_instances(domain):
         for second in domain.second_set_sizes(planning.first_set_size):
-            yield replace(planning, second_set_size=second)
+            yield planning._replace(second_set_size=second)
 
 
 def plan_report(params: PlacementParams) -> str:
@@ -266,7 +266,7 @@ def reference_parse_trace_report(document: dict) -> LifecycleTrace:
     raw_params = document["params"]
     if not isinstance(raw_params, dict):
         raise ValueError("params must be an object")
-    expected_fields = {param.name for param in fields(PlacementParams)}
+    expected_fields = set(PlacementParams._fields)
     if raw_params.keys() != expected_fields:
         raise ValueError(f"params must have exactly the fields {sorted(expected_fields)}")
     if not all(type(value) is int for value in raw_params.values()):
@@ -328,7 +328,7 @@ def reference_parse_trace_report(document: dict) -> LifecycleTrace:
     for bucket, count in enumerate(trace.occupancy1):
         if count != 0 and not params.in_fill_window(bucket):
             raise ValueError(f"occupancy1 is nonzero at bucket {bucket}, outside the fill window")
-    expected_gap = asdict(gap(params))
+    expected_gap = gap(params)._asdict()
     raw_gap = document["gap"]
     if not (
         isinstance(raw_gap, dict)
@@ -437,7 +437,7 @@ def reference_check_requirements(trace: LifecycleTrace) -> RequirementReport:
         tuple(
             RequirementCheck(requirement_id, True)
             if witness is None
-            else RequirementCheck(requirement_id, False, {"params": asdict(params), **witness})
+            else RequirementCheck(requirement_id, False, {"params": params._asdict(), **witness})
             for requirement_id, witness in witnesses.items()
         )
     )
@@ -456,28 +456,39 @@ def reference_sweep(domain: SweepDomain) -> SweepReport:
     that every R6 failure has that expected form, so a failure of any
     other requirement is the only kind counted as unexpected.
     """
-    report = SweepReport(domain=domain)
+    instances_checked = oracle_mismatches = unexpected_violations = 0
+    minimal_oracle_mismatch = None
+    violation_counts = dict.fromkeys(REQUIREMENT_IDS, 0)
+    minimal_violations = {}
     for params in instances(domain):
-        report.instances_checked += 1
+        instances_checked += 1
         trace = ringfill.verify.run_lifecycle(params)
         stage1 = list(enumerate(trace.stage1_bucket))
         if stage1 != ringfill.verify.prose_oracle_stage1(params):
-            report.oracle_mismatches += 1
-            if report.minimal_oracle_mismatch is None:
-                report.minimal_oracle_mismatch = params
+            oracle_mismatches += 1
+            if minimal_oracle_mismatch is None:
+                minimal_oracle_mismatch = params
         descriptor = gap(params)
         occupancy = _label_residue_counts(params, descriptor, params.second_set_size)
         assert occupancy == list(trace.occupancy3), params
         for check in failures(check_requirements(trace)):
-            report.violation_counts[check.id] += 1
-            report.minimal_violations.setdefault(check.id, (params, check))
+            violation_counts[check.id] += 1
+            minimal_violations.setdefault(check.id, (params, check))
             if check.id != "R6":
-                report.unexpected_violations += 1
+                unexpected_violations += 1
             else:
                 witness = check.witness
                 assert witness["clause"] == "count" and witness["spread"] == 2, check
                 assert descriptor.present, check
-    return report
+    return SweepReport(
+        domain,
+        instances_checked,
+        violation_counts,
+        minimal_violations,
+        oracle_mismatches,
+        minimal_oracle_mismatch,
+        unexpected_violations,
+    )
 
 
 def reference_plan_report(params: PlacementParams) -> str:
@@ -502,12 +513,12 @@ def reference_trace_report(trace: LifecycleTrace, report: RequirementReport) -> 
     """The bytes ``trace_report(trace, report)`` must give: a dict per
     placement, rendered by ``json.dumps(indent=2)``."""
     document = {
-        "params": asdict(trace.params),
+        "params": trace.params._asdict(),
         "placements": [placement._asdict() for placement in trace_rows(trace)],
         "occupancy1": list(trace.occupancy1),
         "occupancy2": list(trace.occupancy2),
         "occupancy3": list(trace.occupancy3),
-        "gap": asdict(gap(trace.params)),
+        "gap": gap(trace.params)._asdict(),
         "requirements": [
             {
                 "id": check.id,

@@ -3,10 +3,12 @@ change to the API has to edit this test.  Three lint rules on the
 package's source ride along: no import goes unused, no private
 module-level name goes unreferenced, and no public function, method or
 property is read only by tests, so a removal leaves no orphan behind
-and the library states each thing once.  Every module also parses at
-the Python floor the project declares, and importing the command-line
-module loads no standard module beyond those that argparse, json and
-dataclasses load."""
+and the library states each thing once.  A fourth keeps every record
+validated: no module calls a named tuple's ``_replace`` or ``_make``,
+which skip the checks of ``__new__``.  Every module also parses at the
+Python floor the project declares, and importing the command-line
+module loads no standard module beyond those that argparse and json
+load."""
 
 from __future__ import annotations
 
@@ -134,6 +136,21 @@ def test_every_private_module_name_is_referenced():
     assert orphans == []
 
 
+def test_no_module_builds_a_record_past_its_checks():
+    # A named tuple's ``_replace`` and ``_make`` build the tuple without
+    # calling ``__new__``, so they would skip the ValueErrors of
+    # ``PlacementParams`` and ``SweepDomain``; the package builds every
+    # record directly.  Any read of either counts, a call or not, so
+    # ``map(PlacementParams._make, rows)`` is caught too.
+    reads = [
+        f"{name}: {node.attr}"
+        for name, tree in MODULES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr in ("_replace", "_make")
+    ]
+    assert reads == []
+
+
 def test_every_module_parses_at_the_declared_python_floor():
     # This holds the source to the syntax of the requires-python floor
     # only: a runtime API newer than the floor, such as a standard-library
@@ -150,10 +167,11 @@ def test_every_module_parses_at_the_declared_python_floor():
 
 def test_importing_the_cli_loads_no_further_standard_module():
     # Every command, ``ringfill --help`` included, pays at start-up for
-    # each module ``ringfill.cli`` loads.  Beyond what argparse, json and
-    # dataclasses load themselves, it may load only its own package.
+    # each module ``ringfill.cli`` loads.  Beyond what argparse and json
+    # load themselves, it may load only its own package: not dataclasses,
+    # whose import alone loads inspect, ast, dis and tokenize.
     script = (
-        "import sys, argparse, json, dataclasses\n"
+        "import sys, argparse, json\n"
         "before = set(sys.modules)\n"
         "import ringfill.cli\n"
         "print(sorted(set(sys.modules) - before))\n"

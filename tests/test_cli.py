@@ -8,7 +8,6 @@ import json
 import math
 import tracemalloc
 from collections import defaultdict
-from dataclasses import astuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -29,6 +28,7 @@ from conftest import (
     make_params,
     placement_params,
     plan_report,
+    reference_check_requirements,
     reference_parse_trace_report,
     reference_plan_report,
     reference_trace_report,
@@ -911,8 +911,28 @@ class TestTraceRoundTrip:
         tally_sizes.clear()
         check_requirements(parse_trace_report(document))
         # The parser tallies the three stage columns, then the check tallies
-        # the window offsets, label % B and label % B'.
-        assert tally_sizes == [4, 4, 5, 3, 4, 5]
+        # the window offsets; label % B and label % B' are the stage-2 and
+        # stage-3 columns, whose tallies the parser left on the trace.
+        assert tally_sizes == [4, 4, 5, 3]
+
+    def test_reverification_tallies_label_residues_off_a_broken_stage_2(self, tally_sizes):
+        # Token 1's stage-2 bucket is off its label residue in both the
+        # placements and occupancy2, so the document parses and R5 fails
+        # its residue clause: the check tallies label % B afresh and reads
+        # only occupancy3 off the trace.
+        trace = run_lifecycle(make_params(5, 4, 3, target=5))
+        document = json.loads(trace_report(trace, check_requirements(trace)))
+        placement = document["placements"][1]
+        document["occupancy2"][placement["stage2_bucket"]] -= 1
+        placement["stage2_bucket"] = (placement["stage2_bucket"] + 1) % 4
+        document["occupancy2"][placement["stage2_bucket"]] += 1
+        broken = parse_trace_report(document)
+        tally_sizes.clear()
+        report = check_requirements(broken)
+        assert tally_sizes == [3, 4]
+        assert report == reference_check_requirements(broken)
+        assert report["R5"].witness["clause"] == "residue"
+        assert report["R3"].passed
 
 
 class TestTraceReportValidation:
@@ -1037,7 +1057,7 @@ class TestTraceReportValidation:
         except ValueError:
             return
         assert isinstance(rebuilt, LifecycleTrace)
-        assert all(type(value) is int for value in astuple(rebuilt.params))
+        assert all(type(value) is int for value in tuple(rebuilt.params))
         for placement in trace_rows(rebuilt):
             assert all(type(value) is int for value in placement[:-1])
             assert type(placement.moved_in_stage2) is bool

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import tracemalloc
-from dataclasses import FrozenInstanceError, fields
 
 import pytest
 from hypothesis import example, given, settings
@@ -89,13 +88,23 @@ class TestRunLifecycle:
         assert peak <= 1.15 * kept
 
     def test_trace_stores_only_params_and_columns(self):
-        assert [f.name for f in fields(LifecycleTrace)] == [
+        assert list(LifecycleTrace._fields) == [
             "params",
             *Placement._fields[1:],
         ]
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError):
             trace.occupancy1 = (5, 0, 0, 0)
+        assert trace.occupancy1 == (2, 1, 2, 0)
+        # The cached histograms sit beside the fields, yet no attribute,
+        # field or not, can be set or deleted.
+        with pytest.raises(AttributeError):
+            trace.anything = 1
+        with pytest.raises(AttributeError):
+            trace.label = ()
+        with pytest.raises(AttributeError):
+            del trace.occupancy1
+        assert not hasattr(trace, "anything")
         assert trace.occupancy1 == (2, 1, 2, 0)
 
     @given(placement_params())

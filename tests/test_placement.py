@@ -51,6 +51,52 @@ class TestPlacementParams:
         with pytest.raises(ValueError, match="second_set_size"):
             make_params(5, 4, 2, target=4)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((-1, 4, 2, 0, 5), "token_count must be >= 0, got -1"),
+            ((0, 0, 1, 0, 1), "first_set_size must be >= 1, got 0"),
+            (
+                (5, 4, 5, 0, 5),
+                "fill_width must be between 1 and first_set_size, got "
+                "fill_width=5 with first_set_size=4",
+            ),
+            (
+                (5, 4, 0, 0, 5),
+                "fill_width must be between 1 and first_set_size, got "
+                "fill_width=0 with first_set_size=4",
+            ),
+            (
+                (5, 4, 2, 4, 5),
+                "first_bucket must be between 0 and first_set_size - 1, got "
+                "first_bucket=4 with first_set_size=4",
+            ),
+            (
+                (5, 4, 2, -1, 5),
+                "first_bucket must be between 0 and first_set_size - 1, got "
+                "first_bucket=-1 with first_set_size=4",
+            ),
+            (
+                (5, 4, 2, 0, 4),
+                "second_set_size must exceed first_set_size, got "
+                "second_set_size=4 with first_set_size=4",
+            ),
+        ],
+    )
+    def test_positional_and_keyword_construction_raise_the_same_message(self, values, message):
+        keywords = dict(zip(PlacementParams._fields, values))
+        for build in (lambda: PlacementParams(*values), lambda: PlacementParams(**keywords)):
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+
+    def test_replace_builds_the_tuple_without_the_checks(self):
+        # Why the package never calls ``_replace``: it skips ``__new__``.
+        params = make_params(5, 4, 2)._replace(token_count=-1)
+        assert params.token_count == -1
+        with pytest.raises(ValueError, match="token_count"):
+            PlacementParams(*params)
+
     def test_fill_window_lists_consecutive_ring_buckets(self):
         params = make_params(0, 5, 3, first=1)
         assert window_buckets(params) == [1, 2, 3]

@@ -7,7 +7,6 @@ import json
 import sys
 import tracemalloc
 from collections import Counter
-from dataclasses import asdict, replace
 from math import lcm
 from typing import Callable, NamedTuple
 
@@ -61,7 +60,7 @@ def build_trace(params: PlacementParams, rows) -> LifecycleTrace:
 def assert_witness_fields(check, trace, *fields) -> None:
     """The witness leads with the instance's params, then exactly ``fields``."""
     assert list(check.witness) == ["params", *fields]
-    assert check.witness["params"] == asdict(trace.params)
+    assert check.witness["params"] == trace.params._asdict()
 
 
 def inject_row(monkeypatch, requirement_id: str, offender, histogram=None) -> None:
@@ -95,7 +94,7 @@ def count_sweep_calls(monkeypatch, domain: SweepDomain) -> tuple[dict[str, int],
     """The calls ``sweep(domain)`` makes to each piece of work it shares
     out, and its report."""
     calls = dict.fromkeys(
-        ["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap", "replace"], 0
+        ["run_lifecycle", "prose_oracle_stage1", "_spreads", "gap"], 0
     )
     for name in calls:
         real = getattr(ringfill.verify, name)
@@ -116,6 +115,13 @@ class FiveTokens(SweepDomain):
             yield *triple, [tokens for tokens in token_counts if tokens == 5]
 
 
+class TenTokensOfThreeTwoZero(SweepDomain):
+    """A domain of the one run of ten tokens of ``(B, C, f) = (3, 2, 0)``."""
+
+    def iter_triples(self):
+        yield 3, 2, 0, [10]
+
+
 @st.composite
 def broken_traces(draw):
     """A ``run_lifecycle`` trace with one entry of one column changed:
@@ -131,7 +137,7 @@ def broken_traces(draw):
     else:
         values = st.integers(-1, 2 * params.second_set_size)
         column[token] = draw(values.filter(column[token].__ne__))
-    return replace(trace, **{name: tuple(column)})
+    return trace._replace(**{name: tuple(column)})
 
 
 class TestReportContainer:
@@ -444,6 +450,27 @@ class TestSweepDomain:
         with pytest.raises(ValueError, match="target_span"):
             SweepDomain(target_span=1)
 
+    @pytest.mark.parametrize(
+        "values, message",
+        [
+            ((0, 4, 2), "max_buckets must be >= 1, got 0"),
+            ((10, 0, 2), "max_rounds must be >= 1, got 0"),
+            ((10, 4, 1), "target_span must be >= 2 for a non-empty second-set range, got 1"),
+        ],
+    )
+    def test_every_construction_raises_the_same_message(self, values, message):
+        keywords = dict(zip(SweepDomain._fields, values))
+        builds = (
+            lambda: SweepDomain(*values),
+            lambda: SweepDomain(**keywords),
+            lambda: FiveTokens(*values),
+            lambda: FiveTokens(**keywords),
+        )
+        for build in builds:
+            with pytest.raises(ValueError) as raised:
+                build()
+            assert str(raised.value) == message
+
     def test_single_bucket_domain_size(self):
         every = list(instances(SweepDomain(max_buckets=1)))
         assert len(every) == 8
@@ -540,7 +567,19 @@ class TestSweep:
         assert report == reference_sweep(domain)
         params, check = report.minimal_violations["R6"]
         assert params == PlacementParams(5, 2, 2, 0, 5)
-        assert check.witness["params"] == asdict(params)
+        assert check.witness["params"] == params._asdict()
+        assert len(check.witness["occupancy3"]) == 5
+
+    def test_minimal_r6_witness_takes_the_least_of_tied_larger_second_sets(self):
+        # Ten tokens of (3, 2, 0) pass R6 at the smallest B', 4, and fail
+        # it first at B' = 5 and again at B' = 10, both folded into the
+        # spread record above the smallest: the witness takes B' = 5.
+        domain = TenTokensOfThreeTwoZero(target_span=4)
+        report = sweep(domain)
+        assert report == reference_sweep(domain)
+        assert report.violation_counts["R6"] == 2
+        params, check = report.minimal_violations["R6"]
+        assert params == PlacementParams(10, 3, 2, 0, 5)
         assert len(check.witness["occupancy3"]) == 5
 
     def test_gap_free_instances_pass_everything(self):
@@ -556,7 +595,7 @@ class TestSweep:
         assert report.violation_counts["R2"] == 104
         first = next(instances(domain))
         assert first.second_set_size == first.first_set_size + 1
-        witness = {"params": asdict(first), "forced": True}
+        witness = {"params": first._asdict(), "forced": True}
         assert report.minimal_violations["R2"] == (
             first,
             RequirementCheck("R2", False, witness),
@@ -595,7 +634,6 @@ class TestSweep:
             "prose_oracle_stage1": 30,
             "_spreads": 50,
             "gap": 112,
-            "replace": 1,
         }
         assert report.instances_checked == sum(1 for _ in instances(domain))
 
@@ -607,7 +645,6 @@ class TestSweep:
             "prose_oracle_stage1": 385,
             "_spreads": 495,
             "gap": 4631,
-            "replace": 1,
         }
         assert report.instances_checked == 113432
 
@@ -643,7 +680,7 @@ class TestSweep:
         assert report.minimal_oracle_mismatch is None
         params = PlacementParams(3, 2, 2, 0, 3)
         witness = {
-            "params": asdict(params),
+            "params": params._asdict(),
             "clause": "count",
             "occupancy3": [2, 1, 0],
             "spread": 2,
@@ -671,7 +708,7 @@ class TestSweep:
         assert report.minimal_oracle_mismatch is None
         params = PlacementParams(3, 2, 2, 0, 3)
         witness = {
-            "params": asdict(params),
+            "params": params._asdict(),
             "clause": "count",
             "occupancy3": [2, 1, 0],
             "spread": 2,
@@ -698,7 +735,7 @@ def edit_token(trace: LifecycleTrace, column: str, token: int, change) -> Lifecy
     values = list(getattr(trace, column))
     if token < len(values):
         values[token] = change(values[token], trace.params)
-    return replace(trace, **{column: tuple(values)})
+    return trace._replace(**{column: tuple(values)})
 
 
 def label_plus_one_at_token_7(trace):
@@ -709,8 +746,7 @@ def ascending_stage1_slots_plus_one(trace):
     """Every moved token, which is an ascending one, a stage-1 bucket on."""
     size = trace.params.first_set_size
     column = zip(trace.stage1_bucket, trace.moved_in_stage2)
-    return replace(
-        trace,
+    return trace._replace(
         stage1_bucket=tuple((bucket + 1) % size if moved else bucket for bucket, moved in column),
     )
 
@@ -762,7 +798,7 @@ def stage3_plus_one_at_token_4(trace):
 def stage3_modulo_one_more(trace):
     """Stage 3 taken modulo one more than the second-set size."""
     size = trace.params.second_set_size + 1
-    return replace(trace, stage3_bucket=tuple(value % size for value in trace.label))
+    return trace._replace(stage3_bucket=tuple(value % size for value in trace.label))
 
 
 class Mutant(NamedTuple):
@@ -852,11 +888,11 @@ MUTANTS = (
 
 
 def gap_length_plus_one(descriptor):
-    return replace(descriptor, gap_length=descriptor.gap_length + 1)
+    return descriptor._replace(gap_length=descriptor.gap_length + 1)
 
 
 def gap_start_minus_one(descriptor):
-    return replace(descriptor, gap_start=descriptor.gap_start - 1)
+    return descriptor._replace(gap_start=descriptor.gap_start - 1)
 
 
 class TestMutantCatalogue:
@@ -1084,7 +1120,7 @@ class TestPeriods:
     def test_label_residue_counts_repeat_every_lcm_of_b_and_the_size(self, instance):
         params, size = instance
         period = lcm(params.first_set_size, size)
-        later = replace(params, token_count=params.token_count + period)
+        later = params._replace(token_count=params.token_count + period)
         counts = _label_residue_counts(params, gap(params), size)
         assert _label_residue_counts(later, gap(later), size) == [
             held + period // size for held in counts
@@ -1093,7 +1129,7 @@ class TestPeriods:
     @given(placement_params(max_buckets=40, max_tokens=200))
     def test_window_counts_repeat_every_lcm_of_b_and_c(self, params):
         period = lcm(params.first_set_size, params.fill_width)
-        later = replace(params, token_count=params.token_count + period)
+        later = params._replace(token_count=params.token_count + period)
         counts = window_counts(run_lifecycle(params))
         assert window_counts(run_lifecycle(later)) == [
             held + period // params.fill_width for held in counts
@@ -1121,6 +1157,6 @@ class TestWindowStartLaw:
     @given(placement_params())
     @example(make_params(5, 4, 3, target=5))
     def test_every_window_start_gets_the_verdict_of_start_0(self, params):
-        at_zero = verdicts(replace(params, first_bucket=0))
+        at_zero = verdicts(params._replace(first_bucket=0))
         for start in range(1, params.first_set_size):
-            assert verdicts(replace(params, first_bucket=start)) == at_zero
+            assert verdicts(params._replace(first_bucket=start)) == at_zero
