@@ -8,7 +8,8 @@ strictly larger bucket set.  Every stage is a closed form of the token
 index: ``plan_stage1`` for the fill, the label and its residues for the
 rebalance and re-shard, ``gap`` for the labels a truncated round skips.
 ``run_lifecycle`` keeps a run as one column per stage, the labels among
-them, built a round at a time.  The verifier checks the homogeneity and
+them, each built for one period in the token index and repeated.  The
+verifier checks the homogeneity and
 move-budget requirements the scheme promises, and ``sweep`` checks a
 whole parameter domain exhaustively, comparing each trace's stage-1
 column with ``prose_oracle_stage1``, an independent walk of the two

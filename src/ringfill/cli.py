@@ -11,13 +11,18 @@ requirements}`` with field names matching the library types; the plan
 subcommand emits the prefix of that shape it can know (params without a
 second set, records without post-rebalance buckets).  CSV rows carry the
 same fields.  Every format is written from the trace's columns, or the
-plan's, with one row template per format and no per-token record: the
-move flag is ``false``/``true`` in JSON and, as a bool is an int,
-``0``/``1`` in CSV and table cells.  Each writer yields its report a
-block of rows at a time, and the command writes each block to its
-output as it comes, so a report holds its trace, or nothing for a plan
-in JSON or CSV, plus one block.  Everything that can fail on bad input
-runs before the output file is opened.  The trace parser
+plan's, a cell per column and no per-token record: the move flag is
+``false``/``true`` in JSON and, as a bool is an int, ``0``/``1`` in CSV
+and table cells.  The token and label cells are formatted row by row.
+The other columns repeat with the periods ``run_lifecycle`` states, and
+each run of them whose joint period is at most ``_BLOCK_ROWS`` rows has
+its cells formatted once per period and cycled, once every column is
+found to keep its period; the table's widths are read off one period
+too.  Each writer yields its report a block of rows at a time, and the
+command writes each block to its output as it comes, so a report holds
+its trace, or nothing for a plan, plus one block and one period of
+cells.  Everything that can fail on bad input runs before the output
+file is opened.  The trace parser
 reads each field of the JSON records into a column in one pass and puts
 each check of a record to whole columns, once; when one fails, it halves
 the records down to the first offender with the same checks.
@@ -28,12 +33,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, count, islice
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import chain, count, cycle, islice, repeat
+from math import lcm
 from operator import countOf, itemgetter, ne
 from typing import Any
 
-from .lifecycle import FIELDS, LifecycleTrace, run_lifecycle
+from .lifecycle import FIELDS, LifecycleTrace, _column_periods, run_lifecycle
 from .placement import PlacementParams, _stage1_columns, gap
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
@@ -94,16 +100,30 @@ def _plan_blocks(params: PlacementParams) -> Iterator[str]:
             "fill_width": params.fill_width,
             "first_bucket": params.first_bucket,
         },
-        PLAN_CSV_FIELDS,
-        _plan_columns(params),
+        _json_records(PLAN_CSV_FIELDS, _plan_columns(params), _column_periods(params)),
         {},
     )
 
 
+class _Rebuilt:
+    """A column that ``build()`` makes afresh at every read, so it is
+    never held."""
+
+    def __init__(self, build: Callable[[], Iterator]) -> None:
+        self.build = build
+
+    def __iter__(self) -> Iterator:
+        return self.build()
+
+
 def _plan_columns(params: PlacementParams) -> tuple[Iterable[int], ...]:
-    """The token, label and stage-1 bucket columns of a plan; the last
-    two are iterators, read once."""
-    return (range(params.token_count), *_stage1_columns(params))
+    """The token, label and stage-1 bucket columns of a plan; the last two
+    are built at every read, the first time when the writer is made."""
+    return (
+        range(params.token_count),
+        _Rebuilt(lambda: _stage1_columns(params)[0]),
+        _Rebuilt(lambda: _stage1_columns(params)[1]),
+    )
 
 
 def _check_document(check: RequirementCheck) -> dict:
@@ -119,8 +139,14 @@ def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[
     and the gap are computed before the first block is."""
     return _render_report(
         trace.params._asdict(),
-        FIELDS,
-        (*trace.columns[:-1], map(("false", "true").__getitem__, trace.moved_in_stage2)),
+        _json_records(
+            FIELDS,
+            (
+                *trace.columns[:-1],
+                _Rebuilt(lambda: map(("false", "true").__getitem__, trace.moved_in_stage2)),
+            ),
+            _column_periods(trace.params),
+        ),
         {
             "occupancy1": trace.occupancy1,
             "occupancy2": trace.occupancy2,
@@ -298,42 +324,91 @@ def _json_member(name: str, value: Any) -> str:
     return f"  {json.dumps(name)}: " + json.dumps(value, indent=2).replace("\n", "\n  ")
 
 
-def _render_report(
-    params: dict, fields: tuple[str, ...], columns: Sequence[Iterable], rest: dict
-) -> Iterator[str]:
+def _render_report(params: dict, records: Iterator[str], rest: dict) -> Iterator[str]:
     """``json.dumps(document, indent=2) + "\n"``, a block at a time and
-    without a dict per record.
-
-    The document is ``params``, then ``placements`` with one record per
-    row of ``columns`` under the names ``fields``, then the members of
-    ``rest``.  Each record is written from one row template; the
-    columns' values must already be JSON literals or ints.  Nothing is
-    formatted before the first block is asked for.
-    """
-    members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
-    template = "    {\n" + members + "\n    }"
+    without a dict per record: the document is ``params``, then
+    ``placements`` with the blocks of ``records`` from ``_json_records``,
+    then the members of ``rest``."""
     yield "{\n" + _json_member("params", params) + ",\n"
-    blocks = _join_rows(template, columns, ",\n")
-    first = next(blocks, None)
+    first = next(records, None)
     if first is None:
         yield '  "placements": []'
     else:
         yield '  "placements": [\n'
         yield first
         del first  # hold one block at a time
-        yield from blocks
+        yield from records
         yield "\n  ]"
     for name, value in rest.items():
         yield ",\n" + _json_member(name, value)
     yield "\n}\n"
 
 
-def _join_rows(row_format: str, columns: Sequence[Iterable], separator: str) -> Iterator[str]:
+def _json_records(
+    fields: tuple[str, ...], columns: Sequence[Iterable], periods: Iterable[int]
+) -> Iterator[str]:
+    """One record per row of ``columns`` under the names ``fields``, from
+    one row template; the columns' values must already be JSON literals
+    or ints.  The periods are checked here, and only the cells of one
+    period are formatted before the first block is asked for."""
+    members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
+    template = "    {\n" + members + "\n    }"
+    return _join_rows(template, columns, _repeating(columns, periods), ",\n")
+
+
+def _repeating(columns: Sequence[Iterable], periods: Iterable[int]) -> list[int]:
+    """Each column's period in ``periods``, or 0 where there is none, it
+    is over ``_BLOCK_ROWS`` or the column does not keep it."""
+    return [
+        period if 0 < period <= _BLOCK_ROWS and _keeps(column, period) else 0
+        for column, period in zip(columns, chain(periods, repeat(0)))
+    ]
+
+
+def _keeps(column: Iterable, period: int) -> bool:
+    """Whether ``column`` repeats every ``period`` items, a period of at
+    most ``_BLOCK_ROWS``.  It is read once, a few periods at a time and
+    with no copy of it, so it may be any iterable that gives the same
+    values on every read."""
+    rows = iter(column)
+    pattern = tuple(islice(rows, period)) * (_BLOCK_ROWS // period)
+    chunks = iter(lambda: tuple(islice(rows, len(pattern))), ())
+    return all(chunk == pattern[: len(chunk)] for chunk in chunks)
+
+
+def _join_rows(
+    row_format: str, columns: Sequence[Iterable], periods: Sequence[int], separator: str
+) -> Iterator[str]:
     """The rows of ``columns`` in ``row_format`` with ``separator``
     between them, a block of ``_BLOCK_ROWS`` rows at a time: every row
     after the first starts with a separator, so the blocks concatenate
-    to the text of all rows, and no string per row outlives its block."""
-    rows = zip(*columns)
+    to the text of all rows, and no string per row outlives its block.
+
+    Each column's cell is ``row_format`` from its ``%`` to the next.
+    Each run of neighbouring columns whose joint period, from
+    ``periods``, is at most ``_BLOCK_ROWS`` has its cells formatted for
+    one period alone, as one string per row, and those strings, equal
+    ones shared, are cycled.
+    """
+    head, *cells = row_format.split("%")
+    pieces = [head + "%" + cells[0], *("%" + cell for cell in cells[1:])]
+    formats, values, start = [], [], 0
+    while start < len(columns):
+        stop, joint = start + 1, periods[start]
+        while stop < len(columns) and 0 < lcm(joint, periods[stop]) <= _BLOCK_ROWS:
+            joint = lcm(joint, periods[stop])
+            stop += 1
+        piece, column = "".join(pieces[start:stop]), columns[start]
+        if joint:
+            shared: dict[str, str] = {}
+            rows = zip(*(islice(run, joint) for run in columns[start:stop]))
+            cells = [shared.setdefault(cell, cell) for cell in map(piece.__mod__, rows)]
+            piece, column = "%s", cycle(cells)
+        formats.append(piece)
+        values.append(column)
+        start = stop
+    row_format = "".join(formats)
+    rows = zip(*values)
     lines = chain(
         map(row_format.__mod__, islice(rows, 1)), map((separator + row_format).__mod__, rows)
     )
@@ -342,21 +417,38 @@ def _join_rows(row_format: str, columns: Sequence[Iterable], separator: str) -> 
 
 # CSV and table cells are %d, so a bool is written 0 or 1; every line,
 # the header's too, ends in a newline.
-def _render_csv(fields: tuple[str, ...], columns: Sequence[Iterable[int]]) -> Iterator[str]:
+def _render_csv(
+    fields: tuple[str, ...], columns: Sequence[Iterable[int]], periods: Iterable[int] = ()
+) -> Iterator[str]:
     row_format = ",".join(["%d"] * len(fields)) + "\n"
-    return chain([",".join(fields) + "\n"], _join_rows(row_format, columns, ""))
+    blocks = _join_rows(row_format, columns, _repeating(columns, periods), "")
+    return chain([",".join(fields) + "\n"], blocks)
 
 
-def _render_table(header: tuple[str, ...], columns: Sequence[Sequence[int]]) -> Iterator[str]:
+def _extremes(column: Iterable[int], period: int) -> tuple[int, ...]:
+    """The smallest and the largest of ``column``, or nothing if it is
+    empty, read off one period of it, a range's two ends or else all of
+    it."""
+    if period:
+        column = tuple(islice(column, period))
+    elif isinstance(column, range):
+        column = column[:: len(column) - 1 or 1]  # the first and the last
+    smallest = min(column, default=None)
+    return () if smallest is None else (smallest, max(column))
+
+
+def _render_table(
+    header: tuple[str, ...], columns: Sequence[Iterable[int]], periods: Iterable[int] = ()
+) -> Iterator[str]:
     # The widths are read here, before the first block is asked for.
-    # The widest int of a column is its smallest or its largest.
+    periods = _repeating(columns, periods)
     widths = [
-        max(len(name), len("%d" % min(column)), len("%d" % max(column))) if column else len(name)
-        for name, column in zip(header, columns)
+        max([len(name), *map(len, map("%d".__mod__, _extremes(column, period)))])
+        for name, column, period in zip(header, columns, periods)
     ]
     row_format = "  ".join(f"%{width}d" for width in widths) + "\n"
     header_line = "  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()
-    return chain([header_line + "\n"], _join_rows(row_format, columns, ""))
+    return chain([header_line + "\n"], _join_rows(row_format, columns, periods, ""))
 
 
 def _gap_line(descriptor) -> str:
@@ -407,12 +499,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
     params = _instance_params(args, args.buckets + 1)
     if args.format == "json":
         blocks = _plan_blocks(params)
-    elif args.format == "csv":
-        blocks = _render_csv(PLAN_CSV_FIELDS, _plan_columns(params))
     else:
-        # The table reads its label and bucket columns twice: once for the widths.
-        tokens, *stage1 = _plan_columns(params)
-        blocks = _render_table(PLAN_CSV_FIELDS, (tokens, *map(tuple, stage1)))
+        render = _render_csv if args.format == "csv" else _render_table
+        blocks = render(PLAN_CSV_FIELDS, _plan_columns(params), _column_periods(params))
     _emit(blocks, args.output)
     return 0
 
@@ -423,7 +512,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "json":
         blocks = _trace_blocks(trace, check_requirements(trace))
     elif args.format == "csv":
-        blocks = _render_csv(TRACE_CSV_FIELDS, trace.columns)
+        blocks = _render_csv(TRACE_CSV_FIELDS, trace.columns, _column_periods(params))
     else:
         # A blank line parts the table from its summary.
         summary = [
@@ -432,7 +521,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ]
         summary.append(_gap_line(gap(params)))
         blocks = chain(
-            _render_table(TRACE_CSV_FIELDS, trace.columns), ["\n" + "\n".join(summary) + "\n"]
+            _render_table(TRACE_CSV_FIELDS, trace.columns, _column_periods(params)),
+            ["\n" + "\n".join(summary) + "\n"],
         )
     _emit(blocks, args.output)
     return 0
@@ -480,35 +570,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if report.only_expected_failures else 2
 
 
-def _add_output_flags(parser: argparse.ArgumentParser, formats: tuple[str, ...]) -> None:
-    parser.add_argument(
-        "--format", choices=formats, default="table", help="report format"
-    )
-    parser.add_argument(
-        "--output", metavar="PATH", default=None, help="write the report to PATH"
-    )
-
-
-def _add_instance_flags(parser: argparse.ArgumentParser, with_target: bool) -> None:
-    parser.add_argument(
-        "--tokens", type=_nonneg_int, required=True, help="number of tokens to place"
-    )
-    parser.add_argument(
-        "--buckets", type=_nonneg_int, required=True, help="size of the first bucket set"
-    )
-    parser.add_argument(
-        "--fill", type=_nonneg_int, required=True, help="width of the stage-1 fill window"
-    )
-    parser.add_argument(
-        "--first", type=_nonneg_int, required=True, help="ring index of the window start"
-    )
-    if with_target:
-        parser.add_argument(
-            "--target-buckets",
-            type=_nonneg_int,
-            required=True,
-            help="size of the second bucket set, must exceed --buckets",
-        )
+# Each command's flags before --format and --output: the flag, its
+# default, or None where it is required, and its help.
+_INSTANCE_FLAGS = (
+    ("--tokens", None, "number of tokens to place"),
+    ("--buckets", None, "size of the first bucket set"),
+    ("--fill", None, "width of the stage-1 fill window"),
+    ("--first", None, "ring index of the window start"),
+    ("--target-buckets", None, "size of the second bucket set, must exceed --buckets"),
+)
+_SWEEP_FLAGS = (
+    ("--max-buckets", 10, "largest first-set size to sweep (default 10)"),
+    ("--max-rounds", 4, "token counts run to this many full rounds plus 3 (default 4)"),
+    ("--target-span", 2, "second-set sizes run up to this multiple of the first (default 2)"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -520,52 +595,27 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    plan = subparsers.add_parser(
-        "plan", help="stage-1 bucket assignment and labels for one instance"
-    )
-    _add_instance_flags(plan, with_target=False)
-    _add_output_flags(plan, ("table", "json", "csv"))
-    plan.set_defaults(func=cmd_plan)
-
-    trace = subparsers.add_parser(
-        "trace", help="full three-stage trace with occupancy and gap analysis"
-    )
-    _add_instance_flags(trace, with_target=True)
-    _add_output_flags(trace, ("table", "json", "csv"))
-    trace.set_defaults(func=cmd_trace)
-
-    verify = subparsers.add_parser(
-        "verify", help="check all requirements on one instance"
-    )
-    _add_instance_flags(verify, with_target=True)
-    _add_output_flags(verify, ("table", "json"))
-    verify.set_defaults(func=cmd_verify)
-
-    sweep_parser = subparsers.add_parser(
-        "sweep", help="exhaustively check a whole parameter domain"
-    )
-    sweep_parser.add_argument(
-        "--max-buckets",
-        type=_nonneg_int,
-        default=10,
-        help="largest first-set size to sweep (default 10)",
-    )
-    sweep_parser.add_argument(
-        "--max-rounds",
-        type=_nonneg_int,
-        default=4,
-        help="token counts run to this many full rounds plus 3 (default 4)",
-    )
-    sweep_parser.add_argument(
-        "--target-span",
-        type=_nonneg_int,
-        default=2,
-        help="second-set sizes run up to this multiple of the first (default 2)",
-    )
-    _add_output_flags(sweep_parser, ("table", "json"))
-    sweep_parser.set_defaults(func=cmd_sweep)
-
+    reports = ("table", "json", "csv")
+    for name, text, func, flags, formats in (
+        ("plan", "stage-1 bucket assignment and labels for one instance", cmd_plan,
+         _INSTANCE_FLAGS[:4], reports),
+        ("trace", "full three-stage trace with occupancy and gap analysis", cmd_trace,
+         _INSTANCE_FLAGS, reports),
+        ("verify", "check all requirements on one instance", cmd_verify,
+         _INSTANCE_FLAGS, reports[:2]),
+        ("sweep", "exhaustively check a whole parameter domain", cmd_sweep,
+         _SWEEP_FLAGS, reports[:2]),
+    ):
+        command = subparsers.add_parser(name, help=text)
+        for flag, default, flag_help in flags:
+            command.add_argument(
+                flag, type=_nonneg_int, required=default is None, default=default, help=flag_help
+            )
+        command.add_argument("--format", choices=formats, default="table", help="report format")
+        command.add_argument(
+            "--output", metavar="PATH", default=None, help="write the report to PATH"
+        )
+        command.set_defaults(func=func)
     return parser
 
 

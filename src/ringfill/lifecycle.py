@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import repeat
-from operator import mod
+from itertools import cycle, islice, repeat
+from math import lcm
+from operator import add, mod, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .placement import PlacementParams, _stage1_columns
@@ -95,22 +96,62 @@ def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
     return tuple(counts)
 
 
+def _column_periods(params: PlacementParams) -> tuple[int, ...]:
+    """For each field of ``FIELDS``, the period in the token index of its
+    column on ``params``, as ``run_lifecycle`` states it, and at most the
+    token count; 0 where the column does not repeat: tokens and labels."""
+    size = params.first_set_size
+    periods = (0, 0, lcm(size, params.fill_width), size, lcm(size, params.second_set_size), size)
+    return tuple(min(period, params.token_count) for period in periods)
+
+
+def _repeated(period: tuple, length: int) -> tuple:
+    """The first ``length`` items of ``period`` repeated without end."""
+    return period if len(period) >= length else tuple(islice(cycle(period), length))
+
+
 def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
     """Execute all three stages and return the trace.
 
     Pure function of ``params``: two runs on equal parameters yield
-    identical traces.  The label and stage-1 columns are built a round
-    at a time, and stages 2 and 3 are the labels' residues.
+    identical traces.  With ``B`` and ``B'`` the two set sizes and
+    ``C`` the window width, the labels climb by ``B`` a round and every
+    column after them repeats in the token index:
+
+      label[t + B] == label[t] + B
+      stage 1 repeats every lcm(B, C) tokens
+      stage 2, ``label % B``, and the move flag repeat every B
+      stage 3, ``label % B'``, repeats every lcm(B, B')
+
+    A round of labels is the last round's plus ``B``, so a residue
+    repeats every common multiple of ``B`` and its modulus.  The
+    ascending stream takes ``B - C`` window slots a round, so its slots
+    come round again every ``lcm(B, C)`` tokens.  A token moves exactly
+    when it rides that stream, at round position ``C`` or later: it sits
+    in the window after stage 1 and at its label residue, outside the
+    window, after stage 2.  So each column is built for one period, or
+    for every token where there are fewer, and then repeated: the labels
+    as the token index plus the first round's offsets, taken from
+    ``_stage1_columns``.
     """
-    labels, stage1 = map(tuple, _stage1_columns(params))
-    stage2 = tuple(map(mod, labels, repeat(params.first_set_size)))
-    # perfbench/test_perfbench.py rewrites "bucket != after)" to "False)"
-    # to check that the benchmark counts wrong outputs as failures.
+    _, _, stage1_period, stage2_period, stage3_period, _ = _column_periods(params)
+    first = params.first_bucket
+    label_column, bucket_column = _stage1_columns(params)
+    # A label is its token's index plus the offset of its round position.
+    offsets = tuple(
+        map(sub, islice(label_column, stage2_period), range(first, first + stage2_period))
+    )
+    labels = tuple(map(add, range(first, first + params.token_count), cycle(offsets)))
+    stage1 = tuple(islice(bucket_column, stage1_period))
+    stage2 = tuple(map(mod, islice(labels, stage2_period), repeat(params.first_set_size)))
+    stage3 = tuple(map(mod, islice(labels, stage3_period), repeat(params.second_set_size)))
+    # perfbench/test_perfbench.py rewrites this comparison and its closing
+    # parenthesis to "False)", to check that the benchmark counts wrong
+    # outputs as failures; a test in tests/test_lifecycle.py keeps that
+    # text to this one place.
+    moved = tuple((bucket != after) for bucket, after in zip(stage1, stage2))
     return LifecycleTrace(
         params,
         labels,
-        stage1,
-        stage2,
-        tuple(map(mod, labels, repeat(params.second_set_size))),
-        tuple((bucket != after) for bucket, after in zip(stage1, stage2)),
+        *(_repeated(column, params.token_count) for column in (stage1, stage2, stage3, moved)),
     )

@@ -17,11 +17,13 @@ import ringfill.cli
 from ringfill import LifecycleTrace, check_requirements, run_lifecycle
 from ringfill.cli import (
     _BLOCK_ROWS,
+    TRACE_CSV_FIELDS,
     _render_csv,
     _render_table,
     main,
     parse_trace_report,
 )
+from ringfill.lifecycle import _column_periods
 
 from conftest import (
     failures,
@@ -742,6 +744,23 @@ class TestOutputHandling:
         assert (code, out, err) == (1, "", "error: MemoryError\n")
         assert not path.exists()
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("tokens", ["0", "3000"])
+    def test_a_plan_whose_columns_are_not_read_early_still_fails_first(
+        self, capsys, tmp_path, monkeypatch, fmt, tokens
+    ):
+        # With no tokens, or a stage-1 period of 3,000 rows, no period
+        # check reads the plan's columns before the file would be opened.
+        def exhausted(*args):
+            raise MemoryError
+
+        monkeypatch.setattr(ringfill.cli, "_stage1_columns", exhausted)
+        argv = ["plan", "--tokens", tokens, "--buckets", "2000", "--fill", "1999", "--first", "0"]
+        path = tmp_path / "report"
+        code, out, err = run_cli(capsys, argv + ["--format", fmt, "--output", str(path)])
+        assert (code, out, err) == (1, "", "error: MemoryError\n")
+        assert not path.exists()
+
     def test_repeated_runs_are_byte_identical(self, capsys):
         outputs = []
         for _ in range(2):
@@ -780,6 +799,19 @@ def reference_csv(header, rows):
     writer.writerow(header)
     writer.writerows([int(value) for value in row] for row in rows)
     return buffer.getvalue()
+
+
+def assert_writers_match_the_references(trace):
+    """Every trace format, written with the periods the commands pass,
+    equals its reference, byte for byte."""
+    periods = _column_periods(trace.params)
+    rows = list(zip(*trace.columns))
+    report = check_requirements(trace)
+    assert trace_report(trace, report) == reference_trace_report(trace, report)
+    csv_text = "".join(_render_csv(TRACE_CSV_FIELDS, trace.columns, periods))
+    assert csv_text == reference_csv(TRACE_CSV_FIELDS, rows)
+    table = "".join(_render_table(TRACE_CSV_FIELDS, trace.columns, periods))
+    assert table == reference_table(TRACE_CSV_FIELDS, rows)
 
 
 class TestReportWriters:
@@ -824,6 +856,42 @@ class TestReportWriters:
         header = ("token", "label", "moved")
         assert "".join(_render_csv(header, columns(rows, 3))) == reference_csv(header, rows)
 
+    def test_table_widths_come_from_the_widest_cells(self):
+        # A token column is a range, whose widest value is its last.  A
+        # bucket column is read off one period, and here stage 1's first
+        # cells are its narrow ones: 2, 1, 0, then 10**20 - 1.
+        tokens = range(99990, 100001)
+        table = "".join(_render_table(("token",), (tokens,)))
+        assert table == reference_table(("token",), [(token,) for token in tokens])
+        params = make_params(5, 10**20, 5, first=10**20 - 2, target=10**20 + 1)
+        trace = run_lifecycle(params)
+        table = "".join(_render_table(TRACE_CSV_FIELDS, trace.columns, _column_periods(params)))
+        assert table == reference_table(TRACE_CSV_FIELDS, list(zip(*trace.columns)))
+
+    @pytest.mark.parametrize("token", [300, 1500])
+    @pytest.mark.parametrize(
+        "field", ["stage1_bucket", "stage2_bucket", "stage3_bucket", "moved_in_stage2"]
+    )
+    def test_a_trace_that_breaks_a_period_is_written_row_by_row(self, field, token):
+        # The periods the writers are given come from the parameters: 21,
+        # 7, 77 and 7 rows here, 231 jointly.  So a cell edited past the
+        # joint period, in the first block or the second, must be read
+        # back.
+        params = make_params(2000, 7, 3, first=5, target=11)
+        trace = run_lifecycle(params)
+        column = list(getattr(trace, field))
+        column[token] = not column[token] if field == "moved_in_stage2" else (column[token] + 1) % 7
+        broken = trace._replace(**{field: tuple(column)})
+        document = json.loads(trace_report(broken, check_requirements(broken)))
+        for case in (broken, parse_trace_report(document)):
+            assert_writers_match_the_references(case)
+
+    @given(placement_params(max_buckets=12, max_tokens=300))
+    def test_a_parsed_trace_is_written_as_its_references(self, params):
+        trace = run_lifecycle(params)
+        document = json.loads(trace_report(trace, check_requirements(trace)))
+        assert_writers_match_the_references(parse_trace_report(document))
+
     @pytest.mark.parametrize("shape", [(20000, 37, 20, 5, 60), (20001, 41, 17, 3, 70)])
     def test_trace_report_peak_memory_is_bounded_by_its_text(self, shape):
         # The records are joined a block at a time, so the peak is the
@@ -847,7 +915,7 @@ class TestReportWriters:
         peak = traced_peak(lambda: main([*args, "--output", str(path)]))
         assert peak <= ratio * path.stat().st_size
 
-    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("fmt", ["csv", "json", "table"])
     def test_plan_peak_memory_does_not_grow_with_the_token_count(self, tmp_path, fmt):
         path = tmp_path / f"plan.{fmt}"
         peaks = [
@@ -883,6 +951,24 @@ class TestReportWriters:
         block = path.stat().st_size * _BLOCK_ROWS / MEMORY_TOKENS
         assert peak <= kept + 4 * block + 128 * 1024
 
+
+    @pytest.mark.parametrize("render", [_render_csv, _render_table])
+    @pytest.mark.parametrize("shape", [(37, 20, 5, 5003), (30, 7, 5, 32)])
+    def test_a_period_longer_than_a_block_is_not_held(self, render, shape):
+        # Stage 3 repeats every lcm(37, 5003) tokens, more than the trace
+        # has; in the second shape the bucket columns repeat every 210,
+        # 30, 480 and 30 tokens, but 3,360 jointly.  No cell is held for
+        # a period longer than a block: those are formatted with their
+        # rows, a block at a time.
+        params = make_params(MEMORY_TOKENS, *shape[:2], first=shape[2], target=shape[3])
+        trace = run_lifecycle(params)
+        sizes = []
+        peak = traced_peak(
+            lambda: sizes.extend(
+                map(len, render(TRACE_CSV_FIELDS, trace.columns, _column_periods(params)))
+            )
+        )
+        assert peak <= 4 * max(sizes) + 64 * 1024
 
 class TestTraceRoundTrip:
     def trip(self, params):

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import inspect
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import ringfill.lifecycle
 from ringfill import LifecycleTrace, prose_oracle_stage1, run_lifecycle
 
 from conftest import (
@@ -139,12 +142,16 @@ class TestRunLifecycle:
 
 
 class TestColumns:
-    """The columns, built a round at a time, against per-token references."""
+    """The columns, each built for one period and repeated, against
+    per-token references."""
 
     @given(placement_params())
     @example(make_params(0, 3, 2))
     @example(make_params(9, 4, 3, first=3, target=7))
     @example(make_params(7, 5, 5, first=4))
+    @example(make_params(5, 8, 3, first=6, target=9))  # T < B and B' = B + 1
+    @example(make_params(30, 8, 3, first=2, target=9))  # T < lcm(B, B')
+    @example(make_params(3, 10**20, 5, first=10**20 - 1, target=10**20 + 1))
     def test_placements_equal_the_per_token_reference(self, params):
         trace = run_lifecycle(params)
         placements = reference_lifecycle(params)
@@ -193,3 +200,13 @@ class TestColumns:
             assert found == reference_placement(params, token)
         assert all(len(column) == tokens for column in trace.columns)
         assert list(enumerate(trace.stage1_bucket)) == prose_oracle_stage1(params)
+
+
+def test_the_benchmark_breaks_only_the_move_flag():
+    # The benchmark's self-test breaks the program by rewriting this text
+    # of lifecycle.py to "False)", so the text must name one place alone:
+    # the move flag that run_lifecycle builds.
+    seam = "bucket != after)"
+    source = Path(ringfill.lifecycle.__file__).read_text(encoding="utf-8")
+    assert source.count(seam) == 1
+    assert seam in inspect.getsource(run_lifecycle)

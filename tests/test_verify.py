@@ -31,7 +31,7 @@ from ringfill import (
     sweep,
 )
 from ringfill.cli import sweep_report_document
-from ringfill.lifecycle import _tally
+from ringfill.lifecycle import _column_periods, _tally
 from ringfill.verify import _spreads
 
 from conftest import (
@@ -43,6 +43,8 @@ from conftest import (
     placement_params,
     planning_instances,
     reference_check_requirements,
+    reference_lifecycle,
+    reference_placement,
     reference_sweep,
 )
 
@@ -1125,6 +1127,43 @@ class TestPeriods:
         assert _label_residue_counts(later, gap(later), size) == [
             held + period // size for held in counts
         ]
+
+    @given(placement_params(max_buckets=40), st.integers(0, 10**12))
+    @example(make_params(0, 8, 3, first=6, target=9), 2)  # B' = B + 1
+    @example(make_params(0, 6, 6, first=1, target=7), 10**12)  # C = B
+    def test_each_reference_column_repeats_with_its_period(self, params, token):
+        # The law of the ``run_lifecycle`` docstring, token by token.  A
+        # placement does not read the token count, so the run is made
+        # just long enough to hold ``token`` one period on.
+        size = params.first_set_size
+        stage1 = lcm(size, params.fill_width)
+        stage3 = lcm(size, params.second_set_size)
+        params = PlacementParams(token + max(stage1, stage3) + 1, *params[1:])
+        here = reference_placement(params, token)
+        assert reference_placement(params, token + size).label == here.label + size
+        for field, period in (
+            ("stage1_bucket", stage1),
+            ("stage2_bucket", size),
+            ("moved_in_stage2", size),
+            ("stage3_bucket", stage3),
+        ):
+            later = reference_placement(params, token + period)
+            assert getattr(later, field) == getattr(here, field)
+
+    @given(placement_params(max_buckets=12, max_tokens=300))
+    @example(make_params(0, 3, 2, target=4))  # no tokens
+    @example(make_params(5, 8, 3, first=6, target=9))  # T < B and B' = B + 1
+    @example(make_params(30, 8, 3, first=2, target=9))  # T < lcm(B, B')
+    @example(make_params(40, 6, 6, first=1, target=7))  # C = B
+    def test_the_column_periods_hold_on_the_reference(self, params):
+        # The writers trust no period they have not checked, but a period
+        # that is wrong would leave every trace on the per-row path.
+        columns = list(zip(*reference_lifecycle(params))) or [()] * 6
+        periods = _column_periods(params)
+        assert periods[:2] == (0, 0)
+        for column, period in zip(columns[2:], periods[2:]):
+            assert 0 < period <= params.token_count or period == params.token_count == 0
+            assert column[period:] == column[: len(column) - period]
 
     @given(placement_params(max_buckets=40, max_tokens=200))
     def test_window_counts_repeat_every_lcm_of_b_and_c(self, params):
