@@ -17,15 +17,19 @@ and table cells.  The token and label cells are formatted row by row.
 The other columns repeat with the periods ``run_lifecycle`` states, and
 each run of them whose joint period is at most ``_BLOCK_ROWS`` rows has
 its cells formatted once per period and cycled, once every column is
-found to keep its period; the table's widths are read off one period
-too.  Each writer yields its report a block of rows at a time, and the
-command writes each block to its output as it comes, so a report holds
-its trace, or nothing for a plan, plus one block and one period of
-cells.  Everything that can fail on bad input runs before the output
-file is opened.  The trace parser
-reads each field of the JSON records into a column in one pass and puts
-each check of a record to whole columns, once; when one fails, it halves
-the records down to the first offender with the same checks.
+found to keep its period: a trace's writers take the periods the trace
+checked once for all its readers, and a plan's check its columns with
+``_keeps``.  The table's widths are read off one period too.  Each
+writer yields its report a block of rows at a time, and the command
+writes each block to its output as it comes, so a report holds its
+trace, or nothing for a plan, plus one block and one period of cells.
+Everything that can fail on bad input runs before the output file is
+opened.  The trace parser reads each field of the JSON records into a
+column in one pass and puts each check of a record to whole columns,
+once; when one fails, it halves the records down to the first offender
+with the same checks.  Its histogram checks read the trace's
+occupancies, which are tallied from one period where the columns keep
+it.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from math import lcm
 from operator import countOf, itemgetter, ne
 from typing import Any
 
-from .lifecycle import FIELDS, LifecycleTrace, _column_periods, run_lifecycle
+from .lifecycle import _BLOCK_ROWS, FIELDS, LifecycleTrace, _column_periods, _keeps, run_lifecycle
 from .placement import PlacementParams, _stage1_columns, gap
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
@@ -61,9 +65,6 @@ __all__ = [
 
 PLAN_CSV_FIELDS = FIELDS[:3]
 TRACE_CSV_FIELDS = (*FIELDS[:-1], "moved")
-# Rows formatted per join: enough to amortise the join, few enough that
-# their strings are small beside the text they are joined into.
-_BLOCK_ROWS = 1024
 TRACE_REPORT_KEYS = {
     "params", "placements", "occupancy1", "occupancy2", "occupancy3", "gap", "requirements",
 }
@@ -100,7 +101,7 @@ def _plan_blocks(params: PlacementParams) -> Iterator[str]:
             "fill_width": params.fill_width,
             "first_bucket": params.first_bucket,
         },
-        _json_records(PLAN_CSV_FIELDS, _plan_columns(params), _column_periods(params)),
+        _json_records(PLAN_CSV_FIELDS, *_plan_columns(params)),
         {},
     )
 
@@ -116,14 +117,22 @@ class _Rebuilt:
         return self.build()
 
 
-def _plan_columns(params: PlacementParams) -> tuple[Iterable[int], ...]:
-    """The token, label and stage-1 bucket columns of a plan; the last two
-    are built at every read, the first time when the writer is made."""
-    return (
+def _plan_columns(params: PlacementParams) -> tuple[tuple[Iterable[int], ...], list[int]]:
+    """The token, label and stage-1 bucket columns of a plan, and the
+    periods they are found to keep; the last two columns are built at
+    every read, the first time when their periods are checked.  A period
+    over ``_BLOCK_ROWS``, which ``_join_rows`` would not cycle, is not
+    checked, so no such period is held."""
+    columns = (
         range(params.token_count),
         _Rebuilt(lambda: _stage1_columns(params)[0]),
         _Rebuilt(lambda: _stage1_columns(params)[1]),
     )
+    periods = [
+        period if 0 < period <= _BLOCK_ROWS and _keeps(column, period) else 0
+        for column, period in zip(columns, _column_periods(params))
+    ]
+    return columns, periods
 
 
 def _check_document(check: RequirementCheck) -> dict:
@@ -145,7 +154,7 @@ def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[
                 *trace.columns[:-1],
                 _Rebuilt(lambda: map(("false", "true").__getitem__, trace.moved_in_stage2)),
             ),
-            _column_periods(trace.params),
+            trace._periods,
         ),
         {
             "occupancy1": trace.occupancy1,
@@ -345,35 +354,15 @@ def _render_report(params: dict, records: Iterator[str], rest: dict) -> Iterator
 
 
 def _json_records(
-    fields: tuple[str, ...], columns: Sequence[Iterable], periods: Iterable[int]
+    fields: tuple[str, ...], columns: Sequence[Iterable], periods: Sequence[int]
 ) -> Iterator[str]:
     """One record per row of ``columns`` under the names ``fields``, from
     one row template; the columns' values must already be JSON literals
-    or ints.  The periods are checked here, and only the cells of one
-    period are formatted before the first block is asked for."""
+    or ints.  Only the cells of one period are formatted before the
+    first block is asked for."""
     members = ",\n".join(f"      {json.dumps(name)}: %s" for name in fields)
     template = "    {\n" + members + "\n    }"
-    return _join_rows(template, columns, _repeating(columns, periods), ",\n")
-
-
-def _repeating(columns: Sequence[Iterable], periods: Iterable[int]) -> list[int]:
-    """Each column's period in ``periods``, or 0 where there is none, it
-    is over ``_BLOCK_ROWS`` or the column does not keep it."""
-    return [
-        period if 0 < period <= _BLOCK_ROWS and _keeps(column, period) else 0
-        for column, period in zip(columns, chain(periods, repeat(0)))
-    ]
-
-
-def _keeps(column: Iterable, period: int) -> bool:
-    """Whether ``column`` repeats every ``period`` items, a period of at
-    most ``_BLOCK_ROWS``.  It is read once, a few periods at a time and
-    with no copy of it, so it may be any iterable that gives the same
-    values on every read."""
-    rows = iter(column)
-    pattern = tuple(islice(rows, period)) * (_BLOCK_ROWS // period)
-    chunks = iter(lambda: tuple(islice(rows, len(pattern))), ())
-    return all(chunk == pattern[: len(chunk)] for chunk in chunks)
+    return _join_rows(template, columns, periods, ",\n")
 
 
 def _join_rows(
@@ -385,13 +374,15 @@ def _join_rows(
     to the text of all rows, and no string per row outlives its block.
 
     Each column's cell is ``row_format`` from its ``%`` to the next.
-    Each run of neighbouring columns whose joint period, from
-    ``periods``, is at most ``_BLOCK_ROWS`` has its cells formatted for
-    one period alone, as one string per row, and those strings, equal
-    ones shared, are cycled.
+    ``periods`` gives the period each column keeps, 0 for none, and
+    columns past its end have none.  Each run of neighbouring columns
+    whose joint period is at most ``_BLOCK_ROWS`` has its cells
+    formatted for one period alone, as one string per row, and those
+    strings, equal ones shared, are cycled.
     """
     head, *cells = row_format.split("%")
     pieces = [head + "%" + cells[0], *("%" + cell for cell in cells[1:])]
+    periods = [*periods, *[0] * (len(columns) - len(periods))]
     formats, values, start = [], [], 0
     while start < len(columns):
         stop, joint = start + 1, periods[start]
@@ -399,7 +390,7 @@ def _join_rows(
             joint = lcm(joint, periods[stop])
             stop += 1
         piece, column = "".join(pieces[start:stop]), columns[start]
-        if joint:
+        if 0 < joint <= _BLOCK_ROWS:
             shared: dict[str, str] = {}
             rows = zip(*(islice(run, joint) for run in columns[start:stop]))
             cells = [shared.setdefault(cell, cell) for cell in map(piece.__mod__, rows)]
@@ -417,34 +408,32 @@ def _join_rows(
 
 # CSV and table cells are %d, so a bool is written 0 or 1; every line,
 # the header's too, ends in a newline.
+# Each writer takes the period each column keeps, as ``_join_rows`` does.
 def _render_csv(
-    fields: tuple[str, ...], columns: Sequence[Iterable[int]], periods: Iterable[int] = ()
+    fields: tuple[str, ...], columns: Sequence[Iterable[int]], periods: Sequence[int] = ()
 ) -> Iterator[str]:
     row_format = ",".join(["%d"] * len(fields)) + "\n"
-    blocks = _join_rows(row_format, columns, _repeating(columns, periods), "")
+    blocks = _join_rows(row_format, columns, periods, "")
     return chain([",".join(fields) + "\n"], blocks)
 
 
 def _extremes(column: Iterable[int], period: int) -> tuple[int, ...]:
     """The smallest and the largest of ``column``, or nothing if it is
     empty, read off one period of it, a range's two ends or else all of
-    it."""
-    if period:
-        column = tuple(islice(column, period))
-    elif isinstance(column, range):
+    it, with no copy."""
+    if isinstance(column, range):
         column = column[:: len(column) - 1 or 1]  # the first and the last
-    smallest = min(column, default=None)
-    return () if smallest is None else (smallest, max(column))
+    smallest = min(islice(column, period or None), default=None)
+    return () if smallest is None else (smallest, max(islice(column, period or None)))
 
 
 def _render_table(
-    header: tuple[str, ...], columns: Sequence[Iterable[int]], periods: Iterable[int] = ()
+    header: tuple[str, ...], columns: Sequence[Iterable[int]], periods: Sequence[int] = ()
 ) -> Iterator[str]:
     # The widths are read here, before the first block is asked for.
-    periods = _repeating(columns, periods)
     widths = [
         max([len(name), *map(len, map("%d".__mod__, _extremes(column, period)))])
-        for name, column, period in zip(header, columns, periods)
+        for name, column, period in zip(header, columns, chain(periods, repeat(0)))
     ]
     row_format = "  ".join(f"%{width}d" for width in widths) + "\n"
     header_line = "  ".join(name.ljust(widths[i]) for i, name in enumerate(header)).rstrip()
@@ -501,7 +490,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         blocks = _plan_blocks(params)
     else:
         render = _render_csv if args.format == "csv" else _render_table
-        blocks = render(PLAN_CSV_FIELDS, _plan_columns(params), _column_periods(params))
+        blocks = render(PLAN_CSV_FIELDS, *_plan_columns(params))
     _emit(blocks, args.output)
     return 0
 
@@ -512,7 +501,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "json":
         blocks = _trace_blocks(trace, check_requirements(trace))
     elif args.format == "csv":
-        blocks = _render_csv(TRACE_CSV_FIELDS, trace.columns, _column_periods(params))
+        blocks = _render_csv(TRACE_CSV_FIELDS, trace.columns, trace._periods)
     else:
         # A blank line parts the table from its summary.
         summary = [
@@ -521,7 +510,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         ]
         summary.append(_gap_line(gap(params)))
         blocks = chain(
-            _render_table(TRACE_CSV_FIELDS, trace.columns, _column_periods(params)),
+            _render_table(TRACE_CSV_FIELDS, trace.columns, trace._periods),
             ["\n" + "\n".join(summary) + "\n"],
         )
     _emit(blocks, args.output)

@@ -11,16 +11,22 @@ within the first set.
 A trace stores its parameters and one column per report field after
 ``token``, in the order ``FIELDS`` gives; the token is the index into
 every column.  There is no per-token record: the report writers, the
-parser and the verifier all read the columns.  Each per-stage occupancy
-histogram is tallied from its column on first use.  Traces are
-immutable once produced and safe to share between threads.
+parser and the verifier all read the columns.  Each column after the
+labels repeats in the token index, as ``run_lifecycle`` states, and a
+trace checks once, on first use, which of its columns keep those periods
+and whether its labels climb by ``B`` a round.  The occupancy
+histograms, the requirement checks and the report writers share that
+result: each per-stage occupancy histogram is tallied on first use from
+one period of its column where the column keeps it, and from the whole
+column where it does not.  Traces are immutable once produced and safe
+to share between threads.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import cached_property
-from itertools import cycle, islice, repeat
+from itertools import count, cycle, islice, repeat
 from math import lcm
 from operator import add, mod, sub
 from typing import Iterable, NamedTuple, Sequence
@@ -56,6 +62,9 @@ class LifecycleTrace(_TraceFields):
     outside the tuple; setting or deleting any attribute, a field or
     not, raises AttributeError.  ``occupancy1`` and ``occupancy2`` are
     indexed by first-set bucket, ``occupancy3`` by second-set bucket.
+    ``_periods`` and ``_climbs``, also read once and cached, say which
+    columns repeat as ``run_lifecycle`` states: a parsed or hand-built
+    trace may not.
     """
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -71,29 +80,84 @@ class LifecycleTrace(_TraceFields):
         return (range(len(self.label)), *(getattr(self, name) for name in FIELDS[1:]))
 
     @cached_property
+    def _periods(self) -> tuple[int, ...]:
+        """For each field of ``FIELDS``, the period ``_column_periods``
+        states for its column where the column keeps it, else 0: a
+        column keeps its period when it has one entry per label, the
+        labels one per token of ``params``, and ``_keeps`` holds.  The
+        tokens and labels get 0."""
+        tokens = len(self.label)
+        return tuple(
+            period
+            if period
+            and len(column) == tokens == self.params.token_count
+            and (period == tokens or _keeps(column, period))
+            else 0
+            for column, period in zip(self.columns, _column_periods(self.params))
+        )
+
+    @cached_property
+    def _climbs(self) -> bool:
+        """Whether ``label[t + B] == label[t] + B`` at every token ``t``:
+        ``label[t] - t`` keeps the period ``B``, read off a ``map``."""
+        size = self.params.first_set_size
+        return len(self.label) <= size or _keeps(map(sub, self.label, count()), size)
+
+    @cached_property
     def occupancy1(self) -> tuple[int, ...]:
-        return _tally(self.stage1_bucket, self.params.first_set_size)
+        return _tally(self.stage1_bucket, self.params.first_set_size, self._periods[2])
 
     @cached_property
     def occupancy2(self) -> tuple[int, ...]:
-        return _tally(self.stage2_bucket, self.params.first_set_size)
+        return _tally(self.stage2_bucket, self.params.first_set_size, self._periods[3])
 
     @cached_property
     def occupancy3(self) -> tuple[int, ...]:
-        return _tally(self.stage3_bucket, self.params.second_set_size)
+        return _tally(self.stage3_bucket, self.params.second_set_size, self._periods[4])
 
 
-def _tally(buckets: Iterable[int], size: int) -> tuple[int, ...]:
+def _tally(
+    buckets: Sequence[int], size: int, period: int = 0, tokens: int | None = None
+) -> tuple[int, ...]:
     """Histogram of bucket indices in ``[0, size)``, zero counts included;
     a bucket outside that range is not counted, as in ``verify._spreads``.
     It counts the occupancy histograms and every histogram that
-    ``ringfill.verify.check_requirements`` reads on a whole trace."""
+    ``ringfill.verify.check_requirements`` reads.
+
+    With a ``period`` that ``buckets`` keeps, only its first period is
+    read: the histogram of ``tokens`` entries, ``len(buckets)`` unless
+    given, is ``q`` times the first period's plus the first ``r``
+    entries', where ``tokens == q * period + r``."""
     # The list comes first, so a size too large to index raises at once.
     counts = [0] * size
-    for bucket, held in Counter(buckets).items():
-        if 0 <= bucket < size:
-            counts[bucket] = held
+    rows = iter(buckets)
+    parts: tuple = ((1, rows),)
+    if period:
+        whole, rest = divmod(len(buckets) if tokens is None else tokens, period)
+        parts = ((whole + 1, islice(rows, rest)), (whole, islice(rows, period - rest)))
+    for times, part in parts:
+        for bucket, held in Counter(part).items():
+            if 0 <= bucket < size:
+                counts[bucket] += times * held
     return tuple(counts)
+
+
+# Items read at a time, here when a column's period is checked and by the
+# report writers of ``ringfill.cli`` when rows are formatted and joined:
+# enough to amortise the work, few enough that a chunk is small beside
+# the column or the text it is read from or joined into.
+_BLOCK_ROWS = 1024
+
+
+def _keeps(column: Iterable, period: int) -> bool:
+    """Whether ``column`` repeats every ``period`` items.  It is read once,
+    whole periods at a time and with no copy of more than a period or a
+    chunk, so it may be any iterable that gives the same values on every
+    read."""
+    rows = iter(column)
+    pattern = tuple(islice(rows, period)) * max(1, _BLOCK_ROWS // period)
+    chunks = iter(lambda: tuple(islice(rows, len(pattern))), ())
+    return all(chunk == pattern[: len(chunk)] for chunk in chunks)
 
 
 def _column_periods(params: PlacementParams) -> tuple[int, ...]:

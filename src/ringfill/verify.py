@@ -34,11 +34,33 @@ for as long as the residue clause holds.  One reader gives a
 requirement's witness on the first ``t`` tokens of a run, and no
 offender or histogram reads the token count, so that is the
 requirement's verdict on the run of ``t`` tokens.
-``check_requirements`` reads every requirement on the whole trace and
-counts each histogram's whole column with ``ringfill.lifecycle._tally``,
-the code behind the occupancy histograms.  Where R5's or R6's residue
-clause holds, its histogram is that stage's occupancy histogram, so the
-check reads it off the trace, where a parsed trace already keeps it.
+``check_requirements`` counts each histogram with
+``ringfill.lifecycle._tally``, the code behind the occupancy
+histograms.  Where R5's or R6's residue clause holds, its histogram is
+that stage's occupancy histogram, so the check reads it off the trace,
+where a parsed trace already keeps it.
+
+The one-period law: on a trace whose columns keep the periods
+``run_lifecycle`` states and whose labels climb, ``label[t + B] ==
+label[t] + B``, a requirement is read off one period ``P`` of its
+group: ``lcm(B, C)`` for R2, R4 and RC, ``B`` for R1, R3 and R5, and
+``lcm(B, B')`` for R6, wherever ``2P <= T``.  Every column such a group
+reads, and ``label % B`` and ``label % B'`` with it, repeats every
+``P``.  An offender among the first ``P`` tokens is the first of the
+trace, since an offender depends only on the tokens up to it.  With
+none there, R4 and the residue clauses of R5 and R6, predicates of one
+token's periodic entries, hold at every token.  RC holds too when the
+period's moved tokens are a multiple of ``C``: the next period's moves
+then start again at slot 0 and take the slots this period's took.  R1
+holds when the first round's labels are distinct modulo ``B``: a label
+keeps its residue from round to round and grows by ``B``, so two tokens
+share a label only at the same round position, where their labels
+differ by a multiple of ``B``.  A histogram of ``T = q·P + r`` tokens
+is ``q`` times the tally of the first ``P`` plus that of the first
+``r``.  Where a column breaks its period, the labels do not climb,
+``P > T/2``, or R1's or RC's extra condition fails, the requirement is
+read on the whole trace, so such a trace gets the verdict and the
+witness a whole read gives.
 
 The sweep folds its domain straight into the verdict: per-requirement
 failure counts, the minimal witness of each requirement, the unexpected
@@ -91,7 +113,7 @@ from itertools import chain, compress, count, cycle, islice, repeat
 from operator import lt, mod, ne, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .lifecycle import LifecycleTrace, _tally, run_lifecycle
+from .lifecycle import FIELDS, LifecycleTrace, _tally, run_lifecycle
 from .placement import PlacementParams, gap
 
 __all__ = [
@@ -283,6 +305,17 @@ def _off_step(trace: LifecycleTrace, _) -> tuple[int, dict] | None:
     }
 
 
+def _distinct_residues(head: LifecycleTrace) -> bool:
+    """R1 beyond a round: the round's labels are distinct modulo ``B``."""
+    size = head.params.first_set_size
+    return len(set(map(mod, head.label, repeat(size)))) == len(head.label)
+
+
+def _whole_cycles(head: LifecycleTrace) -> bool:
+    """RC beyond a period: its moved tokens take whole cycles of the window."""
+    return sum(map(bool, head.moved_in_stage2)) % head.params.fill_width == 0
+
+
 def _window_slots(trace: LifecycleTrace, _) -> tuple[int, ...]:
     """R2: each token's stage-1 window offset, a slot of the window."""
     stage1 = trace.stage1_bucket
@@ -294,44 +327,59 @@ def _label_residues(trace: LifecycleTrace, size: int) -> tuple[int, ...]:
     return tuple(map(mod, trace.label, repeat(size)))
 
 
-# The requirements in report order: (id, description, offender, histogram).
+# The requirements in report order: (id, description, offender,
+# histogram, prefix).  The prefix is the field whose column's period
+# bounds what ``check_requirements`` reads of a periodic trace, and what
+# else, if anything, the offender needs of that prefix to hold beyond it.
 _REQUIREMENTS = (
-    ("R1", "labels are pairwise distinct", _repeated_label, None),
+    (
+        "R1",
+        "labels are pairwise distinct",
+        _repeated_label,
+        None,
+        ("stage2_bucket", _distinct_residues),
+    ),
     (
         "R2",
         "fill-window token counts differ by at most 1",
         None,
         ("window_counts", _window_slots, "fill_width"),
+        ("stage1_bucket", None),
     ),
     (
         "R3",
         "label residue counts over the first set differ by at most 1",
         None,
         ("residue_counts", _label_residues, "first_set_size"),
+        ("stage2_bucket", None),
     ),
     (
         "R4",
         "each token moves at most once and never inside the window",
         _bad_move,
         None,
+        ("stage1_bucket", None),
     ),
     (
         "R5",
         "stage-2 bucket is label mod first_set_size, counts differ by at most 1",
         partial(_off_residue, "stage2_bucket"),
         ("occupancy2", _label_residues, "first_set_size"),
+        ("stage2_bucket", None),
     ),
     (
         "R6",
         "stage-3 bucket is label mod second_set_size, counts differ by at most 1",
         partial(_off_residue, "stage3_bucket"),
         ("occupancy3", _label_residues, "second_set_size"),
+        ("stage3_bucket", None),
     ),
     (
         "RC",
         "ascending stream starts at the window start and steps by one slot",
         _off_step,
         None,
+        ("stage1_bucket", _whole_cycles),
     ),
 )
 
@@ -356,9 +404,8 @@ def _witness(
     if offender is not None and offender[0] < tokens:
         return offender[1]
     if spread > 1:
-        _, _, find_offender, (name, _, _) = row
-        lead = {"clause": "count"} if find_offender else {}
-        return {**lead, name: list(counts), "spread": spread}
+        lead = {"clause": "count"} if row[2] else {}
+        return {**lead, row[3][0]: list(counts), "spread": spread}
     return None
 
 
@@ -377,28 +424,49 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     Total: every trace yields a verdict for every requirement, and a
     failing verdict carries enough detail (full parameters plus the
     offending indices) to reproduce the failure from scratch.  The empty
-    trace passes everything vacuously.  Each requirement is read on the
-    whole trace.  Requirements that share a histogram are read together,
-    from one copy of its buckets and one whole-column tally, and each
-    histogram's buckets are dropped before the next histogram's are
-    built.  The tally is the trace's own ``occupancy2`` or
-    ``occupancy3`` when R5's or R6's residue clause holds, so a parsed
-    trace's histograms are not counted twice.
+    trace passes everything vacuously.  Requirements that share a
+    histogram and a prefix are read together, from one copy of its
+    buckets and one tally, and each histogram's buckets are dropped
+    before the next histogram's are built.  On a trace whose columns
+    keep their periods and whose labels climb, the trace's own
+    ``_periods`` and ``_climbs``, a group reads only the first period of
+    its prefix's column, where that is at most half the trace, by the
+    one-period law of the module docstring; elsewhere, and for R1 or RC
+    where the law's extra condition fails, it reads the whole trace.
+    The tally is the trace's own ``occupancy2`` or ``occupancy3`` when
+    R5's or R6's residue clause holds, so a parsed trace's histograms
+    are not counted twice.
     """
     params = trace.params
     tokens = len(trace.label)
-    by_histogram: dict = {}
+    periods = {}
+    if trace._climbs and all(trace._periods[2:]):
+        periods = dict(zip(FIELDS, trace._periods))
+    groups: dict = {}
     for row in _REQUIREMENTS:
         histogram = row[3]
         key = histogram and (histogram[1], getattr(params, histogram[2]))
-        by_histogram.setdefault(key, []).append(row)
+        groups.setdefault((row[4][0], key), []).append(row)
     witnesses = dict.fromkeys(REQUIREMENT_IDS)
-    for key, rows in by_histogram.items():
+    for (field, key), rows in groups.items():
+        period = periods.get(field, 0)
+        head = trace
+        if 0 < 2 * period <= tokens:
+            head = LifecycleTrace(params, *(column[:period] for column in trace[1:]))
+        else:
+            period = 0
         buckets, counts, spread = None, (), 0
         if key is not None:
             buckets_of, size = key
-            buckets = buckets_of(trace, size)
-        offenders = [None if row[2] is None else row[2](trace, buckets) for row in rows]
+            buckets = buckets_of(head, size)
+        offenders = []
+        for row in rows:
+            offender = None if row[2] is None else row[2](head, buckets)
+            beyond = row[4][1]
+            if offender is None and period and beyond and not beyond(head):
+                # Only R1 and RC have such a condition, and no histogram.
+                offender = row[2](trace, None)
+            offenders.append(offender)
         if key is not None:
             # A residue clause that holds says its stage column is these
             # buckets, whose tally the trace keeps under the histogram's
@@ -408,7 +476,7 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
                 for row, offender in zip(rows, offenders)
                 if row[2] is not None and offender is None
             ]
-            counts = getattr(trace, kept[0]) if kept else _tally(buckets, size)
+            counts = getattr(trace, kept[0]) if kept else _tally(buckets, size, period, tokens)
             spread = max(counts) - min(counts)
         for row, offender in zip(rows, offenders):
             witnesses[row[0]] = _witness(row, offender, counts, spread, tokens)
@@ -631,7 +699,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
             shared, records = content, {}
         gapped = {}  # gap presence by token count, asked at most once each
         for row in _REQUIREMENTS:
-            requirement_id, _, find_offender, histogram = row
+            requirement_id, _, find_offender, histogram, _ = row
             # A failing run counts once per B', save R6's: R6 is judged
             # per B', so a run at its smallest B' counts once.
             record, weight, buckets = _NO_RECORD, len(seconds), None

@@ -121,9 +121,9 @@ def tally_sizes(monkeypatch) -> list[int]:
     sizes: list[int] = []
     real_tally = ringfill.lifecycle._tally
 
-    def counting_tally(buckets, size):
+    def counting_tally(buckets, size, *period):
         sizes.append(size)
-        return real_tally(buckets, size)
+        return real_tally(buckets, size, *period)
 
     for module in (ringfill.lifecycle, ringfill.verify):
         monkeypatch.setattr(module, "_tally", counting_tally)

@@ -17,6 +17,7 @@ import importlib
 import os
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -262,3 +263,20 @@ def test_every_public_function_is_read_outside_the_tests():
                 and public not in reads
             ]
     assert unread == []
+
+
+# Compiling a module of 4,096 tokens or more raises its compiler's peak
+# memory by about a quarter MiB, and every command compiles the package
+# from source where bytecode is not written.
+COMPILE_TOKEN_LIMIT = 4096
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_each_module_stays_under_the_compile_token_limit(name):
+    with open(PACKAGE / name, "rb") as handle:
+        tokens = [
+            token
+            for token in tokenize.tokenize(handle.readline)
+            if token.type not in (tokenize.COMMENT, tokenize.NL)
+        ]
+    assert len(tokens) < COMPILE_TOKEN_LIMIT

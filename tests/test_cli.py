@@ -803,11 +803,17 @@ def reference_csv(header, rows):
 
 def assert_writers_match_the_references(trace):
     """Every trace format, written with the periods the commands pass,
-    equals its reference, byte for byte."""
-    periods = _column_periods(trace.params)
-    rows = list(zip(*trace.columns))
+    the ones the trace checked, equals its reference, byte for byte."""
     report = check_requirements(trace)
     assert trace_report(trace, report) == reference_trace_report(trace, report)
+    assert_rows_match_the_references(trace)
+
+
+def assert_rows_match_the_references(trace):
+    """The CSV and the table of a trace, written with the periods it
+    checked, equal their references, byte for byte."""
+    periods = trace._periods
+    rows = list(zip(*trace.columns))
     csv_text = "".join(_render_csv(TRACE_CSV_FIELDS, trace.columns, periods))
     assert csv_text == reference_csv(TRACE_CSV_FIELDS, rows)
     table = "".join(_render_table(TRACE_CSV_FIELDS, trace.columns, periods))
@@ -873,10 +879,10 @@ class TestReportWriters:
         "field", ["stage1_bucket", "stage2_bucket", "stage3_bucket", "moved_in_stage2"]
     )
     def test_a_trace_that_breaks_a_period_is_written_row_by_row(self, field, token):
-        # The periods the writers are given come from the parameters: 21,
-        # 7, 77 and 7 rows here, 231 jointly.  So a cell edited past the
-        # joint period, in the first block or the second, must be read
-        # back.
+        # The stated periods are 21, 7, 77 and 7 rows here, 231 jointly.
+        # The trace's _periods drops the edited column's period, so the
+        # writers write that column row by row, and a cell edited past the
+        # joint period, in the first block or the second, is read back.
         params = make_params(2000, 7, 3, first=5, target=11)
         trace = run_lifecycle(params)
         column = list(getattr(trace, field))
@@ -885,6 +891,17 @@ class TestReportWriters:
         document = json.loads(trace_report(broken, check_requirements(broken)))
         for case in (broken, parse_trace_report(document)):
             assert_writers_match_the_references(case)
+
+    def test_a_column_shorter_than_the_labels_is_written_row_by_row(self):
+        # A short column keeps no period, so no cycled cells run past its
+        # end: the rows stop at the shortest column, as zip stops.  Such a
+        # trace breaks the one-entry-per-token contract that
+        # check_requirements reads, so only its rows are compared.
+        trace = run_lifecycle(make_params(100, 7, 3, first=5, target=11))
+        short = trace._replace(stage3_bucket=trace.stage3_bucket[:-1])
+        assert_rows_match_the_references(short)
+        csv_text = "".join(_render_csv(TRACE_CSV_FIELDS, short.columns, short._periods))
+        assert csv_text.count("\n") == 1 + 99
 
     @given(placement_params(max_buckets=12, max_tokens=300))
     def test_a_parsed_trace_is_written_as_its_references(self, params):
@@ -908,8 +925,8 @@ class TestReportWriters:
 
     @pytest.mark.parametrize("fmt, ratio", [("csv", 0.6), ("json", 0.2), ("table", 2.2)])
     def test_plan_peak_memory_is_bounded_by_the_written_report(self, tmp_path, fmt, ratio):
-        # The rows are written as they are planned, a block at a time: only
-        # the table holds its label and bucket columns.
+        # The rows are written as they are planned, a block at a time, in
+        # every format: no format holds the label or bucket column.
         path = tmp_path / f"plan.{fmt}"
         args = ["plan", "--tokens", str(MEMORY_TOKENS), *MEMORY_FLAGS, "--format", fmt]
         peak = traced_peak(lambda: main([*args, "--output", str(path)]))

@@ -69,8 +69,8 @@ def inject_row(monkeypatch, requirement_id: str, offender, histogram=None) -> No
     """Swap the offender and histogram of one ``_REQUIREMENTS`` row."""
     table = list(ringfill.verify._REQUIREMENTS)
     index = REQUIREMENT_IDS.index(requirement_id)
-    _, description, _, _ = table[index]
-    table[index] = (requirement_id, description, offender, histogram)
+    _, description, _, _, prefix = table[index]
+    table[index] = (requirement_id, description, offender, histogram, prefix)
     monkeypatch.setattr(ringfill.verify, "_REQUIREMENTS", tuple(table))
 
 
@@ -136,6 +136,36 @@ def broken_traces(draw):
     token = draw(st.integers(0, len(column) - 1))
     if name == "moved_in_stage2":
         column[token] = not column[token]
+    else:
+        values = st.integers(-1, 2 * params.second_set_size)
+        column[token] = draw(values.filter(column[token].__ne__))
+    return trace._replace(**{name: tuple(column)})
+
+
+@st.composite
+def long_broken_traces(draw):
+    """A ``run_lifecycle`` trace of at least two periods of the group that
+    reads the edited column, with one entry changed past that group's
+    first period: a bucket, the move flag or a label, the label possibly
+    set to the one a round earlier carries."""
+    params = draw(placement_params(max_buckets=8, max_tokens=0))
+    size, width = params.first_set_size, params.fill_width
+    name = draw(st.sampled_from(Placement._fields[1:]))
+    period = {
+        "label": size,
+        "stage1_bucket": lcm(size, width),
+        "stage2_bucket": size,
+        "stage3_bucket": lcm(size, params.second_set_size),
+        "moved_in_stage2": lcm(size, width),
+    }[name]
+    tokens = draw(st.integers(2 * period, 2 * period + 3 * size))
+    trace = run_lifecycle(params._replace(token_count=tokens))
+    column = list(getattr(trace, name))
+    token = draw(st.integers(period, tokens - 1))
+    if name == "moved_in_stage2":
+        column[token] = not column[token]
+    elif name == "label" and token >= size and draw(st.booleans()):
+        column[token] = column[token - size]
     else:
         values = st.integers(-1, 2 * params.second_set_size)
         column[token] = draw(values.filter(column[token].__ne__))
@@ -391,10 +421,56 @@ class TestCheckRequirements:
         assert report.all_pass
         assert peak - kept <= 0.25 * kept
 
-    @given(broken_traces())
+    @given(st.one_of(broken_traces(), long_broken_traces()))
     def test_broken_traces_get_the_reference_verdict(self, trace):
         # repr compares the witnesses' key order too.
         assert repr(check_requirements(trace)) == repr(reference_check_requirements(trace))
+
+    def test_a_period_whose_moves_break_a_window_cycle_is_read_whole(self):
+        # (B, C) = (4, 2): tokens 2 and 3 of each round move, one window
+        # cycle a round.  Clearing token 3's flag in every round keeps
+        # each column's period, and the first round's one move takes slot
+        # 0 as it should; but one move a round is no whole cycle, so the
+        # second round's move, at slot 0 where slot 1 is next, is RC's
+        # offender.
+        trace = run_lifecycle(make_params(40, 4, 2, first=1, target=7))
+        moved = list(trace.moved_in_stage2)
+        assert moved[:4] == [False, False, True, True]
+        for base in range(0, 40, 4):
+            moved[base + 3] = False
+        broken = trace._replace(moved_in_stage2=tuple(moved))
+        assert broken._climbs and all(broken._periods[2:])
+        report = check_requirements(broken)
+        assert repr(report) == repr(reference_check_requirements(broken))
+        assert report["RC"].witness["token"] == 6
+
+    @given(st.one_of(placement_params(), broken_traces(), long_broken_traces()))
+    def test_occupancies_equal_a_counter_tally(self, trace):
+        if not isinstance(trace, LifecycleTrace):
+            trace = run_lifecycle(trace)
+        params = trace.params
+        for name, field, size in (
+            ("occupancy1", "stage1_bucket", params.first_set_size),
+            ("occupancy2", "stage2_bucket", params.first_set_size),
+            ("occupancy3", "stage3_bucket", params.second_set_size),
+        ):
+            counts = Counter(getattr(trace, field))
+            assert getattr(trace, name) == tuple(counts[bucket] for bucket in range(size))
+
+    def test_peak_memory_above_a_periodic_trace_is_a_fiftieth_of_it(self):
+        # A trace that keeps its periods is judged from one period of each
+        # requirement's group: the checks hold no column of their own.
+        tracemalloc.start()
+        try:
+            trace = run_lifecycle(PlacementParams(100001, 16, 4, 9, 30))
+            kept = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            report = check_requirements(trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [check.id for check in failures(report)] in ([], ["R6"])
+        assert peak - kept <= 0.02 * kept
 
     @given(placement_params())
     def test_real_traces_only_ever_fail_reshard_counts_on_gaps(self, params):
