@@ -30,15 +30,13 @@ R3 and the count clauses of R5 and R6 over ``label % size``, sized by
 counts a bucket outside ``[0, size)``, which only R2's offsets can be.
 R5's and R6's residue clauses compare their stage with the residues
 their histogram built, so their counts are their stage's bucket counts
-for as long as the residue clause holds.  One reader gives a
-requirement's witness on the first ``t`` tokens of a run, and no
-offender or histogram reads the token count, so that is the
-requirement's verdict on the run of ``t`` tokens.
-``check_requirements`` counts each histogram with
-``ringfill.lifecycle._tally``, the code behind the occupancy
-histograms.  Where R5's or R6's residue clause holds, its histogram is
-that stage's occupancy histogram, so the check reads it off the trace,
-where a parsed trace already keeps it.
+for as long as the residue clause holds.  No offender or histogram
+reads the token count, so a requirement's verdict on the first ``t``
+tokens of a run is its verdict on the run of ``t`` tokens.
+``check_requirements`` is the one place that turns an offender and a
+histogram into a verdict and its witness, and it counts each histogram
+one way: ``ringfill.lifecycle._tally``, the code behind the occupancy
+histograms, of the group's buckets.
 
 The one-period law: on a trace whose columns keep the periods
 ``run_lifecycle`` states and whose labels climb, ``label[t + B] ==
@@ -70,11 +68,13 @@ first ``T`` tokens of every longer run, and the sweep does each piece of
 work once for what it depends on: one lifecycle and one oracle walk per
 ``(B, C, f)`` triple, one spread record per histogram per ``(B, C)``
 pair, shared while the rebased labels and slots agree, and parameters
-and a witness only at each requirement's first failure and at the first
-oracle mismatch.  R6's record folds in every second-set size ``B'``
-above the smallest, where no offender is read, so a triple judges all
-of them in one pass over their distinct spread-2 token counts.  The test suite holds the verdict to
-``check_requirements`` on the full per-token trace of every instance,
+only at each requirement's first failure and at the first oracle
+mismatch.  The sweep only counts: the witness of a requirement's first
+failure is the verdict ``check_requirements`` gives that one run.  R6's
+record folds in every second-set size ``B'`` above the smallest, where
+no offender is read, so a triple judges all of them in one pass over
+their distinct spread-2 token counts.  The test suite holds the verdict
+to ``check_requirements`` on the full per-token trace of every instance,
 and ``check_requirements`` to a per-token restatement of the
 requirements on broken traces.
 
@@ -137,35 +137,15 @@ class RequirementCheck(NamedTuple):
     witness: dict | None = None
 
 
-class RequirementReport:
+class RequirementReport(NamedTuple):
     """Ordered verdicts for R1 through R6 plus RC, looked up by id.
 
-    An immutable record of one field, ``checks``.  It is a small class,
-    not a named tuple, because ``report[id]`` looks a verdict up by
-    requirement id where a tuple would index by position.
+    An immutable named tuple of one field, ``checks``, that equals any
+    tuple of its value, as every record does.  ``report[id]`` looks a
+    verdict up by requirement id, where a tuple would index by position.
     """
 
-    __slots__ = ("checks",)
-
-    def __init__(self, checks: tuple[RequirementCheck, ...]) -> None:
-        object.__setattr__(self, "checks", checks)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to {name!r}: a report is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete {name!r}: a report is immutable")
-
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not RequirementReport:
-            return NotImplemented
-        return self.checks == other.checks
-
-    def __hash__(self) -> int:
-        return hash(self.checks)
-
-    def __repr__(self) -> str:
-        return f"RequirementReport(checks={self.checks!r})"
+    checks: tuple[RequirementCheck, ...]
 
     def __getitem__(self, requirement_id: str) -> RequirementCheck:
         for check in self.checks:
@@ -388,67 +368,43 @@ REQUIREMENT_IDS = tuple(row[0] for row in _REQUIREMENTS)
 REQUIREMENT_DESCRIPTIONS = {row[0]: row[1] for row in _REQUIREMENTS}
 
 
-def _witness(
-    row: tuple, offender: tuple[int, dict] | None, counts: Sequence[int], spread: int, tokens: int
-) -> dict | None:
-    """The witness fields of requirement ``row`` on the first ``tokens``
-    tokens, or None while it holds there.
-
-    ``offender`` is the row's offender on a run of at least ``tokens``
-    tokens, ``counts`` the row's histogram of its first ``tokens`` tokens
-    and ``spread`` that histogram's spread; a row without a histogram
-    has no counts and a spread of 0.  An offender among the tokens wins;
-    else a spread over 1 fails the count clause, whose fields lead with
-    ``clause: "count"`` when the requirement also has an offender.
-    """
-    if offender is not None and offender[0] < tokens:
-        return offender[1]
-    if spread > 1:
-        lead = {"clause": "count"} if row[2] else {}
-        return {**lead, row[3][0]: list(counts), "spread": spread}
-    return None
-
-
-def _failed(
-    requirement_id: str, params: PlacementParams, witness_fields: dict
-) -> RequirementCheck:
-    """A failing verdict whose witness is the instance's params, then ``witness_fields``."""
-    return RequirementCheck(
-        requirement_id, False, {"params": params._asdict(), **witness_fields}
-    )
-
-
 def check_requirements(trace: LifecycleTrace) -> RequirementReport:
     """Check all seven requirements against one trace.
 
-    Total: every trace yields a verdict for every requirement, and a
-    failing verdict carries enough detail (full parameters plus the
-    offending indices) to reproduce the failure from scratch.  The empty
-    trace passes everything vacuously.  Requirements that share a
-    histogram and a prefix are read together, from one copy of its
-    buckets and one tally, and each histogram's buckets are dropped
-    before the next histogram's are built.  On a trace whose columns
-    keep their periods and whose labels climb, the trace's own
-    ``_periods`` and ``_climbs``, a group reads only the first period of
-    its prefix's column, where that is at most half the trace, by the
-    one-period law of the module docstring; elsewhere, and for R1 or RC
-    where the law's extra condition fails, it reads the whole trace.
-    The tally is the trace's own ``occupancy2`` or ``occupancy3`` when
-    R5's or R6's residue clause holds, so a parsed trace's histograms
-    are not counted twice.
+    Every trace whose stage and flag columns hold one entry per label
+    yields a verdict for every requirement, and a failing verdict
+    carries enough detail (full parameters plus the offending indices)
+    to reproduce the failure from scratch; a column of any other length
+    raises ValueError, naming it.  The empty trace passes everything
+    vacuously.  Requirements that share a histogram and a prefix are
+    read together, from one copy of its buckets and one tally, and each
+    histogram's buckets are dropped before the next histogram's are
+    built.  On a trace whose columns keep their periods and whose labels
+    climb, the trace's own ``_periods`` and ``_climbs``, a group reads
+    only the first period of its prefix's column, where that is at most
+    half the trace, by the one-period law of the module docstring;
+    elsewhere, and for R1 or RC where the law's extra condition fails,
+    it reads the whole trace.  Each histogram is ``_tally`` of its
+    group's buckets, read one period at a time where the group reads
+    one period.
     """
     params = trace.params
     tokens = len(trace.label)
+    for name, column in zip(FIELDS[2:], trace[2:]):
+        if len(column) != tokens:
+            raise ValueError(f"{name} has {len(column)} entries, not one per label ({tokens})")
     periods = {}
     if trace._climbs and all(trace._periods[2:]):
         periods = dict(zip(FIELDS, trace._periods))
     groups: dict = {}
-    for row in _REQUIREMENTS:
-        histogram = row[3]
-        key = histogram and (histogram[1], getattr(params, histogram[2]))
-        groups.setdefault((row[4][0], key), []).append(row)
-    witnesses = dict.fromkeys(REQUIREMENT_IDS)
-    for (field, key), rows in groups.items():
+    for requirement_id, _, find_offender, histogram, (field, beyond) in _REQUIREMENTS:
+        # A row without a histogram has no name or buckets to read.
+        name, buckets_of, size_field = histogram or (None, None, "first_set_size")
+        groups.setdefault((field, buckets_of, getattr(params, size_field)), []).append(
+            (requirement_id, find_offender, name, beyond)
+        )
+    checks = dict.fromkeys(REQUIREMENT_IDS)
+    for (field, buckets_of, size), rows in groups.items():
         period = periods.get(field, 0)
         head = trace
         if 0 < 2 * period <= tokens:
@@ -456,38 +412,29 @@ def check_requirements(trace: LifecycleTrace) -> RequirementReport:
         else:
             period = 0
         buckets, counts, spread = None, (), 0
-        if key is not None:
-            buckets_of, size = key
+        if buckets_of is not None:
             buckets = buckets_of(head, size)
-        offenders = []
-        for row in rows:
-            offender = None if row[2] is None else row[2](head, buckets)
-            beyond = row[4][1]
+            counts = _tally(buckets, size, period, tokens)
+            spread = max(counts) - min(counts)
+        for requirement_id, find_offender, name, beyond in rows:
+            offender = None if find_offender is None else find_offender(head, buckets)
             if offender is None and period and beyond and not beyond(head):
                 # Only R1 and RC have such a condition, and no histogram.
-                offender = row[2](trace, None)
-            offenders.append(offender)
-        if key is not None:
-            # A residue clause that holds says its stage column is these
-            # buckets, whose tally the trace keeps under the histogram's
-            # name: R5's occupancy2 and R6's occupancy3.
-            kept = [
-                row[3][0]
-                for row, offender in zip(rows, offenders)
-                if row[2] is not None and offender is None
-            ]
-            counts = getattr(trace, kept[0]) if kept else _tally(buckets, size, period, tokens)
-            spread = max(counts) - min(counts)
-        for row, offender in zip(rows, offenders):
-            witnesses[row[0]] = _witness(row, offender, counts, spread, tokens)
-    return RequirementReport(
-        tuple(
-            RequirementCheck(requirement_id, True)
-            if witness_fields is None
-            else _failed(requirement_id, params, witness_fields)
-            for requirement_id, witness_fields in witnesses.items()
-        )
-    )
+                offender = find_offender(trace, None)
+            # An offender among the tokens wins; else a spread over 1
+            # fails the count clause, led by ``clause: "count"`` where
+            # the requirement also has an offender.
+            if offender is not None and offender[0] < tokens:
+                fields = offender[1]
+            elif spread > 1:
+                lead = {"clause": "count"} if find_offender else {}
+                fields = {**lead, name: list(counts), "spread": spread}
+            else:
+                checks[requirement_id] = RequirementCheck(requirement_id, True)
+                continue
+            witness = {"params": params._asdict(), **fields}
+            checks[requirement_id] = RequirementCheck(requirement_id, False, witness)
+    return RequirementReport(tuple(checks.values()))
 
 
 def prose_oracle_stage1(params: PlacementParams) -> list[tuple[int, int]]:
@@ -663,12 +610,13 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
     Each spread record is built once per histogram and sizes and shared,
     by the module's sharing rule, while the triples' token counts,
     rebased labels and R2 slots agree: once per ``(B, C)`` pair on
-    correct traces.  R5's and R6's offenders and every witness read
-    their own triple's buckets.  Only a requirement's first failure in
-    lexicographic parameter order gets its parameters and a witness,
-    which ``_witness`` reads from the offender or from the whole-column
-    tally of that run's tokens, so the whole report is deterministic;
-    once a requirement has its witness, later triples only count.
+    correct traces.  R5's and R6's offenders read their own triple's
+    buckets.  Only a requirement's first failing run in lexicographic
+    parameter order gets its parameters, and its witness is
+    ``check_requirements(run_lifecycle(params))[requirement_id]``: one
+    more small lifecycle per failing requirement, and the one judge
+    names every failure, so the whole report is deterministic.  Once a
+    requirement has its witness, later triples only count.
     """
     if domain is None:
         domain = SweepDomain()
@@ -698,8 +646,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         if content != shared:
             shared, records = content, {}
         gapped = {}  # gap presence by token count, asked at most once each
-        for row in _REQUIREMENTS:
-            requirement_id, _, find_offender, histogram, _ = row
+        for requirement_id, _, find_offender, histogram, _ in _REQUIREMENTS:
             # A failing run counts once per B', save R6's: R6 is judged
             # per B', so a run at its smallest B' counts once.
             record, weight, buckets = _NO_RECORD, len(seconds), None
@@ -736,20 +683,13 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
             if requirement_id in minimal:
                 continue
             # The first failing run is the least (tokens, B'); no two
-            # candidates share a B'.
-            firsts = []
+            # candidates share a B'.  check_requirements names its failure.
+            firsts = [] if first_above is None else [first_above]
             if failing:
-                firsts.append((over[0] if held else token_counts[cut], seconds[0], offender))
-            if first_above is not None:
-                firsts.append((*first_above, None))
+                firsts.append((over[0] if held else token_counts[cut], seconds[0]))
             if firsts:
-                first, second, offender = min(firsts)
+                first, second = min(firsts)
                 params = PlacementParams(first, size, width, start, second)
-                whole, spread = (), 0
-                if histogram is not None:
-                    histogram_size = getattr(params, size_field)
-                    whole = _tally(buckets_of(trace, histogram_size)[:first], histogram_size)
-                    spread = max(whole) - min(whole)
-                witness_fields = _witness(row, offender, whole, spread, first)
-                minimal[requirement_id] = params, _failed(requirement_id, params, witness_fields)
+                check = check_requirements(run_lifecycle(params))[requirement_id]
+                minimal[requirement_id] = params, check
     return SweepReport(domain, instances, counts, minimal, mismatches, first_mismatch, unexpected)

@@ -1014,15 +1014,18 @@ class TestTraceRoundTrip:
         tally_sizes.clear()
         check_requirements(parse_trace_report(document))
         # The parser tallies the three stage columns, then the check tallies
-        # the window offsets; label % B and label % B' are the stage-2 and
-        # stage-3 columns, whose tallies the parser left on the trace.
-        assert tally_sizes == [4, 4, 5, 3]
+        # its own histograms: the window offsets, label % B for R3 and R5,
+        # and label % B' for R6.  It reads no occupancy off the trace, so
+        # each histogram has one way to be tallied, at the cost of two
+        # tallies of columns the parser's occupancies already count.
+        assert tally_sizes == [4, 4, 5, 3, 4, 5]
 
     def test_reverification_tallies_label_residues_off_a_broken_stage_2(self, tally_sizes):
         # Token 1's stage-2 bucket is off its label residue in both the
         # placements and occupancy2, so the document parses and R5 fails
-        # its residue clause: the check tallies label % B afresh and reads
-        # only occupancy3 off the trace.
+        # its residue clause.  The check tallies its three histograms
+        # afresh whatever the residue clauses say: the window offsets,
+        # label % B and label % B'.
         trace = run_lifecycle(make_params(5, 4, 3, target=5))
         document = json.loads(trace_report(trace, check_requirements(trace)))
         placement = document["placements"][1]
@@ -1032,7 +1035,7 @@ class TestTraceRoundTrip:
         broken = parse_trace_report(document)
         tally_sizes.clear()
         report = check_requirements(broken)
-        assert tally_sizes == [3, 4]
+        assert tally_sizes == [3, 4, 5]
         assert report == reference_check_requirements(broken)
         assert report["R5"].witness["clause"] == "residue"
         assert report["R3"].passed

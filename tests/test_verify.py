@@ -31,7 +31,7 @@ from ringfill import (
     sweep,
 )
 from ringfill.cli import sweep_report_document
-from ringfill.lifecycle import _column_periods, _tally
+from ringfill.lifecycle import FIELDS, _column_periods, _tally
 from ringfill.verify import _spreads
 
 from conftest import (
@@ -185,6 +185,22 @@ class TestReportContainer:
         assert report["R4"].id == "R4"
         with pytest.raises(KeyError):
             report["R9"]
+
+    def test_a_report_is_an_immutable_record_of_its_checks(self):
+        report = check_requirements(run_lifecycle(make_params(6, 3, 2)))
+        assert report._asdict() == {"checks": report.checks}
+        assert repr(report) == f"RequirementReport(checks={report.checks!r})"
+        with pytest.raises(AttributeError):
+            report.checks = ()
+        with pytest.raises(AttributeError):
+            report.extra = None
+
+    def test_a_report_equals_the_tuple_of_its_checks(self):
+        # As every record does: a report equals, and hashes as, any tuple
+        # of its one value.
+        report = check_requirements(run_lifecycle(make_params(6, 3, 2)))
+        assert report == (report.checks,)
+        assert hash(report) == hash((report.checks,))
 
     def test_failures_lists_exactly_the_failing_checks(self):
         report = check_requirements(run_lifecycle(make_params(5, 4, 3, target=5)))
@@ -405,6 +421,13 @@ class TestCheckRequirements:
         finally:
             sys.setprofile(None)
         assert [calls[name] for name in ("_window_slots", "_label_residues")] == [1, 2]
+
+    @pytest.mark.parametrize("column", FIELDS[2:])
+    def test_a_column_of_another_length_than_the_labels_raises(self, column):
+        trace = run_lifecycle(PlacementParams(100, 7, 3, 5, 11))
+        short = trace._replace(**{column: getattr(trace, column)[:-1]})
+        with pytest.raises(ValueError, match=f"^{column} has 99 entries"):
+            check_requirements(short)
 
     def test_peak_memory_above_the_trace_is_a_quarter_of_it(self):
         # R1 sorts the labels instead of building a set of them, and each
@@ -695,20 +718,21 @@ class TestSweep:
         assert list(document["minimal_violations"]) == ["R6", "RC"]
         assert json.dumps(document) == json.dumps(sweep_report_document(reference))
 
-    def test_sweep_runs_one_lifecycle_and_one_oracle_walk_per_triple(
+    def test_sweep_runs_one_oracle_walk_and_one_lifecycle_per_triple_plus_one_per_named_failure(
         self, monkeypatch
     ):
         domain = SweepDomain(max_buckets=4)
         calls, report = count_sweep_calls(monkeypatch, domain)
-        # One (B, C, f) triple per window width and start: 1 + 4 + 9 + 16.
-        # Each (B, C) pair builds B + 2 spread records, shared by its B
-        # window starts: R2's, the one R3 and R5 share, and R6's for each
-        # of the B second-set sizes.  Gap presence is asked once per
-        # planning instance that R6's count clause fails at spread 2,
-        # never once per second-set size.  The only parameters built from
-        # others are those of R6's minimal witness.
+        # One (B, C, f) triple per window width and start: 1 + 4 + 9 + 16,
+        # and one lifecycle more, the run of R6's minimal failure, which
+        # check_requirements judges to name its witness: R6 is the only
+        # requirement that fails.  Each (B, C) pair builds B + 2 spread
+        # records, shared by its B window starts: R2's, the one R3 and R5
+        # share, and R6's for each of the B second-set sizes.  Gap
+        # presence is asked once per planning instance that R6's count
+        # clause fails at spread 2, never once per second-set size.
         assert calls == {
-            "run_lifecycle": 30,
+            "run_lifecycle": 31,
             "prose_oracle_stage1": 30,
             "_spreads": 50,
             "gap": 112,
@@ -717,9 +741,11 @@ class TestSweep:
 
     def test_default_sweep_builds_each_spread_record_once_per_pair(self, monkeypatch):
         # The sum of B * (B + 2) over B <= 10 records, not one set per triple.
+        # One lifecycle per triple, 385, and one for R6's minimal failure,
+        # the only requirement that fails, judged by check_requirements.
         calls, report = count_sweep_calls(monkeypatch, SweepDomain())
         assert calls == {
-            "run_lifecycle": 385,
+            "run_lifecycle": 386,
             "prose_oracle_stage1": 385,
             "_spreads": 495,
             "gap": 4631,
@@ -728,12 +754,17 @@ class TestSweep:
 
     def test_default_sweep_reads_only_columns(self, tally_sizes):
         # The sweep judges every prefix from the spread records of the
-        # trace's columns; the one whole-column histogram it tallies is
-        # that of R6's minimal witness, over the second set of 3.
+        # trace's columns and tallies nothing itself.  The histograms it
+        # leaves tallied are those of check_requirements on the run of
+        # R6's minimal failure, (3, 2, 2, 0, 3), which names its witness:
+        # R2's over the window of 2, the one R3 and R5 share over the
+        # first set of 2, and R6's over the second set of 3.
         report = sweep()
         assert report.instances_checked == 113432
         assert report.only_expected_failures
-        assert tally_sizes == [3]
+        assert tally_sizes == [2, 2, 3]
+        # The counter and the judge agree on every named failure.
+        assert all(check.passed is False for _, check in report.minimal_violations.values())
 
     def test_wide_spans_and_long_runs_match_the_reference(self):
         domain = SweepDomain(max_buckets=5, max_rounds=6, target_span=4)
@@ -794,6 +825,8 @@ class TestSweep:
         assert report.minimal_violations == {
             "R6": (params, RequirementCheck("R6", False, witness))
         }
+        # The counter and the judge agree on every named failure.
+        assert all(check.passed is False for _, check in report.minimal_violations.values())
 
     def test_oracle_disagreement_is_reported(self, monkeypatch):
         monkeypatch.setattr(
