@@ -16,13 +16,13 @@ plan's, a cell per column and no per-token record: the move flag is
 and table cells.  The token and label cells are formatted row by row.
 The other columns repeat with the periods ``run_lifecycle`` states, and
 each run of them whose joint period is at most ``_BLOCK_ROWS`` rows has
-its cells formatted once per period and cycled, once every column is
-found to keep its period: a trace's writers take the periods the trace
-checked once for all its readers, and a plan's check its columns with
-``_keeps``.  The table's widths are read off one period too.  Each
-writer yields its report a block of rows at a time, and the command
-writes each block to its output as it comes, so a report holds its
-trace, or nothing for a plan, plus one block and one period of cells.
+its cells formatted once per period and cycled: a trace's writers take
+the periods the trace checked once for all its readers, and a plan's
+take the stated periods, which its columns keep by construction.  The
+table's widths are read off one period too.  Each writer yields its
+report a block of rows at a time, and the command writes each block to
+its output as it comes, so a report holds its trace, or one round of
+label offsets for a plan, plus one block and one period of cells.
 Everything that can fail on bad input runs before the output file is
 opened.  The trace parser reads each field of the JSON records into a
 column in one pass and puts each check of a record to whole columns,
@@ -43,7 +43,7 @@ from math import lcm
 from operator import countOf, itemgetter, ne
 from typing import Any
 
-from .lifecycle import _BLOCK_ROWS, FIELDS, LifecycleTrace, _column_periods, _keeps, run_lifecycle
+from .lifecycle import _BLOCK_ROWS, FIELDS, LifecycleTrace, _column_periods, run_lifecycle
 from .placement import PlacementParams, _stage1_columns, gap
 from .verify import (
     REQUIREMENT_DESCRIPTIONS,
@@ -108,7 +108,7 @@ def _plan_blocks(params: PlacementParams) -> Iterator[str]:
 
 class _Rebuilt:
     """A column that ``build()`` makes afresh at every read, so it is
-    never held."""
+    never held: a plan's, which its table reads three times."""
 
     def __init__(self, build: Callable[[], Iterator]) -> None:
         self.build = build
@@ -117,22 +117,16 @@ class _Rebuilt:
         return self.build()
 
 
-def _plan_columns(params: PlacementParams) -> tuple[tuple[Iterable[int], ...], list[int]]:
+def _plan_columns(params: PlacementParams) -> tuple[tuple[Iterable[int], ...], tuple[int, ...]]:
     """The token, label and stage-1 bucket columns of a plan, and the
-    periods they are found to keep; the last two columns are built at
-    every read, the first time when their periods are checked.  A period
-    over ``_BLOCK_ROWS``, which ``_join_rows`` would not cycle, is not
-    checked, so no such period is held."""
+    periods ``run_lifecycle`` states for them, which ``_stage1_columns``
+    keeps by construction; the last two columns are built at every read."""
     columns = (
         range(params.token_count),
         _Rebuilt(lambda: _stage1_columns(params)[0]),
         _Rebuilt(lambda: _stage1_columns(params)[1]),
     )
-    periods = [
-        period if 0 < period <= _BLOCK_ROWS and _keeps(column, period) else 0
-        for column, period in zip(columns, _column_periods(params))
-    ]
-    return columns, periods
+    return columns, _column_periods(params)
 
 
 def _check_document(check: RequirementCheck) -> dict:
@@ -152,7 +146,7 @@ def _trace_blocks(trace: LifecycleTrace, report: RequirementReport) -> Iterator[
             FIELDS,
             (
                 *trace.columns[:-1],
-                _Rebuilt(lambda: map(("false", "true").__getitem__, trace.moved_in_stage2)),
+                map(("false", "true").__getitem__, trace.moved_in_stage2),
             ),
             trace._periods,
         ),

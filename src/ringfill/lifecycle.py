@@ -28,7 +28,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import count, cycle, islice, repeat
 from math import lcm
-from operator import add, mod, sub
+from operator import mod, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .placement import PlacementParams, _stage1_columns
@@ -152,8 +152,10 @@ _BLOCK_ROWS = 1024
 def _keeps(column: Iterable, period: int) -> bool:
     """Whether ``column`` repeats every ``period`` items.  It is read once,
     whole periods at a time and with no copy of more than a period or a
-    chunk, so it may be any iterable that gives the same values on every
-    read."""
+    chunk, so it may be an iterator: a trace's column, or a ``map`` over
+    its labels.  Only a trace's ``_periods`` and ``_climbs`` call it,
+    since a parsed or hand-built trace may break a period that
+    ``run_lifecycle`` keeps by construction."""
     rows = iter(column)
     pattern = tuple(islice(rows, period)) * max(1, _BLOCK_ROWS // period)
     chunks = iter(lambda: tuple(islice(rows, len(pattern))), ())
@@ -194,18 +196,12 @@ def run_lifecycle(params: PlacementParams) -> LifecycleTrace:
     when it rides that stream, at round position ``C`` or later: it sits
     in the window after stage 1 and at its label residue, outside the
     window, after stage 2.  So each column is built for one period, or
-    for every token where there are fewer, and then repeated: the labels
-    as the token index plus the first round's offsets, taken from
-    ``_stage1_columns``.
+    for every token where there are fewer, and then repeated; the labels
+    are the column ``_stage1_columns`` states, kept whole.
     """
     _, _, stage1_period, stage2_period, stage3_period, _ = _column_periods(params)
-    first = params.first_bucket
     label_column, bucket_column = _stage1_columns(params)
-    # A label is its token's index plus the offset of its round position.
-    offsets = tuple(
-        map(sub, islice(label_column, stage2_period), range(first, first + stage2_period))
-    )
-    labels = tuple(map(add, range(first, first + params.token_count), cycle(offsets)))
+    labels = tuple(label_column)
     stage1 = tuple(islice(bucket_column, stage1_period))
     stage2 = tuple(map(mod, islice(labels, stage2_period), repeat(params.first_set_size)))
     stage3 = tuple(map(mod, islice(labels, stage3_period), repeat(params.second_set_size)))

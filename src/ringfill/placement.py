@@ -20,8 +20,8 @@ a residue of the token's permanent integer label: stage 2 uses
 First-stream tokens already sit at their stage-2 bucket after stage 1,
 so the rebalance moves only second-stream tokens, each exactly once.
 The label map is stated once, as the label column of
-``_stage1_columns``, which ``run_lifecycle`` keeps and the plan report
-writes.
+``_stage1_columns``: the token index plus one round's offsets.
+``run_lifecycle`` keeps that column whole and the plan report writes it.
 
 Tokens and labels are plain non-negative ints.  Label arithmetic is done
 on unreduced integers so labels from different rounds never alias; bucket
@@ -32,7 +32,7 @@ Python ints are unbounded, so no overflow guard is needed at any size.
 from __future__ import annotations
 
 from itertools import chain, cycle, islice, repeat
-from operator import mod
+from operator import add, mod
 from typing import Iterator, NamedTuple
 
 __all__ = [
@@ -112,39 +112,38 @@ class PlacementParams(_PlacementFields):
 
 def _stage1_columns(params: PlacementParams) -> tuple[Iterator[int], Iterator[int]]:
     """The label and stage-1 bucket columns, in token order, each an
-    iterator that builds one round at a time.
+    iterator.
 
-    From the round's base ``first_bucket + round * first_set_size`` its
-    labels are two arithmetic runs: the descending run
-    ``base + fill_width - 1`` down to ``base``, then the ascending run
-    ``base + fill_width`` up to ``base + first_set_size - 1``.  A
-    descending label's residue walks the window from its far end back to
-    its start in every round, and the ascending tokens of all rounds take
-    the window's slots in turn, as :func:`plan_stage1` says.
+    A label is ``first_bucket + token`` plus the offset of its round
+    position ``p``: ``fill_width - 1 - 2 * p`` on the descending run,
+    ``p < fill_width``, and 0 on the ascending one.  One round of offsets
+    is held, ``min(first_set_size, token_count)`` of them.  So a round's
+    labels run down from ``fill_width - 1`` above its base
+    ``first_bucket + round * first_set_size`` to the base, then up from
+    ``base + fill_width``.  A descending label's residue walks the window
+    from its far end back to its start in every round, and the ascending
+    tokens of all rounds take the window's slots in turn, as
+    :func:`plan_stage1` says; the bucket column is built a round at a
+    time.
     """
     size = params.first_set_size
     width = params.fill_width
     tokens = params.token_count
-    bases = range(params.first_bucket, params.first_bucket + tokens, size)
-    label_runs = (
-        run
-        for base in bases
-        for run in (range(base + width - 1, base - 1, -1), range(base + width, base + size))
-    )
+    first = params.first_bucket
+    offsets = tuple(islice(chain(range(width - 1, -width, -2), repeat(0)), min(size, tokens)))
+    labels = map(add, range(first, first + tokens), cycle(offsets))
     # Only the window slots the tokens take are built, so the cost
     # follows the token count, not the window width: the descending run
     # from the far end, cut to the token count, and the ascending
     # stream's slots, which ``cycle`` keeps as the stream reaches them.
-    slots = range(params.first_bucket, params.first_bucket + width)
+    slots = range(first, first + width)
     descending = tuple(islice(map(mod, reversed(slots), repeat(size)), tokens))
     ascending = cycle(map(mod, slots, repeat(size)))
     rest = min(size - width, tokens)
-    bucket_runs = (run for _ in bases for run in (descending, islice(ascending, rest)))
+    rounds = range(0, tokens, size)
+    bucket_runs = (run for _ in rounds for run in (descending, islice(ascending, rest)))
     # The last round may stop early.
-    return (
-        islice(chain.from_iterable(label_runs), tokens),
-        islice(chain.from_iterable(bucket_runs), tokens),
-    )
+    return labels, islice(chain.from_iterable(bucket_runs), tokens)
 
 
 def plan_stage1(params: PlacementParams) -> list[tuple[int, int]]:

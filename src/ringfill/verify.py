@@ -107,6 +107,7 @@ and a gap of the same length on the same classes.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from functools import partial
 from itertools import chain, compress, count, cycle, islice, repeat
@@ -538,13 +539,6 @@ class SweepReport(NamedTuple):
         return self.unexpected_violations == 0 and self.oracle_mismatches == 0
 
 
-def _at_most(ascending: Sequence[int], bound: int) -> int:
-    """How many of the ascending ints are at most ``bound``."""
-    if not ascending or ascending[-1] <= bound:
-        return len(ascending)
-    return _first(map(lt, repeat(bound), ascending))
-
-
 def _runs_over_one(buckets: Iterable[int], size: int, token_counts: Sequence[int]) -> tuple:
     """The token counts, of ``token_counts``, at which the spread of the
     histogram of ``buckets`` over ``[0, size)`` is over 1, and those of
@@ -636,7 +630,7 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
         agreed = next(
             compress(count(), map(ne, zip(count(), trace.stage1_bucket), oracle)), len(oracle)
         )
-        agreeing = _at_most(token_counts, agreed)
+        agreeing = bisect_right(token_counts, agreed)
         mismatches += (len(token_counts) - agreeing) * len(seconds)
         if agreeing < len(token_counts) and first_mismatch is None:
             first_mismatch = PlacementParams(token_counts[agreeing], size, width, start, seconds[0])
@@ -666,13 +660,13 @@ def sweep(domain: SweepDomain | None = None) -> SweepReport:
             offender = None if find_offender is None else find_offender(trace, buckets)
             # Runs of at most this many tokens do not hold the offender.
             clean = len(trace.label) if offender is None else offender[0]
-            held, cut = _at_most(over, clean), _at_most(token_counts, clean)
+            held, cut = bisect_right(over, clean), bisect_right(token_counts, clean)
             failing = held + len(token_counts) - cut
             # Expected: the documented gap case, R6's count clause at
             # spread exactly 2 on an instance whose labels have a gap.
             expected = 0
             if requirement_id == "R6":
-                runs = chain(zip(twos[: _at_most(twos, clean)], repeat(1)), twos_above.items())
+                runs = chain(zip(twos[: bisect_right(twos, clean)], repeat(1)), twos_above.items())
                 for tokens, times in runs:
                     if tokens not in gapped:
                         params = PlacementParams(tokens, size, width, start, seconds[0])

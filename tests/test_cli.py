@@ -14,10 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ringfill.cli
-from ringfill import LifecycleTrace, check_requirements, run_lifecycle
+import ringfill.verify
+from ringfill import GapDescriptor, LifecycleTrace, check_requirements, plan_stage1, run_lifecycle
 from ringfill.cli import (
     _BLOCK_ROWS,
+    PLAN_CSV_FIELDS,
     TRACE_CSV_FIELDS,
+    _plan_columns,
     _render_csv,
     _render_table,
     main,
@@ -27,6 +30,7 @@ from ringfill.lifecycle import _column_periods
 
 from conftest import (
     failures,
+    label,
     make_params,
     placement_params,
     plan_report,
@@ -508,6 +512,14 @@ class TestSweepCommand:
         assert minimal["check"]["witness"]["occupancy3"] == [2, 1, 0]
         assert document["only_expected_failures"] is True
 
+    def test_a_sweep_with_unexpected_violations_exits_two(self, capsys, monkeypatch):
+        # With no gap anywhere, R6's four spread-2 failures are unexpected.
+        monkeypatch.setattr(ringfill.verify, "gap", lambda params: GapDescriptor(False))
+        code, out, _ = run_cli(capsys, ["sweep", "--max-buckets", "2"])
+        assert code == 2
+        assert "unexpected violations: 4" in out
+        assert out.endswith("result: UNEXPECTED violations found\n")
+
     def test_zero_rounds_is_an_input_error(self, capsys):
         code, _, err = run_cli(capsys, ["sweep", "--max-rounds", "0"])
         assert code == 1
@@ -544,6 +556,13 @@ class TestArgumentHandling:
         # int() reads each of these spellings as a number.
         args = ["plan", "--tokens", "3", "--buckets", "10", "--fill", "3", "--first", "0"]
         args[args.index(flag) + 1] = text
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 1
+        assert "expected a decimal integer" in capsys.readouterr().err
+
+    def test_more_digits_than_int_converts_exits_one(self, capsys):
+        args = ["plan", "--tokens", "9" * 5000, "--buckets", "4", "--fill", "2", "--first", "0"]
         with pytest.raises(SystemExit) as excinfo:
             main(args)
         assert excinfo.value.code == 1
@@ -749,8 +768,9 @@ class TestOutputHandling:
     def test_a_plan_whose_columns_are_not_read_early_still_fails_first(
         self, capsys, tmp_path, monkeypatch, fmt, tokens
     ):
-        # With no tokens, or a stage-1 period of 3,000 rows, no period
-        # check reads the plan's columns before the file would be opened.
+        # With no tokens, or a stage-1 period of 3,000 rows, longer than a
+        # block, no cell is formatted ahead and no period is checked; the
+        # writer still builds each column before the file would be opened.
         def exhausted(*args):
             raise MemoryError
 
@@ -830,6 +850,21 @@ class TestReportWriters:
         report = check_requirements(trace)
         assert trace_report(trace, report) == reference_trace_report(trace, report)
         assert plan_report(params) == reference_plan_report(params)
+
+    @settings(max_examples=200, deadline=None)
+    @given(placement_params())
+    # Stage 1 repeats every lcm(4, 3) = 12 tokens, cycled five times over;
+    # then every lcm(37, 29) = 1,073 tokens, more than a block.
+    @example(make_params(60, 4, 3, first=1))
+    @example(make_params(2 * 1073 + 5, 37, 29, first=8))
+    def test_plan_rows_equal_their_references(self, params):
+        # The plan's writers take the stated periods unchecked, as
+        # cmd_plan passes them, so only these references hold their bytes.
+        rows = [(token, label(params, token), bucket) for token, bucket in plan_stage1(params)]
+        csv_text = "".join(_render_csv(PLAN_CSV_FIELDS, *_plan_columns(params)))
+        assert csv_text == reference_csv(PLAN_CSV_FIELDS, rows)
+        table = "".join(_render_table(PLAN_CSV_FIELDS, *_plan_columns(params)))
+        assert table == reference_table(PLAN_CSV_FIELDS, rows)
 
     @pytest.mark.parametrize(
         "rows",

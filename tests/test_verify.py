@@ -1265,8 +1265,9 @@ class TestPeriods:
     @example(make_params(30, 8, 3, first=2, target=9))  # T < lcm(B, B')
     @example(make_params(40, 6, 6, first=1, target=7))  # C = B
     def test_the_column_periods_hold_on_the_reference(self, params):
-        # The writers trust no period they have not checked, but a period
-        # that is wrong would leave every trace on the per-row path.
+        # The plan's writers cycle cells on these periods unchecked, so a
+        # wrong one would change the plan's bytes; a trace's writers check
+        # theirs, and a wrong one would leave every trace row by row.
         columns = list(zip(*reference_lifecycle(params))) or [()] * 6
         periods = _column_periods(params)
         assert periods[:2] == (0, 0)
